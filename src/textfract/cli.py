@@ -14,6 +14,7 @@ from __future__ import annotations
 import argparse
 import concurrent.futures
 import csv
+import math
 import sys
 from dataclasses import asdict
 from pathlib import Path
@@ -120,9 +121,23 @@ def build_parser() -> argparse.ArgumentParser:
 # input loading
 
 def read_series_csv(path) -> np.ndarray:
+    """Values of an ``index,value`` CSV below its header row. A row
+    whose second column is missing or not a finite number raises
+    ValueError naming the file and line."""
+    values = []
     with open(path, newline="", encoding="utf-8") as fh:
-        rows = list(csv.reader(fh))
-    return np.array([float(r[1]) for r in rows[1:]])
+        reader = csv.reader(fh)
+        next(reader, None)
+        for row in reader:
+            try:
+                value = float(row[1])
+            except (IndexError, ValueError):
+                value = math.nan
+            if not math.isfinite(value):
+                raise ValueError(f"{path}, line {reader.line_num}: expected "
+                                 f"index,value with a finite value, got {row!r}")
+            values.append(value)
+    return np.array(values)
 
 
 def load_document(path, args) -> corpus.Document:
@@ -149,15 +164,24 @@ def load_slv(path, args):
     return slv, report, doc
 
 
+def text_paths(args):
+    """The text paths in sorted order; exits when there are none or when
+    --series-csv is given instead."""
+    if args.series_csv:
+        raise SystemExit(f"{args.command} needs text input, not --series-csv")
+    if not args.paths:
+        raise SystemExit("no input: give text paths, or --series-csv "
+                         "where the command reads a series")
+    return sorted(args.paths)
+
+
 def resolve_inputs(args):
     """Yield (name, values, provenance) for each requested input."""
     if args.series_csv:
         values = read_series_csv(args.series_csv)
         yield Path(args.series_csv).stem, values, {"series_csv": args.series_csv}
         return
-    if not args.paths:
-        raise SystemExit("no input: give text paths or --series-csv")
-    for path in sorted(args.paths):
+    for path in text_paths(args):
         slv, report, _doc = load_slv(path, args)
         prov = {"source": slv.source, "segmentation": asdict(report),
                 "unit": slv.unit}
@@ -424,10 +448,7 @@ def cmd_surrogate(args) -> int:
 
 def cmd_zipf(args) -> int:
     em = Emitter(args)
-    if args.series_csv:
-        raise SystemExit("zipf needs text input, not --series-csv")
-    status = 0
-    for path in sorted(args.paths):
+    for path in text_paths(args):
         doc = load_document(path, args)
         table = corpus.rank_frequency(
             doc, include_terminators=args.include_terminators)
@@ -452,7 +473,7 @@ def cmd_zipf(args) -> int:
         em.write(f"{name}__zipf", "svg", svgplot.log_log_plot(
             [(ranks, counts, name)], title=f"rank-frequency, {name}",
             xlabel="rank", ylabel="count", fit_lines=fit_lines))
-    return status
+    return 0
 
 
 def cmd_ccdf(args) -> int:
@@ -479,9 +500,7 @@ def cmd_ccdf(args) -> int:
 
 def cmd_recurrence(args) -> int:
     em = Emitter(args)
-    if args.series_csv:
-        raise SystemExit("recurrence needs text input, not --series-csv")
-    for path in sorted(args.paths):
+    for path in text_paths(args):
         doc = load_document(path, args)
         rec = corpus.word_recurrence_series(doc, args.target)
         name = f"{Path(path).stem}__{args.target}"

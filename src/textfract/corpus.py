@@ -14,20 +14,19 @@ from __future__ import annotations
 import hashlib
 import re
 import unicodedata
+from collections import Counter
 from dataclasses import dataclass, field, replace
 from importlib import resources
 
 import numpy as np
 
 __all__ = [
-    "Token",
     "Document",
     "Sentence",
     "SegmentationReport",
     "SentenceLengthSeries",
     "RecurrenceSeries",
     "RankFrequencyTable",
-    "TokenizerConfig",
     "SegmenterConfig",
     "AbbreviationLexicon",
     "tokenize",
@@ -38,9 +37,13 @@ __all__ = [
     "slice_series",
 ]
 
-WORD = "word"
-TERMINATOR = "terminator"
-OTHER = "other"
+# token kind codes, as stored in Document.kinds
+WORD = 0
+TERMINATOR = 1
+OTHER = 2
+
+# the pseudo-word into which all sentence-ending marks pool
+TERMINATOR_SURFACE = "⟨.⟩"
 
 # Maximal letter/digit runs joined by internal apostrophes or hyphens;
 # an ellipsis is one token, any other punctuation one token per char.
@@ -51,37 +54,30 @@ _TOKEN_RE = re.compile(
     r"|(?P<other>\S)",
     re.UNICODE,
 )
+_GROUP_KIND = {"ellipsis": TERMINATOR, "word": WORD, "term": TERMINATOR,
+               "other": OTHER}
 
 _OPENERS = {"(": ")", "[": "]", "{": "}", "“": "”", "«": "»"}
 _CLOSERS = {v: k for k, v in _OPENERS.items()}
 
 
 @dataclass(frozen=True)
-class Token:
-    kind: str  # WORD | TERMINATOR | OTHER
-    surface: str
-    position: int  # index in the document token list
-
-
-@dataclass(frozen=True)
 class Document:
+    """A tokenized text as two parallel columns: ``tokens[i]`` is the
+    surface of token i and ``kinds[i]`` its kind code (WORD,
+    TERMINATOR or OTHER)."""
+
     title: str
     language_tag: str
-    tokens: tuple
+    tokens: tuple  # str surfaces
+    kinds: np.ndarray  # int8 kind codes
     source_hash: str
-
-
-@dataclass(frozen=True)
-class TokenizerConfig:
-    normalization: str = "NFC"
-    encoding: str = "utf-8"
 
 
 @dataclass(frozen=True)
 class SegmenterConfig:
     suppress_inside_brackets: bool = True  # rule C
     emit_trailing: bool = False
-    min_sentences: int = 5000
 
 
 @dataclass(frozen=True)
@@ -138,7 +134,6 @@ class RecurrenceSeries:
 class RankFrequencyTable:
     entries: list  # (rank, surface, count), rank 1 = most frequent
     include_terminators: bool
-    terminator_surface: str = "⟨.⟩"
 
 
 class AbbreviationLexicon:
@@ -180,37 +175,30 @@ class AbbreviationLexicon:
         return cls()
 
 
-def tokenize(raw, config: TokenizerConfig | None = None,
-             title: str = "", language_tag: str = "en") -> Document:
+def tokenize(raw, title: str = "", language_tag: str = "en") -> Document:
     """Split raw text (bytes or str) into Word / Terminator / Other
-    tokens. Bytes that fail to decode raise with the byte offset."""
-    config = config or TokenizerConfig()
+    tokens after NFC normalization. Bytes that are not UTF-8 raise with
+    the byte offset."""
     if isinstance(raw, bytes):
         digest_src = raw
         try:
-            text = raw.decode(config.encoding)
+            text = raw.decode("utf-8")
         except UnicodeDecodeError as exc:
-            raise ValueError(
-                f"input is not valid {config.encoding} at byte {exc.start}"
-            ) from exc
+            raise ValueError(f"input is not valid utf-8 at byte {exc.start}") from exc
     else:
         text = raw
         digest_src = raw.encode("utf-8")
-    text = unicodedata.normalize(config.normalization, text)
-    tokens = []
+    text = unicodedata.normalize("NFC", text)
+    surfaces = []
+    kinds = []
     for m in _TOKEN_RE.finditer(text):
-        if m.lastgroup == "word":
-            kind = WORD
-        elif m.lastgroup in ("term", "ellipsis"):
-            kind = TERMINATOR
-        else:
-            kind = OTHER
-        surface = "…" if m.lastgroup == "ellipsis" else m.group()
-        tokens.append(Token(kind=kind, surface=surface, position=len(tokens)))
+        kinds.append(_GROUP_KIND[m.lastgroup])
+        surfaces.append("…" if m.lastgroup == "ellipsis" else m.group())
     return Document(
         title=title,
         language_tag=language_tag,
-        tokens=tuple(tokens),
+        tokens=tuple(surfaces),
+        kinds=np.array(kinds, dtype=np.int8),
         source_hash=hashlib.sha256(digest_src).hexdigest(),
     )
 
@@ -219,13 +207,9 @@ def _is_initial(word: str) -> bool:
     return len(word) == 1 and word.isalpha() and word.isupper()
 
 
-def _next_word(tokens, i):
-    for t in tokens[i + 1 :]:
-        if t.kind == WORD:
-            return t
-        if t.kind == TERMINATOR:
-            return None
-    return None
+def _running_total(values) -> np.ndarray:
+    """Prefix sums with a leading 0: entry i totals values[:i]."""
+    return np.concatenate(([0], np.cumsum(values)))
 
 
 def segment_sentences(doc: Document, lexicon: AbbreviationLexicon | None = None,
@@ -239,74 +223,69 @@ def segment_sentences(doc: Document, lexicon: AbbreviationLexicon | None = None,
     """
     lexicon = lexicon if lexicon is not None else AbbreviationLexicon.for_language(doc.language_tag)
     config = config or SegmenterConfig()
-    tokens = doc.tokens
-    sentences = []
+    tokens, kinds = doc.tokens, doc.kinds
+    is_word = kinds == WORD
+    # words and terminators in token order: the word after a mark, if
+    # any, is the next entry here, unless a terminator comes first
+    stops = np.flatnonzero(kinds != OTHER)
+
+    def next_word_capitalized(i: int) -> bool:
+        j = np.searchsorted(stops, i, side="right")
+        if j == len(stops) or not is_word[stops[j]]:
+            return False
+        return tokens[stops[j]][0].isupper()
+
+    cuts = [0]  # span boundaries: each span runs from one cut to the next
     lexicon_hits = initial_hits = bracket_suppr = ellipsis_cont = 0
-    empty_skipped = 0
-    start = 0
     depth = 0
     quote_open = False  # straight double quotes toggle
 
-    def close(end_excl: int):
-        nonlocal start, empty_skipped
-        span = tokens[start:end_excl]
-        words = [t for t in span if t.kind == WORD]
-        if words:
-            sentences.append(
-                Sentence(
-                    start=start,
-                    end=end_excl,
-                    word_count=len(words),
-                    char_count=sum(len(t.surface) for t in words),
-                )
-            )
-        else:
-            empty_skipped += 1
-        start = end_excl
-
-    for i, tok in enumerate(tokens):
-        if tok.kind == OTHER:
-            if tok.surface in _OPENERS:
+    nonword = np.flatnonzero(~is_word)
+    for i, kind in zip(nonword.tolist(), kinds[nonword].tolist()):
+        surface = tokens[i]
+        if kind == OTHER:
+            if surface in _OPENERS:
                 depth += 1
-            elif tok.surface in _CLOSERS:
+            elif surface in _CLOSERS:
                 depth = max(0, depth - 1)
-            elif tok.surface == '"':
+            elif surface == '"':
                 quote_open = not quote_open
             continue
-        if tok.kind != TERMINATOR:
-            continue
 
-        prev = tokens[i - 1] if i > 0 else None
-        if tok.surface == "." and prev is not None and prev.kind == WORD:
-            if prev.surface in lexicon:
+        if surface == "." and i > 0 and is_word[i - 1]:
+            if tokens[i - 1] in lexicon:
                 lexicon_hits += 1
                 continue
-            if _is_initial(prev.surface):
+            if _is_initial(tokens[i - 1]):
                 initial_hits += 1
                 continue
-        if tok.surface == "…":
-            nxt = _next_word(tokens, i)
-            if nxt is None or not nxt.surface[0].isupper():
-                ellipsis_cont += 1
-                continue
-        if config.suppress_inside_brackets and (depth > 0 or quote_open):
-            nxt = _next_word(tokens, i)
-            if nxt is None or not nxt.surface[0].isupper():
-                bracket_suppr += 1
-                continue
-        close(i + 1)
+        if surface == "…" and not next_word_capitalized(i):
+            ellipsis_cont += 1
+            continue
+        if (config.suppress_inside_brackets and (depth > 0 or quote_open)
+                and not next_word_capitalized(i)):
+            bracket_suppr += 1
+            continue
+        cuts.append(i + 1)
 
-    trailing = len(tokens) - start
+    trailing = len(tokens) - cuts[-1]
     if trailing > 0 and config.emit_trailing:
-        close(len(tokens))
+        cuts.append(len(tokens))
         trailing = 0
+    cuts = np.asarray(cuts)
+    word_chars = np.fromiter(map(len, tokens), dtype=int, count=len(tokens)) * is_word
+    words = np.diff(_running_total(is_word)[cuts])
+    chars = np.diff(_running_total(word_chars)[cuts])
+    kept = words > 0
+    sentences = list(map(Sentence, cuts[:-1][kept].tolist(), cuts[1:][kept].tolist(),
+                         words[kept].tolist(), chars[kept].tolist()))
     report = SegmentationReport(
         n_sentences=len(sentences),
         lexicon_hits=lexicon_hits,
         initial_hits=initial_hits,
         bracket_suppressions=bracket_suppr,
         ellipsis_continuations=ellipsis_cont,
-        empty_spans_skipped=empty_skipped,
+        empty_spans_skipped=int((~kept).sum()),
         trailing_tokens_dropped=trailing,
     )
     return sentences, report
@@ -343,25 +322,22 @@ def word_recurrence_series(doc: Document, target: str,
     counts between consecutive full stops, i.e. the sentence-length
     series shifted by one sentence.
     """
-    pooled_terminators = target in (".", "⟨.⟩")
-    want = target.lower() if fold_case else target
-    indices = []
-    word_idx = 0
-    for t in doc.tokens:
-        if t.kind == TERMINATOR and pooled_terminators:
-            indices.append(word_idx)
-            continue
-        if t.kind != WORD:
-            continue
-        surface = t.surface.lower() if fold_case else t.surface
-        if surface == want:
-            indices.append(word_idx)
-        word_idx += 1
+    pooled_terminators = target in (".", TERMINATOR_SURFACE)
+    is_word = doc.kinds == WORD
+    if pooled_terminators:
+        hit = doc.kinds == TERMINATOR
+    else:
+        want = target.lower() if fold_case else target
+        surfaces = map(str.lower, doc.tokens) if fold_case else doc.tokens
+        hit = is_word & np.fromiter((s == want for s in surfaces),
+                                    dtype=bool, count=len(doc.tokens))
+    # an occurrence sits at the number of words before it
+    indices = _running_total(is_word)[:-1][hit]
     if len(indices) < 2:
         raise ValueError(
             f"target {target!r} occurs {len(indices)} time(s); need >= 2"
         )
-    gaps = np.diff(np.asarray(indices))
+    gaps = np.diff(indices)
     if pooled_terminators:
         # back-to-back marks ("?!", "...") delimit empty spans, which
         # segmentation also skips
@@ -375,33 +351,24 @@ def word_recurrence_series(doc: Document, target: str,
 
 
 def rank_frequency(doc: Document, include_terminators: bool = False,
-                   fold_case: bool = True,
-                   terminator_surface: str = "⟨.⟩") -> RankFrequencyTable:
+                   fold_case: bool = True) -> RankFrequencyTable:
     """Zipf table: words (case-folded by default) ranked by count,
     descending, ties broken by first occurrence. With
     ``include_terminators`` all sentence-ending marks pool into one
-    pseudo-word."""
+    pseudo-word, ``TERMINATOR_SURFACE``."""
     if not doc.tokens:
         raise ValueError("empty document")
-    counts: dict[str, int] = {}
-    order: dict[str, int] = {}
-    for t in doc.tokens:
-        if t.kind == WORD:
-            key = t.surface.lower() if fold_case else t.surface
-        elif t.kind == TERMINATOR and include_terminators:
-            key = terminator_surface
-        else:
-            continue
-        if key not in counts:
-            order[key] = len(order)
-            counts[key] = 0
-        counts[key] += 1
-    ranked = sorted(counts, key=lambda k: (-counts[k], order[k]))
-    entries = [(r + 1, k, counts[k]) for r, k in enumerate(ranked)]
+    keys = (
+        TERMINATOR_SURFACE if kind == TERMINATOR
+        else surface.lower() if fold_case else surface
+        for surface, kind in zip(doc.tokens, doc.kinds.tolist())
+        if kind == WORD or (kind == TERMINATOR and include_terminators)
+    )
+    # most_common sorts stably, so equal counts keep first-occurrence order
+    ranked = Counter(keys).most_common()
     return RankFrequencyTable(
-        entries=entries,
+        entries=[(rank, key, count) for rank, (key, count) in enumerate(ranked, 1)],
         include_terminators=include_terminators,
-        terminator_surface=terminator_surface,
     )
 
 

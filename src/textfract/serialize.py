@@ -52,10 +52,6 @@ def to_json(payload: dict) -> str:
 
 def table_csv(rows, header) -> str:
     """Generic CSV emission for ad-hoc tables."""
-    return _csv(rows, header)
-
-
-def _csv(rows, header) -> str:
     buf = io.StringIO()
     w = csv.writer(buf, lineterminator="\n")
     w.writerow(header)
@@ -64,7 +60,7 @@ def _csv(rows, header) -> str:
 
 
 def series_csv(values, value_name: str = "length") -> str:
-    return _csv(
+    return table_csv(
         ((j + 1, _fmt(v)) for j, v in enumerate(values)),
         ["index", value_name],
     )
@@ -77,7 +73,7 @@ def _fmt(v):
 
 
 def spectrum_csv(ps) -> str:
-    return _csv(
+    return table_csv(
         ((repr(float(f)), repr(float(p))) for f, p in zip(ps.freqs, ps.power)),
         ["frequency", "power"],
     )
@@ -88,11 +84,11 @@ def surface_csv(surf) -> str:
     for i, q in enumerate(surf.q_values):
         for j, s in enumerate(surf.scales):
             rows.append((int(s), repr(float(q)), repr(float(surf.F[i, j]))))
-    return _csv(rows, ["scale", "q", "F"])
+    return table_csv(rows, ["scale", "q", "F"])
 
 
 def hurst_csv(gh) -> str:
-    return _csv(
+    return table_csv(
         (
             (repr(float(q)), repr(float(h)), repr(float(e)))
             for q, h, e in zip(gh.q_values, gh.h, gh.h_stderr)
@@ -102,7 +98,7 @@ def hurst_csv(gh) -> str:
 
 
 def singularity_csv(spec) -> str:
-    return _csv(
+    return table_csv(
         (
             (repr(float(q)), repr(float(a)), repr(float(f)))
             for q, a, f in zip(spec.q_values, spec.alphas, spec.f_values)
@@ -112,14 +108,14 @@ def singularity_csv(spec) -> str:
 
 
 def ccdf_csv(c) -> str:
-    return _csv(
+    return table_csv(
         ((repr(float(l)), repr(float(f))) for l, f in zip(c.lengths, c.F)),
         ["length", "F"],
     )
 
 
 def rank_frequency_csv(table) -> str:
-    return _csv(
+    return table_csv(
         ((r, s, c) for r, s, c in table.entries),
         ["rank", "surface", "count"],
     )
@@ -133,4 +129,4 @@ def wavelet_csv(wm) -> str:
                 (repr(float(s)), int(k), repr(float(wm.coefficients[i, j])),
                  int(wm.boundary[i, j]))
             )
-    return _csv(rows, ["scale", "position", "coefficient", "boundary"])
+    return table_csv(rows, ["scale", "position", "coefficient", "boundary"])

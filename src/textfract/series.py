@@ -89,10 +89,14 @@ def shuffle_surrogate(s, seed: int) -> Series:
 def phase_randomized_surrogate(s, seed: int) -> Series:
     """Fourier-phase randomized surrogate.
 
-    Keeps every spectral amplitude bit-for-bit (so all linear
-    correlations survive) and replaces the phases of the positive
-    frequencies with uniform draws; DC and, for even length, the Nyquist
-    bin stay real so the inverse transform is a real series.
+    Keeps every spectral amplitude (so all linear correlations survive)
+    and replaces the phases of the positive frequencies with uniform
+    draws; DC and, for even length, the Nyquist bin stay real so the
+    inverse transform is a real series. The amplitudes are exact in the
+    spectrum built here; after ``irfft`` and a new ``rfft`` they agree
+    only to floating-point rounding, which is relative to the largest
+    amplitude, so a bin that is itself rounding noise, such as the DC
+    bin of a zero-mean series, can change by more than its own size.
     """
     x = as_values(s)
     n = len(x)

@@ -60,7 +60,6 @@ def wavelet_map(s_series, scales=None, positions=None) -> WaveletMap:
     if positions.min() < 1 or positions.max() > n:
         raise ValueError("positions must lie within the series (1-based)")
 
-    j = np.arange(1, n + 1, dtype=float)
     coeffs = np.empty((len(scales), len(positions)))
     boundary = np.empty((len(scales), len(positions)), dtype=bool)
     for i, s in enumerate(scales):

@@ -78,6 +78,23 @@ class TestParser:
         with pytest.raises(SystemExit):
             run(["spectrum", "--out", tmp_path / "o"])
 
+    @pytest.mark.parametrize("argv", [["zipf"], ["recurrence", "--target", "the"]],
+                             ids=lambda argv: argv[0])
+    def test_text_only_command_without_input_is_fatal(self, argv, tmp_path):
+        with pytest.raises(SystemExit, match="no input"):
+            run(argv + ["--out", tmp_path / "o"])
+
+
+class TestSeriesCsvInput:
+    @pytest.mark.parametrize("row", ["3", "3,nan", "3,inf", "3,abc"],
+                             ids=["one_column", "nan", "inf", "non_numeric"])
+    def test_malformed_row_is_fatal(self, row, tmp_path, capsys):
+        path = tmp_path / "bad.csv"
+        path.write_text(f"index,value\n1,2.0\n2,5.0\n{row}\n4,1.0\n",
+                        encoding="utf-8")
+        assert run(["spectrum", "--series-csv", path, "--out", tmp_path / "o"]) == 1
+        assert f"fatal: {path}, line 4:" in capsys.readouterr().err
+
 
 class TestSpectrumCommand:
     def test_series_csv_input(self, series_file, tmp_path):
