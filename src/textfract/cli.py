@@ -5,8 +5,11 @@ length series -> spectrum fit -> MFDFA -> singularity spectrum ->
 surrogates -> tail fit, plus the single-purpose commands (zipf, ccdf,
 wavelet, recurrence, surrogate, slice).
 
-Logs go to stderr, data to files under --out (or stdout with "-").
-Exit codes: 0 ok, 1 fatal, 2 partial (some inputs skipped).
+Each input is one job that reads, analyses and writes it. A text input
+that cannot be read or analysed is skipped with ``error: <name>: ...``.
+``--series-csv`` (numeric commands only) reads one series instead of
+texts; a malformed CSV is fatal. Logs go to stderr, data to files under
+--out. Exit codes: 0 ok, 2 some inputs skipped, 1 all skipped or fatal.
 """
 
 from __future__ import annotations
@@ -40,10 +43,11 @@ def _add_common(p):
     p.add_argument("--seed", type=int, default=0, help="base RNG seed")
 
 
-def _add_text(p):
+def _add_text(p, series_input=True):
     p.add_argument("paths", nargs="*", help="UTF-8 plain text files")
-    p.add_argument("--series-csv", default=None,
-                   help="skip segmentation; read a series from CSV (index,value)")
+    if series_input:
+        p.add_argument("--series-csv", default=None,
+                       help="skip segmentation; read a series from CSV (index,value)")
     p.add_argument("--unit", choices=["words", "chars"], default="words")
     p.add_argument("--lexicon", default=None, help="abbreviation lexicon file")
     p.add_argument("--language", default="en")
@@ -97,7 +101,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--surrogates", type=int, default=1)
 
     p = sub.add_parser("zipf", help="rank-frequency table and slope")
-    _add_text(p); _add_common(p)
+    _add_text(p, series_input=False); _add_common(p)
     p.add_argument("--include-terminators", action="store_true")
     p.add_argument("--rank-min", type=int, default=10)
     p.add_argument("--rank-max", type=int, default=1000)
@@ -107,7 +111,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--tail-start", type=float, default=100.0)
 
     p = sub.add_parser("recurrence", help="word-recurrence pipeline (beta^w)")
-    _add_text(p); _add_spectral(p); _add_mfdfa(p); _add_common(p)
+    _add_text(p, series_input=False); _add_spectral(p); _add_mfdfa(p); _add_common(p)
     p.add_argument("--target", required=True, help="target word")
 
     p = sub.add_parser("slice", help="cut a sentence-length series")
@@ -115,6 +119,24 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--from", dest="slice_from", type=int, required=True)
     p.add_argument("--to", dest="slice_to", type=int, required=True)
     return ap
+
+
+def check_args(args):
+    """Reject, before any input is read, values that can only fail."""
+    if unknown := set(args.format.split(",")) - {"csv", "json", "svg"}:
+        raise ValueError(f"--format: unknown {sorted(unknown)}; use csv,json,svg")
+    if "q_step" in args and not args.q_step > 0:
+        raise ValueError(f"--q-step must be > 0, got {args.q_step}")
+    if "jobs" in args and args.jobs < 1:
+        raise ValueError(f"--jobs must be >= 1, got {args.jobs}")
+    if "surrogates" in args and args.surrogates < 0:
+        raise ValueError(f"--surrogates must be >= 0, got {args.surrogates}")
+    if "fit_fmin" in args and (args.fit_fmin is None) != (args.fit_fmax is None):
+        raise SystemExit("--fit-fmin and --fit-fmax must be given together")
+
+
+def spectrum_fit_range(args):
+    return None if args.fit_fmin is None else (args.fit_fmin, args.fit_fmax)
 
 
 # --------------------------------------------------------------------------
@@ -146,7 +168,7 @@ def load_document(path, args) -> corpus.Document:
 
 
 def load_slv(path, args):
-    """Segment one text file and return (series, report, document)."""
+    """Segment one text file and return (series, report)."""
     doc = load_document(path, args)
     if args.lexicon:
         lex = corpus.AbbreviationLexicon.from_file(args.lexicon)
@@ -161,35 +183,20 @@ def load_slv(path, args):
     )
     if slv.below_threshold:
         log(f"warning: {path}: {slv.j_max} sentences, below {args.min_sentences}")
-    return slv, report, doc
+    return slv, report
 
 
-def text_paths(args):
-    """The text paths in sorted order; exits when there are none or when
-    --series-csv is given instead."""
-    if args.series_csv:
-        raise SystemExit(f"{args.command} needs text input, not --series-csv")
-    if not args.paths:
-        raise SystemExit("no input: give text paths, or --series-csv "
-                         "where the command reads a series")
-    return sorted(args.paths)
-
-
-def resolve_inputs(args):
-    """Yield (name, values, provenance) for each requested input."""
-    if args.series_csv:
-        values = read_series_csv(args.series_csv)
-        yield Path(args.series_csv).stem, values, {"series_csv": args.series_csv}
-        return
-    for path in text_paths(args):
-        slv, report, _doc = load_slv(path, args)
-        prov = {"source": slv.source, "segmentation": asdict(report),
-                "unit": slv.unit}
-        yield Path(path).stem, slv.values.astype(float), prov
+def load_series(source, args):
+    """(values, provenance) of --series-csv values or of a text path."""
+    if isinstance(source, np.ndarray):
+        return source, {"series_csv": args.series_csv}
+    slv, report = load_slv(source, args)
+    prov = {"source": slv.source, "segmentation": asdict(report), "unit": slv.unit}
+    return slv.values.astype(float), prov
 
 
 # --------------------------------------------------------------------------
-# output helpers
+# the per-input runner
 
 class Emitter:
     def __init__(self, args):
@@ -206,32 +213,82 @@ class Emitter:
         return path
 
 
-def mfdfa_params(args, n: int):
-    q = mfdfa.default_q_values(args.q_min, args.q_max, args.q_step)
-    s_max = args.scale_max or n // 5
-    scales = mfdfa.default_scales(n, s_min=args.scale_min, s_max=s_max)
-    return q, scales
+def each_input(args, job, jobs=1):
+    """Run ``job(name, source, args, em)`` on each input in up to ``jobs``
+    processes; ``source`` is a text path for the job to load, or the
+    --series-csv values. Returns the results of the jobs that did not
+    raise, in input order, and the exit status: 0, 2 or 1 when all, some
+    or none succeeded."""
+    if csv_path := getattr(args, "series_csv", None):
+        inputs = [(Path(csv_path).stem, read_series_csv(csv_path))]
+    elif args.paths:
+        inputs = [(Path(p).stem, p) for p in sorted(args.paths)]
+    else:
+        raise SystemExit("no input: give text paths, or --series-csv "
+                         "where the command reads a series")
+    em = Emitter(args)
+    tasks = [(job, name, source, args, em) for name, source in inputs]
+    workers = min(jobs, len(tasks))
+    if workers > 1:
+        with concurrent.futures.ProcessPoolExecutor(max_workers=workers) as ex:
+            outcomes = list(ex.map(_run_job, *zip(*tasks)))
+    else:
+        outcomes = [_run_job(*task) for task in tasks]
+    for (name, _), (ok, result) in zip(inputs, outcomes):
+        if not ok:
+            log(f"error: {name}: {result}")
+    results = [result for ok, result in outcomes if ok]
+    return results, 0 if len(results) == len(tasks) else 2 if results else 1
 
 
-def spectrum_fit_range(args):
-    if args.fit_fmin is not None or args.fit_fmax is not None:
-        if args.fit_fmin is None or args.fit_fmax is None:
-            raise SystemExit("--fit-fmin and --fit-fmax must be given together")
-        return (args.fit_fmin, args.fit_fmax)
-    return None
+def _run_job(job, name, source, args, em):
+    try:
+        return True, job(name, source, args, em)
+    except Exception as exc:  # one bad input never sinks the batch
+        return False, str(exc)
 
 
 # --------------------------------------------------------------------------
-# per-text analysis (used by `analyze`, importable for the worker pool)
+# stages shared by the commands
 
-def analyze_one(name, values, prov, args):
-    """Run the full pipeline on one series; returns the report dict."""
-    values = np.asarray(values, dtype=float)
+def spectrum_stage(values, args):
+    """Power spectrum and its 1/f^beta fit."""
     ps = spectral.power_spectrum(values)
-    fit = spectral.fit_beta(ps, spectrum_fit_range(args), args.bins_per_decade)
-    q, scales = mfdfa_params(args, len(values))
-    _surf, gh, spec = mfdfa.mfdfa(values, q_values=q, scales=scales,
-                                  m=args.detrend_order)
+    return ps, spectral.fit_beta(ps, spectrum_fit_range(args), args.bins_per_decade)
+
+
+def mfdfa_stage(values, args):
+    """(surface, h(q), f(alpha)) on the q grid and scales the flags set."""
+    q = mfdfa.default_q_values(args.q_min, args.q_max, args.q_step)
+    s_max = args.scale_max or len(values) // 5
+    scales = mfdfa.default_scales(len(values), s_min=args.scale_min, s_max=s_max)
+    return mfdfa.mfdfa(values, q_values=q, scales=scales, m=args.detrend_order)
+
+
+def tail_stage(c, tail_start, name):
+    """Stretched-exponential tail fit, or None (logged) when it fails."""
+    try:
+        return distfit.fit_stretched_exponential(c, tail_start=tail_start)
+    except ValueError as exc:
+        log(f"{name}: tail fit skipped ({exc})")
+        return None
+
+
+def spectrum_svg(ps, fit, label, title, beta_name="beta"):
+    """Log-log plot of one spectrum with its fitted 1/f^beta line."""
+    return svgplot.log_log_plot(
+        [(ps.freqs, ps.power, label)], title=title, xlabel="f", ylabel="S(f)",
+        fit_lines=[(-fit.beta, fit.intercept, f"{beta_name}={fit.beta:.3f}")])
+
+
+# --------------------------------------------------------------------------
+# commands: a job per input, plus what analyze and ccdf add over the corpus
+
+def analyze_job(name, source, args, em):
+    """The full pipeline; returns the input's scatter row and spectrum."""
+    values, prov = load_series(source, args)
+    ps, fit = spectrum_stage(values, args)
+    _surf, gh, spec = mfdfa_stage(values, args)
     H = mfdfa.hurst_exponent(gh)
     idx2 = int(np.nonzero(np.isclose(gh.q_values, 2.0))[0][0])
 
@@ -241,8 +298,7 @@ def analyze_one(name, values, prov, args):
         pr = series.phase_randomized_surrogate(values, seed=args.seed + 2 * k + 1)
         row = {}
         for label, surr in (("shuffled", sh), ("phase_randomized", pr)):
-            _, gh_s, spec_s = mfdfa.mfdfa(surr, q_values=q, scales=scales,
-                                          m=args.detrend_order)
+            _, gh_s, spec_s = mfdfa_stage(surr.values, args)
             row[label] = {
                 "h2": mfdfa.hurst_exponent(gh_s),
                 "delta_alpha": spec_s.delta_alpha,
@@ -250,19 +306,14 @@ def analyze_one(name, values, prov, args):
             }
         surrogate_rows.append(row)
 
-    tail = None
-    try:
-        tail_fit = distfit.fit_stretched_exponential(
-            distfit.ccdf(values), tail_start=args.tail_start
-        )
-        tail = {"mu": tail_fit.mu, "b": tail_fit.b,
-                "fit_range": list(tail_fit.fit_range)}
-    except ValueError as exc:
-        log(f"{name}: tail fit skipped ({exc})")
-
+    tail = tail_stage(distfit.ccdf(values), args.tail_start, name)
     report = {
         "name": name,
         "provenance": prov,
+        # digest the analysis parameters only, not the output or scheduling
+        "config_digest": serialize.config_digest(
+            {k: v for k, v in vars(args).items()
+             if k not in ("paths", "out", "format", "jobs")}),
         "j_max": len(values),
         "mean": float(values.mean()),
         "variance": float(values.var()),
@@ -275,292 +326,201 @@ def analyze_one(name, values, prov, args):
         "delta_alpha": spec.delta_alpha,
         "alpha_at_peak": spec.alpha_at_peak,
         "mfdfa": {
-            "q": [float(v) for v in q],
+            "q": [float(v) for v in gh.q_values],
             "scale_range": list(gh.fit_scale_range),
             "detrend_order": args.detrend_order,
         },
         "surrogates": surrogate_rows,
-        "tail_fit": tail,
+        "tail_fit": None if tail is None else {
+            "mu": tail.mu, "b": tail.b, "fit_range": list(tail.fit_range)},
     }
-    return report, ps, fit, gh, spec
+    em.write(f"{name}__report", "json", serialize.to_json(report))
+    em.write(f"{name}__spectrum", "csv", serialize.spectrum_csv(ps))
+    em.write(f"{name}__hurst", "csv", serialize.hurst_csv(gh))
+    em.write(f"{name}__singularity", "csv", serialize.singularity_csv(spec))
+    em.write(f"{name}__spectrum", "svg", spectrum_svg(ps, fit, name, f"S(f), {name}"))
+    shuffled_da = max((row["shuffled"]["delta_alpha"] for row in surrogate_rows),
+                      default=float("nan"))
+    return (name, H, spec.delta_alpha, fit.beta, shuffled_da), ps
 
 
-def _analyze_worker(payload):
-    name, values, prov, args = payload
-    try:
-        report, ps, fit, gh, spec = analyze_one(name, values, prov, args)
-        return name, report, ps, fit, gh, spec, None
-    except Exception as exc:  # isolate per-text failures
-        return name, None, None, None, None, None, str(exc)
+def spectrum_job(name, source, args, em):
+    values, prov = load_series(source, args)
+    ps, fit = spectrum_stage(values, args)
+    em.write(f"{name}__spectrum", "csv", serialize.spectrum_csv(ps))
+    em.write(f"{name}__spectrum_fit", "json", serialize.to_json(
+        {"provenance": prov, **asdict(fit)}))
+    em.write(f"{name}__spectrum", "svg", spectrum_svg(ps, fit, name, f"S(f), {name}"))
+
+
+def mfdfa_job(name, source, args, em):
+    values, prov = load_series(source, args)
+    surf, gh, spec = mfdfa_stage(values, args)
+    H = mfdfa.hurst_exponent(gh)  # raises before any file is written
+    em.write(f"{name}__fq", "csv", serialize.surface_csv(surf))
+    em.write(f"{name}__hurst", "csv", serialize.hurst_csv(gh))
+    em.write(f"{name}__singularity", "csv", serialize.singularity_csv(spec))
+    em.write(f"{name}__mfdfa", "json", serialize.to_json({
+        "provenance": prov,
+        "H": H,
+        "delta_alpha": spec.delta_alpha,
+        "alpha_at_peak": spec.alpha_at_peak,
+        "fit_scale_range": list(gh.fit_scale_range),
+        "detrend_order": args.detrend_order,
+    }))
+    curves = [(surf.scales, surf.F[i], f"q={surf.q_values[i]:g}")
+              for i in range(0, len(surf.q_values),
+                             max(1, len(surf.q_values) // 5))]
+    em.write(f"{name}__fq", "svg", svgplot.log_log_plot(
+        curves, title=f"F_q(s), {name}", xlabel="s", ylabel="F_q(s)"))
+
+
+def wavelet_job(name, source, args, em):
+    values, _prov = load_series(source, args)
+    scales = wavelet.default_scales(len(values), args.n_scales)
+    wm = wavelet.wavelet_map(values, scales=scales)
+    em.write(f"{name}__wavelet", "csv", serialize.wavelet_csv(wm))
+    em.write(f"{name}__wavelet", "svg", svgplot.heatmap(
+        wm.coefficients, title=f"|T(s,k)|, {name}"))
+
+
+def surrogate_job(name, source, args, em):
+    values, prov = load_series(source, args)
+    make = (series.shuffle_surrogate if args.kind == "shuffle"
+            else series.phase_randomized_surrogate)
+    for k in range(args.surrogates):
+        seed = args.seed + k
+        surr = make(values, seed=seed)
+        em.write(f"{name}__{args.kind}_{seed}", "csv",
+                 serialize.series_csv(surr.values, value_name="value"))
+        em.write(f"{name}__{args.kind}_{seed}", "json", serialize.to_json(
+            {"provenance": {**prov, **surr.provenance}}))
+
+
+def zipf_job(name, path, args, em):
+    table = corpus.rank_frequency(
+        load_document(path, args), include_terminators=args.include_terminators)
+    em.write(f"{name}__zipf", "csv", serialize.rank_frequency_csv(table))
+    ranks = np.array([e[0] for e in table.entries], dtype=float)
+    counts = np.array([e[2] for e in table.entries], dtype=float)
+    sel = (ranks >= args.rank_min) & (ranks <= args.rank_max)
+    fit = None
+    if sel.sum() >= 10:
+        slope, intercept = np.polyfit(np.log10(ranks[sel]), np.log10(counts[sel]), 1)
+        fit = {"slope": float(slope), "intercept": float(intercept),
+               "rank_range": [args.rank_min, args.rank_max]}
+    em.write(f"{name}__zipf", "json", serialize.to_json({
+        "n_types": len(table.entries),
+        "include_terminators": args.include_terminators,
+        "fit": fit,
+    }))
+    fit_lines = [(fit["slope"], fit["intercept"],
+                  f"slope={fit['slope']:.3f}")] if fit else []
+    em.write(f"{name}__zipf", "svg", svgplot.log_log_plot(
+        [(ranks, counts, name)], title=f"rank-frequency, {name}",
+        xlabel="rank", ylabel="count", fit_lines=fit_lines))
+
+
+def recurrence_job(name, path, args, em):
+    rec = corpus.word_recurrence_series(load_document(path, args), args.target)
+    name = f"{name}__{args.target}"
+    values = rec.gaps.astype(float)
+    ps, fit = spectrum_stage(values, args)
+    _, gh, spec = mfdfa_stage(values, args)
+    H = mfdfa.hurst_exponent(gh)  # raises before any file is written
+    em.write(f"{name}__recurrence", "csv", serialize.series_csv(rec.gaps, value_name="gap"))
+    em.write(f"{name}__recurrence", "json", serialize.to_json({
+        "provenance": rec.source,
+        "target": rec.target_word,
+        "n_gaps": len(rec.gaps),
+        "beta_w": fit.beta,
+        "sigma_beta_w": fit.sigma_beta,
+        "H": H,
+        "delta_alpha": spec.delta_alpha,
+    }))
+    em.write(f"{name}__spectrum", "svg", spectrum_svg(
+        ps, fit, args.target, f"S(f), recurrence of {args.target!r}", "beta_w"))
+
+
+def slice_job(name, source, args, em):
+    values, prov = load_series(source, args)
+    slv = corpus.SentenceLengthSeries(values=values, unit="words", source=prov)
+    part = corpus.slice_series(slv, args.slice_from, args.slice_to)
+    out_name = f"{name}__slice_{args.slice_from}_{args.slice_to}"
+    em.write(out_name, "csv", serialize.series_csv(part.values))
+    em.write(out_name, "json", serialize.to_json(
+        {"provenance": part.source, "j_max": part.j_max}))
+
+
+def values_job(name, source, args, em):
+    return name, load_series(source, args)[0]
 
 
 def cmd_analyze(args) -> int:
+    results, status = each_input(args, analyze_job, args.jobs)
+    if not results:
+        return status
+    summary, spectra = zip(*sorted(results, key=lambda r: r[0][0]))
     em = Emitter(args)
-    inputs = list(resolve_inputs(args))
-    # digest only the analysis parameters, not where results land or
-    # how the work is scheduled
-    cfg_digest = serialize.config_digest(
-        {k: v for k, v in vars(args).items()
-         if k not in ("paths", "out", "format", "jobs")}
-    )
-    payloads = [(name, values, prov, args) for name, values, prov in inputs]
-    if args.jobs > 1:
-        with concurrent.futures.ProcessPoolExecutor(max_workers=args.jobs) as ex:
-            results = list(ex.map(_analyze_worker, payloads))
-    else:
-        results = [_analyze_worker(p) for p in payloads]
-    results.sort(key=lambda r: r[0])
-
-    failed = []
-    summary = []
-    spectra = []
-    for name, report, ps, fit, gh, spec, err in results:
-        if err is not None:
-            log(f"error: {name}: {err}")
-            failed.append(name)
-            continue
-        report["config_digest"] = cfg_digest
-        em.write(f"{name}__report", "json", serialize.to_json(report))
-        em.write(f"{name}__spectrum", "csv", serialize.spectrum_csv(ps))
-        em.write(f"{name}__hurst", "csv", serialize.hurst_csv(gh))
-        em.write(f"{name}__singularity", "csv", serialize.singularity_csv(spec))
-        em.write(
-            f"{name}__spectrum", "svg",
-            svgplot.log_log_plot(
-                [(ps.freqs, ps.power, name)],
-                title=f"S(f), {name}", xlabel="f", ylabel="S(f)",
-                fit_lines=[(-fit.beta, fit.intercept, f"beta={fit.beta:.3f}")],
-            ),
-        )
-        spectra.append(ps)
-        shuffled_da = [row["shuffled"]["delta_alpha"] for row in report["surrogates"]]
-        summary.append(
-            (name, report["H"], report["delta_alpha"], report["beta"],
-             max(shuffled_da) if shuffled_da else float("nan"))
-        )
-
-    if len(summary) >= 1:
-        rows = [(n, repr(h), repr(da), repr(b), repr(sda))
-                for n, h, da, b, sda in summary]
-        header = ["name", "H", "delta_alpha", "beta", "shuffled_delta_alpha"]
-        em.write("corpus__scatter", "csv",
-                 serialize.table_csv(rows, header))
-        band = None
-        sda = [s[4] for s in summary if np.isfinite(s[4])]
-        if sda:
-            band = (float(np.mean(sda)), float(np.max(sda)))
-        em.write(
-            "corpus__scatter", "svg",
-            svgplot.scatter_plot(
-                [s[1] for s in summary], [s[2] for s in summary],
-                title="delta_alpha vs H", xlabel="H", ylabel="delta_alpha",
-                labels=[s[0] for s in summary], hband=band,
-            ),
-        )
+    header = ["name", "H", "delta_alpha", "beta", "shuffled_delta_alpha"]
+    em.write("corpus__scatter", "csv", serialize.table_csv(
+        [(row[0], *map(repr, row[1:])) for row in summary], header))
+    names, hs, das, _betas, sdas = zip(*summary)
+    finite = [x for x in sdas if np.isfinite(x)]
+    band = (float(np.mean(finite)), float(np.max(finite))) if finite else None
+    em.write("corpus__scatter", "svg", svgplot.scatter_plot(
+        hs, das, title="delta_alpha vs H", xlabel="H", ylabel="delta_alpha",
+        labels=names, hband=band))
     if len(spectra) >= 2:
         avg = spectral.average_spectrum(spectra)
-        avg_fit = spectral.fit_beta(avg, spectrum_fit_range(args),
-                                    args.bins_per_decade)
+        avg_fit = spectral.fit_beta(avg, spectrum_fit_range(args), args.bins_per_decade)
         em.write("corpus__avg_spectrum", "csv", serialize.spectrum_csv(avg))
-        em.write(
-            "corpus__avg_spectrum", "svg",
-            svgplot.log_log_plot(
-                [(avg.freqs, avg.power, "average")],
-                title="corpus-average S(f)", xlabel="f", ylabel="S(f)",
-                fit_lines=[(-avg_fit.beta, avg_fit.intercept,
-                            f"beta={avg_fit.beta:.3f}")],
-            ),
-        )
-    if failed:
-        return 2 if summary else 1
-    return 0
-
-
-# --------------------------------------------------------------------------
-# single-purpose commands
-
-def cmd_spectrum(args) -> int:
-    em = Emitter(args)
-    for name, values, prov in resolve_inputs(args):
-        ps = spectral.power_spectrum(values)
-        fit = spectral.fit_beta(ps, spectrum_fit_range(args), args.bins_per_decade)
-        em.write(f"{name}__spectrum", "csv", serialize.spectrum_csv(ps))
-        em.write(f"{name}__spectrum_fit", "json", serialize.to_json(
-            {"provenance": prov, **asdict(fit)}))
-        em.write(f"{name}__spectrum", "svg", svgplot.log_log_plot(
-            [(ps.freqs, ps.power, name)], title=f"S(f), {name}",
-            xlabel="f", ylabel="S(f)",
-            fit_lines=[(-fit.beta, fit.intercept, f"beta={fit.beta:.3f}")]))
-    return 0
-
-
-def cmd_mfdfa(args) -> int:
-    em = Emitter(args)
-    for name, values, prov in resolve_inputs(args):
-        q, scales = mfdfa_params(args, len(values))
-        surf, gh, spec = mfdfa.mfdfa(values, q_values=q, scales=scales,
-                                     m=args.detrend_order)
-        em.write(f"{name}__fq", "csv", serialize.surface_csv(surf))
-        em.write(f"{name}__hurst", "csv", serialize.hurst_csv(gh))
-        em.write(f"{name}__singularity", "csv", serialize.singularity_csv(spec))
-        em.write(f"{name}__mfdfa", "json", serialize.to_json({
-            "provenance": prov,
-            "H": mfdfa.hurst_exponent(gh),
-            "delta_alpha": spec.delta_alpha,
-            "alpha_at_peak": spec.alpha_at_peak,
-            "fit_scale_range": list(gh.fit_scale_range),
-            "detrend_order": args.detrend_order,
-        }))
-        curves = [(surf.scales, surf.F[i], f"q={surf.q_values[i]:g}")
-                  for i in range(0, len(surf.q_values),
-                                 max(1, len(surf.q_values) // 5))]
-        em.write(f"{name}__fq", "svg", svgplot.log_log_plot(
-            curves, title=f"F_q(s), {name}", xlabel="s", ylabel="F_q(s)"))
-    return 0
-
-
-def cmd_wavelet(args) -> int:
-    em = Emitter(args)
-    for name, values, prov in resolve_inputs(args):
-        scales = wavelet.default_scales(len(values), args.n_scales)
-        wm = wavelet.wavelet_map(values, scales=scales)
-        em.write(f"{name}__wavelet", "csv", serialize.wavelet_csv(wm))
-        em.write(f"{name}__wavelet", "svg", svgplot.heatmap(
-            wm.coefficients, title=f"|T(s,k)|, {name}"))
-    return 0
-
-
-def cmd_surrogate(args) -> int:
-    em = Emitter(args)
-    for name, values, prov in resolve_inputs(args):
-        for k in range(args.surrogates):
-            seed = args.seed + k
-            if args.kind == "shuffle":
-                surr = series.shuffle_surrogate(values, seed=seed)
-            else:
-                surr = series.phase_randomized_surrogate(values, seed=seed)
-            em.write(f"{name}__{args.kind}_{seed}", "csv",
-                     serialize.series_csv(surr.values, value_name="value"))
-            em.write(f"{name}__{args.kind}_{seed}", "json", serialize.to_json(
-                {"provenance": {**prov, **surr.provenance}}))
-    return 0
-
-
-def cmd_zipf(args) -> int:
-    em = Emitter(args)
-    for path in text_paths(args):
-        doc = load_document(path, args)
-        table = corpus.rank_frequency(
-            doc, include_terminators=args.include_terminators)
-        name = Path(path).stem
-        em.write(f"{name}__zipf", "csv", serialize.rank_frequency_csv(table))
-        ranks = np.array([e[0] for e in table.entries], dtype=float)
-        counts = np.array([e[2] for e in table.entries], dtype=float)
-        sel = (ranks >= args.rank_min) & (ranks <= args.rank_max)
-        fit = None
-        if sel.sum() >= 10:
-            slope, intercept = np.polyfit(np.log10(ranks[sel]),
-                                          np.log10(counts[sel]), 1)
-            fit = {"slope": float(slope), "intercept": float(intercept),
-                   "rank_range": [args.rank_min, args.rank_max]}
-        em.write(f"{name}__zipf", "json", serialize.to_json({
-            "n_types": len(table.entries),
-            "include_terminators": args.include_terminators,
-            "fit": fit,
-        }))
-        fit_lines = [(fit["slope"], fit["intercept"],
-                      f"slope={fit['slope']:.3f}")] if fit else []
-        em.write(f"{name}__zipf", "svg", svgplot.log_log_plot(
-            [(ranks, counts, name)], title=f"rank-frequency, {name}",
-            xlabel="rank", ylabel="count", fit_lines=fit_lines))
-    return 0
+        em.write("corpus__avg_spectrum", "svg", spectrum_svg(
+            avg, avg_fit, "average", "corpus-average S(f)"))
+    return status
 
 
 def cmd_ccdf(args) -> int:
-    em = Emitter(args)
-    pooled = []
-    names = []
-    for name, values, prov in resolve_inputs(args):
-        pooled.append(values)
-        names.append(name)
+    results, status = each_input(args, values_job)
+    if not results:
+        return status
+    names, pooled = zip(*results)
     c = distfit.ccdf(pooled)
     name = names[0] if len(names) == 1 else "pooled"
+    em = Emitter(args)
     em.write(f"{name}__ccdf", "csv", serialize.ccdf_csv(c))
     payload = {"n_samples": c.n_samples, "members": names}
-    try:
-        tail = distfit.fit_stretched_exponential(c, tail_start=args.tail_start)
+    tail = tail_stage(c, args.tail_start, name)
+    if tail is not None:
         payload["tail_fit"] = asdict(tail)
-    except ValueError as exc:
-        log(f"tail fit skipped ({exc})")
     em.write(f"{name}__ccdf_fit", "json", serialize.to_json(payload))
     em.write(f"{name}__ccdf", "svg", svgplot.log_log_plot(
         [(c.lengths, c.F, name)], title="CCDF", xlabel="length", ylabel="F"))
-    return 0
+    return status
 
 
-def cmd_recurrence(args) -> int:
-    em = Emitter(args)
-    for path in text_paths(args):
-        doc = load_document(path, args)
-        rec = corpus.word_recurrence_series(doc, args.target)
-        name = f"{Path(path).stem}__{args.target}"
-        em.write(f"{name}__recurrence", "csv",
-                 serialize.series_csv(rec.gaps, value_name="gap"))
-        values = rec.gaps.astype(float)
-        ps = spectral.power_spectrum(values)
-        fit = spectral.fit_beta(ps, spectrum_fit_range(args), args.bins_per_decade)
-        q, scales = mfdfa_params(args, len(values))
-        _, gh, spec = mfdfa.mfdfa(values, q_values=q, scales=scales,
-                                  m=args.detrend_order)
-        em.write(f"{name}__recurrence", "json", serialize.to_json({
-            "provenance": rec.source,
-            "target": rec.target_word,
-            "n_gaps": len(rec.gaps),
-            "beta_w": fit.beta,
-            "sigma_beta_w": fit.sigma_beta,
-            "H": mfdfa.hurst_exponent(gh),
-            "delta_alpha": spec.delta_alpha,
-        }))
-        em.write(f"{name}__spectrum", "svg", svgplot.log_log_plot(
-            [(ps.freqs, ps.power, args.target)],
-            title=f"S(f), recurrence of {args.target!r}",
-            xlabel="f", ylabel="S(f)",
-            fit_lines=[(-fit.beta, fit.intercept, f"beta_w={fit.beta:.3f}")]))
-    return 0
-
-
-def cmd_slice(args) -> int:
-    em = Emitter(args)
-    for name, values, prov in resolve_inputs(args):
-        slv = corpus.SentenceLengthSeries(
-            values=values.astype(int), unit="words", source=dict(prov))
-        part = corpus.slice_series(slv, args.slice_from, args.slice_to)
-        out_name = f"{name}__slice_{args.slice_from}_{args.slice_to}"
-        em.write(out_name, "csv", serialize.series_csv(part.values))
-        em.write(out_name, "json", serialize.to_json(
-            {"provenance": part.source, "j_max": part.j_max}))
-    return 0
+def _per_input(job):
+    return lambda args: each_input(args, job)[1]
 
 
 _COMMANDS = {
     "analyze": cmd_analyze,
-    "spectrum": cmd_spectrum,
-    "mfdfa": cmd_mfdfa,
-    "wavelet": cmd_wavelet,
-    "surrogate": cmd_surrogate,
-    "zipf": cmd_zipf,
+    "spectrum": _per_input(spectrum_job),
+    "mfdfa": _per_input(mfdfa_job),
+    "wavelet": _per_input(wavelet_job),
+    "surrogate": _per_input(surrogate_job),
+    "zipf": _per_input(zipf_job),
     "ccdf": cmd_ccdf,
-    "recurrence": cmd_recurrence,
-    "slice": cmd_slice,
+    "recurrence": _per_input(recurrence_job),
+    "slice": _per_input(slice_job),
 }
 
 
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
+        check_args(args)
         return _COMMANDS[args.command](args)
-    except SystemExit:
-        raise
     except (ValueError, OSError) as exc:
         log(f"fatal: {exc}")
         return 1

@@ -109,7 +109,10 @@ class SentenceLengthSeries:
     min_sentences: int = 5000
 
     def __post_init__(self):
-        v = np.asarray(self.values, dtype=int)
+        v = np.asarray(self.values)
+        if v.dtype.kind not in "iu" and not (np.isfinite(v) & (v % 1 == 0)).all():
+            raise ValueError("sentence lengths must be whole numbers")
+        v = v.astype(int)
         if len(v) and v.min() < 1:
             raise ValueError("sentence lengths must be >= 1")
         object.__setattr__(self, "values", v)

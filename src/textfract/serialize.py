@@ -72,11 +72,14 @@ def _fmt(v):
     return repr(float(v))
 
 
+def _float_columns_csv(header, *columns) -> str:
+    """One row per index across equal-length float columns, each value
+    as its repr; rows are streamed, not built per column."""
+    return table_csv(zip(*(map(repr, map(float, col)) for col in columns)), header)
+
+
 def spectrum_csv(ps) -> str:
-    return table_csv(
-        ((repr(float(f)), repr(float(p))) for f, p in zip(ps.freqs, ps.power)),
-        ["frequency", "power"],
-    )
+    return _float_columns_csv(["frequency", "power"], ps.freqs, ps.power)
 
 
 def surface_csv(surf) -> str:
@@ -88,30 +91,15 @@ def surface_csv(surf) -> str:
 
 
 def hurst_csv(gh) -> str:
-    return table_csv(
-        (
-            (repr(float(q)), repr(float(h)), repr(float(e)))
-            for q, h, e in zip(gh.q_values, gh.h, gh.h_stderr)
-        ),
-        ["q", "h", "h_stderr"],
-    )
+    return _float_columns_csv(["q", "h", "h_stderr"], gh.q_values, gh.h, gh.h_stderr)
 
 
 def singularity_csv(spec) -> str:
-    return table_csv(
-        (
-            (repr(float(q)), repr(float(a)), repr(float(f)))
-            for q, a, f in zip(spec.q_values, spec.alphas, spec.f_values)
-        ),
-        ["q", "alpha", "f"],
-    )
+    return _float_columns_csv(["q", "alpha", "f"], spec.q_values, spec.alphas, spec.f_values)
 
 
 def ccdf_csv(c) -> str:
-    return table_csv(
-        ((repr(float(l)), repr(float(f))) for l, f in zip(c.lengths, c.F)),
-        ["length", "F"],
-    )
+    return _float_columns_csv(["length", "F"], c.lengths, c.F)
 
 
 def rank_frequency_csv(table) -> str:

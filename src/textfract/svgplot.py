@@ -29,6 +29,18 @@ def _header(title: str) -> list:
     ]
 
 
+def _frame(xlabel, ylabel) -> list:
+    return [
+        f'<rect x="{_MARGIN}" y="{_MARGIN}" width="{_W - 2 * _MARGIN}" '
+        f'height="{_H - 2 * _MARGIN}" fill="none" stroke="black"/>',
+        f'<text x="{_W // 2}" y="{_H - 12}" text-anchor="middle" '
+        f'font-family="sans-serif" font-size="12">{xlabel}</text>',
+        f'<text x="14" y="{_H // 2}" text-anchor="middle" '
+        f'font-family="sans-serif" font-size="12" '
+        f'transform="rotate(-90 14 {_H // 2})">{ylabel}</text>',
+    ]
+
+
 class _Axes:
     """Maps data coordinates (possibly log-transformed) to pixels."""
 
@@ -53,17 +65,6 @@ class _Axes:
             y = np.log10(y)
         return (_H - _MARGIN) - (y - self.y0) / (self.y1 - self.y0) * (_H - 2 * _MARGIN)
 
-    def frame(self, xlabel, ylabel):
-        return [
-            f'<rect x="{_MARGIN}" y="{_MARGIN}" width="{_W - 2 * _MARGIN}" '
-            f'height="{_H - 2 * _MARGIN}" fill="none" stroke="black"/>',
-            f'<text x="{_W // 2}" y="{_H - 12}" text-anchor="middle" '
-            f'font-family="sans-serif" font-size="12">{xlabel}</text>',
-            f'<text x="14" y="{_H // 2}" text-anchor="middle" '
-            f'font-family="sans-serif" font-size="12" '
-            f'transform="rotate(-90 14 {_H // 2})">{ylabel}</text>',
-        ]
-
 
 def _polyline(ax, xs, ys, color, dashed=False):
     pts = " ".join(
@@ -80,7 +81,7 @@ def log_log_plot(curves, title="", xlabel="x", ylabel="y", fit_lines=()) -> str:
     all_y = np.concatenate([np.asarray(c[1], dtype=float) for c in curves])
     keep = (all_x > 0) & (all_y > 0)
     ax = _Axes(all_x[keep], all_y[keep], log=True)
-    parts = _header(title) + ax.frame(xlabel, ylabel)
+    parts = _header(title) + _frame(xlabel, ylabel)
     for i, (xs, ys, label) in enumerate(curves):
         xs, ys = np.asarray(xs, dtype=float), np.asarray(ys, dtype=float)
         m = (xs > 0) & (ys > 0)
@@ -119,7 +120,7 @@ def scatter_plot(xs, ys, title="", xlabel="x", ylabel="y", labels=None,
             f'<rect x="{_MARGIN}" y="{_fmt(y_lo)}" width="{_W - 2 * _MARGIN}" '
             f'height="{_fmt(y_hi - y_lo)}" fill="#cccccc" opacity="0.5"/>'
         )
-    parts += ax.frame(xlabel, ylabel)
+    parts += _frame(xlabel, ylabel)
     for i, (x, y) in enumerate(zip(xs, ys)):
         parts.append(
             f'<circle cx="{_fmt(ax.px(x))}" cy="{_fmt(ax.py(y))}" r="4" '
@@ -158,14 +159,5 @@ def heatmap(matrix, title="", xlabel="position", ylabel="scale",
                 f'width="{_fmt(cw + 0.5)}" height="{_fmt(ch + 0.5)}" '
                 f'fill="rgb({r},{g},{b})"/>'
             )
-    parts += [
-        f'<rect x="{_MARGIN}" y="{_MARGIN}" width="{_W - 2 * _MARGIN}" '
-        f'height="{_H - 2 * _MARGIN}" fill="none" stroke="black"/>',
-        f'<text x="{_W // 2}" y="{_H - 12}" text-anchor="middle" '
-        f'font-family="sans-serif" font-size="12">{xlabel}</text>',
-        f'<text x="14" y="{_H // 2}" text-anchor="middle" '
-        f'font-family="sans-serif" font-size="12" '
-        f'transform="rotate(-90 14 {_H // 2})">{ylabel}</text>',
-        "</svg>",
-    ]
+    parts += _frame(xlabel, ylabel) + ["</svg>"]
     return "\n".join(parts) + "\n"

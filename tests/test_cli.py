@@ -59,6 +59,14 @@ def read_rows(path):
         return list(csv.reader(fh))
 
 
+def assert_same_tree(a, b):
+    """Both directories hold the same file names with the same bytes."""
+    names = sorted(p.name for p in a.iterdir())
+    assert names == sorted(p.name for p in b.iterdir())
+    for name in names:
+        assert (a / name).read_bytes() == (b / name).read_bytes(), name
+
+
 class TestParser:
     def test_all_subcommands_registered(self):
         ap = cli.build_parser()
@@ -83,6 +91,19 @@ class TestParser:
     def test_text_only_command_without_input_is_fatal(self, argv, tmp_path):
         with pytest.raises(SystemExit, match="no input"):
             run(argv + ["--out", tmp_path / "o"])
+
+    @pytest.mark.parametrize("argv, flag", [
+        (["mfdfa", "--q-step", "0"], "--q-step"),
+        (["analyze", "--format", "cvs"], "--format"),
+        (["analyze", "--jobs", "0"], "--jobs"),
+        (["analyze", "--surrogates", "-2"], "--surrogates"),
+    ], ids=["q_step_zero", "unknown_format", "jobs_zero", "negative_surrogates"])
+    def test_bad_option_value_is_fatal_before_reading(self, argv, flag, tmp_path, capsys):
+        # the input does not exist: the value must be rejected before any read
+        out = tmp_path / "o"
+        assert run(argv + [tmp_path / "missing.txt", "--out", out]) == 1
+        assert f"fatal: {flag}" in capsys.readouterr().err
+        assert not out.exists()
 
 
 class TestSeriesCsvInput:
@@ -234,6 +255,13 @@ class TestRecurrenceCommand:
         slv = tf.sentence_length_series(tf.segment_sentences(doc)[0])
         np.testing.assert_array_equal(gaps, slv.values[1:])
 
+    def test_failed_input_writes_nothing(self, text_file, tmp_path, capsys):
+        # "ember" is the rarest word: too few gaps for a spectrum fit
+        out = tmp_path / "out"
+        assert run(["recurrence", text_file, "--target", "ember", "--out", out]) == 1
+        assert "error: tale: " in capsys.readouterr().err
+        assert list(out.iterdir()) == []
+
 
 class TestSliceCommand:
     def test_cut(self, tmp_path):
@@ -248,6 +276,15 @@ class TestSliceCommand:
         meta = json.loads((out / "lengths__slice_11_20.json").read_text())
         assert meta["j_max"] == 10
         assert meta["provenance"]["slice"] == [11, 20]
+
+    def test_non_integral_lengths_rejected(self, tmp_path, capsys):
+        path = tmp_path / "lengths.csv"
+        path.write_text(serialize.series_csv([3.0, 1.53, 7.0, 2.0]), encoding="utf-8")
+        out = tmp_path / "out"
+        assert run(["slice", "--series-csv", path, "--out", out,
+                    "--from", "1", "--to", "3"]) == 1
+        assert "error: lengths: sentence lengths must be whole numbers" in capsys.readouterr().err
+        assert list(out.iterdir()) == []
 
 
 class TestAnalyzeCommand:
@@ -280,11 +317,7 @@ class TestAnalyzeCommand:
             assert run(["analyze", path, "--out", out,
                         "--min-sentences", "100"]) == 0
             outs.append(out)
-        files1 = sorted(p.name for p in outs[0].iterdir())
-        files2 = sorted(p.name for p in outs[1].iterdir())
-        assert files1 == files2
-        for name in files1:
-            assert (outs[0] / name).read_bytes() == (outs[1] / name).read_bytes()
+        assert_same_tree(*outs)
 
     def test_parallel_matches_serial(self, tmp_path):
         for name, seed in [("a.txt", 1), ("b.txt", 2)]:
@@ -292,12 +325,11 @@ class TestAnalyzeCommand:
         paths = [tmp_path / "a.txt", tmp_path / "b.txt"]
         serial, parallel = tmp_path / "s", tmp_path / "p"
         assert run(["analyze", *paths, "--out", serial,
-                    "--min-sentences", "100", "--format", "json"]) == 0
+                    "--min-sentences", "100"]) == 0
         assert run(["analyze", *paths, "--out", parallel,
-                    "--min-sentences", "100", "--format", "json",
-                    "--jobs", "2"]) == 0
-        for name in ("a__report.json", "b__report.json"):
-            assert (serial / name).read_bytes() == (parallel / name).read_bytes()
+                    "--min-sentences", "100", "--jobs", "2"]) == 0
+        assert len(list(serial.iterdir())) == 14  # 5 per text, 4 for the corpus
+        assert_same_tree(serial, parallel)
 
     def test_all_inputs_failing_exits_one(self, tmp_path):
         path = tmp_path / "tiny.txt"
@@ -305,13 +337,20 @@ class TestAnalyzeCommand:
         assert run(["analyze", path, "--out", tmp_path / "o",
                     "--min-sentences", "1"]) == 1
 
-    def test_partial_failure_exits_two(self, tmp_path):
+    @pytest.mark.parametrize("bad_bytes", [
+        b"One two. Three four five.\n", b"", bytes(range(128, 256)),
+    ], ids=["too_short", "empty", "undecodable"])
+    @pytest.mark.parametrize("argv", [
+        ["analyze"], ["analyze", "--jobs", "2"], ["spectrum"],
+    ], ids=["analyze", "analyze_jobs2", "spectrum"])
+    def test_partial_failure_exits_two(self, argv, bad_bytes, tmp_path, capsys):
         good = tmp_path / "good.txt"
         good.write_text(make_text(900, 4), encoding="utf-8")
         bad = tmp_path / "bad.txt"
-        bad.write_text("One two. Three four five.\n", encoding="utf-8")
-        out = tmp_path / "o"
-        assert run(["analyze", good, bad, "--out", out,
-                    "--min-sentences", "1"]) == 2
-        assert (out / "good__report.json").exists()
-        assert not (out / "bad__report.json").exists()
+        bad.write_bytes(bad_bytes)
+        alone, out = tmp_path / "alone", tmp_path / "o"
+        assert run(argv + [good, "--out", alone, "--min-sentences", "1"]) == 0
+        assert run(argv + [good, bad, "--out", out, "--min-sentences", "1"]) == 2
+        assert "error: bad: " in capsys.readouterr().err
+        # the bad text leaves no file behind and changes no byte of the rest
+        assert_same_tree(alone, out)
