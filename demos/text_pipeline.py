@@ -32,7 +32,7 @@ def main():
     slv = tf.sentence_length_series(sentences)
     print(f"{report.n_sentences} sentences, mean length "
           f"{slv.values.mean():.1f} words")
-    if slv.below_threshold:
+    if slv.j_max < 5000:
         print("note: short text, scaling estimates will be noisy")
 
     values = slv.values.astype(float)

@@ -7,9 +7,14 @@ wavelet, recurrence, surrogate, slice).
 
 Each input is one job that reads, analyses and writes it. A text input
 that cannot be read or analysed is skipped with ``error: <name>: ...``.
-``--series-csv`` (numeric commands only) reads one series instead of
-texts; a malformed CSV is fatal. Logs go to stderr, data to files under
---out. Exit codes: 0 ok, 2 some inputs skipped, 1 all skipped or fatal.
+The seven commands that read a sentence-length series (all but zipf and
+recurrence) take the segmentation flags --unit, --lexicon, --language
+and --min-sentences, or ``--series-csv`` to read one series instead of
+texts; a malformed CSV is fatal. zipf and recurrence read texts only,
+case-folded, with no segmentation. Only analyze and surrogate draw
+random numbers, so only they take --seed. Logs go to stderr, data to
+files under --out. Exit codes: 0 ok, 2 some inputs skipped, 1 all
+skipped, fatal or a usage error.
 """
 
 from __future__ import annotations
@@ -40,14 +45,17 @@ def _add_common(p):
     p.add_argument("--out", default="textfract_out", help="output directory")
     p.add_argument("--format", default="csv,json,svg",
                    help="comma list of csv,json,svg")
-    p.add_argument("--seed", type=int, default=0, help="base RNG seed")
 
 
-def _add_text(p, series_input=True):
+def _add_texts(p):
     p.add_argument("paths", nargs="*", help="UTF-8 plain text files")
-    if series_input:
-        p.add_argument("--series-csv", default=None,
-                       help="skip segmentation; read a series from CSV (index,value)")
+
+
+def _add_series_input(p):
+    """Texts segmented into a sentence-length series, or --series-csv."""
+    _add_texts(p)
+    p.add_argument("--series-csv", default=None,
+                   help="skip segmentation; read a series from CSV (index,value)")
     p.add_argument("--unit", choices=["words", "chars"], default="words")
     p.add_argument("--lexicon", default=None, help="abbreviation lexicon file")
     p.add_argument("--language", default="en")
@@ -79,43 +87,45 @@ def build_parser() -> argparse.ArgumentParser:
     sub = ap.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("analyze", help="full per-text pipeline + corpus summary")
-    _add_text(p); _add_spectral(p); _add_mfdfa(p); _add_common(p)
+    _add_series_input(p); _add_spectral(p); _add_mfdfa(p); _add_common(p)
+    p.add_argument("--seed", type=int, default=0, help="base RNG seed")
     p.add_argument("--surrogates", type=int, default=1,
                    help="surrogate pairs (shuffled + phase-randomized) per text")
     p.add_argument("--tail-start", type=float, default=100.0)
     p.add_argument("--jobs", type=int, default=1)
 
     p = sub.add_parser("spectrum", help="power spectrum and 1/f^beta fit")
-    _add_text(p); _add_spectral(p); _add_common(p)
+    _add_series_input(p); _add_spectral(p); _add_common(p)
 
     p = sub.add_parser("mfdfa", help="fluctuation surface, h(q), f(alpha)")
-    _add_text(p); _add_mfdfa(p); _add_common(p)
+    _add_series_input(p); _add_mfdfa(p); _add_common(p)
 
     p = sub.add_parser("wavelet", help="wavelet coefficient map")
-    _add_text(p); _add_common(p)
+    _add_series_input(p); _add_common(p)
     p.add_argument("--n-scales", type=int, default=50)
 
     p = sub.add_parser("surrogate", help="emit surrogate series")
-    _add_text(p); _add_common(p)
+    _add_series_input(p); _add_common(p)
+    p.add_argument("--seed", type=int, default=0, help="base RNG seed")
     p.add_argument("--kind", choices=["shuffle", "phase"], default="shuffle")
     p.add_argument("--surrogates", type=int, default=1)
 
     p = sub.add_parser("zipf", help="rank-frequency table and slope")
-    _add_text(p, series_input=False); _add_common(p)
+    _add_texts(p); _add_common(p)
     p.add_argument("--include-terminators", action="store_true")
     p.add_argument("--rank-min", type=int, default=10)
     p.add_argument("--rank-max", type=int, default=1000)
 
     p = sub.add_parser("ccdf", help="sentence-length CCDF and tail fit")
-    _add_text(p); _add_common(p)
+    _add_series_input(p); _add_common(p)
     p.add_argument("--tail-start", type=float, default=100.0)
 
     p = sub.add_parser("recurrence", help="word-recurrence pipeline (beta^w)")
-    _add_text(p, series_input=False); _add_spectral(p); _add_mfdfa(p); _add_common(p)
+    _add_texts(p); _add_spectral(p); _add_mfdfa(p); _add_common(p)
     p.add_argument("--target", required=True, help="target word")
 
     p = sub.add_parser("slice", help="cut a sentence-length series")
-    _add_text(p); _add_common(p)
+    _add_series_input(p); _add_common(p)
     p.add_argument("--from", dest="slice_from", type=int, required=True)
     p.add_argument("--to", dest="slice_to", type=int, required=True)
     return ap
@@ -125,14 +135,22 @@ def check_args(args):
     """Reject, before any input is read, values that can only fail."""
     if unknown := set(args.format.split(",")) - {"csv", "json", "svg"}:
         raise ValueError(f"--format: unknown {sorted(unknown)}; use csv,json,svg")
-    if "q_step" in args and not args.q_step > 0:
-        raise ValueError(f"--q-step must be > 0, got {args.q_step}")
+    if "q_step" in args:
+        if not args.q_step > 0:
+            raise ValueError(f"--q-step must be > 0, got {args.q_step}")
+        q = mfdfa.default_q_values(args.q_min, args.q_max, args.q_step)
+        if not np.isclose(q, 2.0).any():
+            raise ValueError(f"--q-min/--q-max/--q-step: {args.q_min} to {args.q_max} "
+                             f"in steps of {args.q_step} misses q = 2, which H needs")
+        if len(q) < 5:
+            raise ValueError(f"--q-min/--q-max/--q-step: the grid has {len(q)} "
+                             "points; f(alpha) needs >= 5")
     if "jobs" in args and args.jobs < 1:
         raise ValueError(f"--jobs must be >= 1, got {args.jobs}")
     if "surrogates" in args and args.surrogates < 0:
         raise ValueError(f"--surrogates must be >= 0, got {args.surrogates}")
     if "fit_fmin" in args and (args.fit_fmin is None) != (args.fit_fmax is None):
-        raise SystemExit("--fit-fmin and --fit-fmax must be given together")
+        raise ValueError("--fit-fmin and --fit-fmax must be given together")
 
 
 def spectrum_fit_range(args):
@@ -162,14 +180,13 @@ def read_series_csv(path) -> np.ndarray:
     return np.array(values)
 
 
-def load_document(path, args) -> corpus.Document:
-    raw = Path(path).read_bytes()
-    return corpus.tokenize(raw, title=Path(path).stem, language_tag=args.language)
+def load_document(path) -> corpus.Document:
+    return corpus.tokenize(Path(path).read_bytes(), title=Path(path).stem)
 
 
 def load_slv(path, args):
     """Segment one text file and return (series, report)."""
-    doc = load_document(path, args)
+    doc = load_document(path)
     if args.lexicon:
         lex = corpus.AbbreviationLexicon.from_file(args.lexicon)
     else:
@@ -179,9 +196,8 @@ def load_slv(path, args):
     slv = corpus.sentence_length_series(
         sentences, unit=unit,
         source={"title": doc.title, "source_hash": doc.source_hash},
-        min_sentences=args.min_sentences,
     )
-    if slv.below_threshold:
+    if slv.j_max < args.min_sentences:
         log(f"warning: {path}: {slv.j_max} sentences, below {args.min_sentences}")
     return slv, report
 
@@ -399,7 +415,7 @@ def surrogate_job(name, source, args, em):
 
 def zipf_job(name, path, args, em):
     table = corpus.rank_frequency(
-        load_document(path, args), include_terminators=args.include_terminators)
+        load_document(path), include_terminators=args.include_terminators)
     em.write(f"{name}__zipf", "csv", serialize.rank_frequency_csv(table))
     ranks = np.array([e[0] for e in table.entries], dtype=float)
     counts = np.array([e[2] for e in table.entries], dtype=float)
@@ -422,7 +438,7 @@ def zipf_job(name, path, args, em):
 
 
 def recurrence_job(name, path, args, em):
-    rec = corpus.word_recurrence_series(load_document(path, args), args.target)
+    rec = corpus.word_recurrence_series(load_document(path), args.target)
     name = f"{name}__{args.target}"
     values = rec.gaps.astype(float)
     ps, fit = spectrum_stage(values, args)
@@ -517,7 +533,11 @@ _COMMANDS = {
 
 
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
+    try:
+        args = build_parser().parse_args(argv)
+    except SystemExit as exc:
+        # argparse exits 2 on a usage error, but here 2 means "some inputs skipped"
+        return 1 if exc.code else 0
     try:
         check_args(args)
         return _COMMANDS[args.command](args)

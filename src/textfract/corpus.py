@@ -6,7 +6,7 @@ A sentence is defined orthographically: a run of tokens closed by a
 sentence-ending mark (. ? ! or an ellipsis followed by a capitalized
 word), except where the mark belongs to a known abbreviation, a
 single-letter initial, or sits inside an unclosed bracket/quote pair.
-Segmentation is deterministic: same bytes + same config = same spans.
+Segmentation is deterministic: same bytes + same lexicon = same spans.
 """
 
 from __future__ import annotations
@@ -27,7 +27,6 @@ __all__ = [
     "SentenceLengthSeries",
     "RecurrenceSeries",
     "RankFrequencyTable",
-    "SegmenterConfig",
     "AbbreviationLexicon",
     "tokenize",
     "segment_sentences",
@@ -75,12 +74,6 @@ class Document:
 
 
 @dataclass(frozen=True)
-class SegmenterConfig:
-    suppress_inside_brackets: bool = True  # rule C
-    emit_trailing: bool = False
-
-
-@dataclass(frozen=True)
 class Sentence:
     """Token span [start, end) in the document, end exclusive."""
 
@@ -106,7 +99,6 @@ class SentenceLengthSeries:
     values: np.ndarray  # positive ints, one per sentence
     unit: str  # "words" | "characters"
     source: dict = field(default_factory=dict)
-    min_sentences: int = 5000
 
     def __post_init__(self):
         v = np.asarray(self.values)
@@ -120,10 +112,6 @@ class SentenceLengthSeries:
     @property
     def j_max(self) -> int:
         return len(self.values)
-
-    @property
-    def below_threshold(self) -> bool:
-        return self.j_max < self.min_sentences
 
 
 @dataclass(frozen=True)
@@ -215,17 +203,14 @@ def _running_total(values) -> np.ndarray:
     return np.concatenate(([0], np.cumsum(values)))
 
 
-def segment_sentences(doc: Document, lexicon: AbbreviationLexicon | None = None,
-                      config: SegmenterConfig | None = None):
+def segment_sentences(doc: Document, lexicon: AbbreviationLexicon | None = None):
     """Split a tokenized document into sentence spans.
 
     Returns (sentences, report). A terminator closes the current span
     unless one of the exception rules fires; spans without any word are
-    skipped (counted in the report), as is an unterminated tail unless
-    ``config.emit_trailing`` is set.
+    skipped, and so is an unterminated tail (both counted in the report).
     """
     lexicon = lexicon if lexicon is not None else AbbreviationLexicon.for_language(doc.language_tag)
-    config = config or SegmenterConfig()
     tokens, kinds = doc.tokens, doc.kinds
     is_word = kinds == WORD
     # words and terminators in token order: the word after a mark, if
@@ -265,16 +250,12 @@ def segment_sentences(doc: Document, lexicon: AbbreviationLexicon | None = None,
         if surface == "…" and not next_word_capitalized(i):
             ellipsis_cont += 1
             continue
-        if (config.suppress_inside_brackets and (depth > 0 or quote_open)
-                and not next_word_capitalized(i)):
+        if (depth > 0 or quote_open) and not next_word_capitalized(i):
             bracket_suppr += 1
             continue
         cuts.append(i + 1)
 
     trailing = len(tokens) - cuts[-1]
-    if trailing > 0 and config.emit_trailing:
-        cuts.append(len(tokens))
-        trailing = 0
     cuts = np.asarray(cuts)
     word_chars = np.fromiter(map(len, tokens), dtype=int, count=len(tokens)) * is_word
     words = np.diff(_running_total(is_word)[cuts])
@@ -295,8 +276,7 @@ def segment_sentences(doc: Document, lexicon: AbbreviationLexicon | None = None,
 
 
 def sentence_length_series(sentences, unit: str = "words",
-                           source: dict | None = None,
-                           min_sentences: int = 5000) -> SentenceLengthSeries:
+                           source: dict | None = None) -> SentenceLengthSeries:
     """Series l(j) of per-sentence word (or character) counts."""
     if not sentences:
         raise ValueError("no sentences to build a series from")
@@ -310,14 +290,12 @@ def sentence_length_series(sentences, unit: str = "words",
         values=np.asarray(values, dtype=int),
         unit=unit,
         source=dict(source or {}),
-        min_sentences=min_sentences,
     )
 
 
-def word_recurrence_series(doc: Document, target: str,
-                           fold_case: bool = True) -> RecurrenceSeries:
-    """Gaps, in word counts, between consecutive occurrences of
-    ``target``; terminators and other punctuation do not advance the
+def word_recurrence_series(doc: Document, target: str) -> RecurrenceSeries:
+    """Gaps, in word counts, between consecutive case-folded occurrences
+    of ``target``; terminators and other punctuation do not advance the
     word index.
 
     Passing "." (or the pooled pseudo-word "⟨.⟩") targets the
@@ -330,9 +308,8 @@ def word_recurrence_series(doc: Document, target: str,
     if pooled_terminators:
         hit = doc.kinds == TERMINATOR
     else:
-        want = target.lower() if fold_case else target
-        surfaces = map(str.lower, doc.tokens) if fold_case else doc.tokens
-        hit = is_word & np.fromiter((s == want for s in surfaces),
+        want = target.lower()
+        hit = is_word & np.fromiter((s == want for s in map(str.lower, doc.tokens)),
                                     dtype=bool, count=len(doc.tokens))
     # an occurrence sits at the number of words before it
     indices = _running_total(is_word)[:-1][hit]
@@ -349,21 +326,18 @@ def word_recurrence_series(doc: Document, target: str,
         target_word=target,
         gaps=gaps,
         source={"title": doc.title, "source_hash": doc.source_hash,
-                "fold_case": fold_case},
+                "fold_case": True},
     )
 
 
-def rank_frequency(doc: Document, include_terminators: bool = False,
-                   fold_case: bool = True) -> RankFrequencyTable:
-    """Zipf table: words (case-folded by default) ranked by count,
-    descending, ties broken by first occurrence. With
-    ``include_terminators`` all sentence-ending marks pool into one
-    pseudo-word, ``TERMINATOR_SURFACE``."""
+def rank_frequency(doc: Document, include_terminators: bool = False) -> RankFrequencyTable:
+    """Zipf table: case-folded words ranked by count, descending, ties
+    broken by first occurrence. With ``include_terminators`` all
+    sentence-ending marks pool into one pseudo-word, ``TERMINATOR_SURFACE``."""
     if not doc.tokens:
         raise ValueError("empty document")
     keys = (
-        TERMINATOR_SURFACE if kind == TERMINATOR
-        else surface.lower() if fold_case else surface
+        TERMINATOR_SURFACE if kind == TERMINATOR else surface.lower()
         for surface, kind in zip(doc.tokens, doc.kinds.tolist())
         if kind == WORD or (kind == TERMINATOR and include_terminators)
     )

@@ -37,6 +37,8 @@ __all__ = [
     "mfdfa",
 ]
 
+_N_SCALES = 30  # log-spaced points of the default scale grid
+
 
 @dataclass(frozen=True)
 class FluctuationSurface:
@@ -77,17 +79,15 @@ def default_q_values(q_min: float = -4.0, q_max: float = 4.0, q_step: float = 0.
     return np.where(np.abs(q) < 1e-12, 0.0, q)
 
 
-def default_scales(n: int, s_min: int = 20, s_max: int | None = None,
-                   n_scales: int = 30) -> np.ndarray:
-    """About ``n_scales`` log-spaced integer scales in [s_min, n/5]."""
+def default_scales(n: int, s_min: int = 20, s_max: int | None = None) -> np.ndarray:
+    """About ``_N_SCALES`` log-spaced integer scales in [s_min, n/5]."""
     if s_max is None:
         s_max = n // 5
     if s_max <= s_min:
         raise ValueError(f"series of length {n} leaves no room for scales >= {s_min}")
-    scales = np.unique(
-        np.round(np.logspace(np.log10(s_min), np.log10(s_max), n_scales)).astype(int)
+    return np.unique(
+        np.round(np.logspace(np.log10(s_min), np.log10(s_max), _N_SCALES)).astype(int)
     )
-    return scales
 
 
 def detrended_variance(p: Profile, nu: int, s: int, m: int = 2) -> float:

@@ -16,6 +16,8 @@ __all__ = [
     "average_spectrum",
 ]
 
+_GRID_BINS = 200  # points of the corpus-average spectrum's log grid
+
 
 @dataclass(frozen=True)
 class PowerSpectrum:
@@ -138,7 +140,7 @@ def fit_beta(ps: PowerSpectrum, fit_range=None, bins_per_decade: int = 20) -> Sp
     )
 
 
-def average_spectrum(spectra, grid_bins: int = 200) -> PowerSpectrum:
+def average_spectrum(spectra) -> PowerSpectrum:
     """Corpus-average spectrum.
 
     Each spectrum is normalized to unit total power, interpolated
@@ -152,9 +154,9 @@ def average_spectrum(spectra, grid_bins: int = 200) -> PowerSpectrum:
     f_hi = min(ps.freqs[-1] for ps in spectra)
     if not f_lo < f_hi:
         raise ValueError("frequency supports do not overlap")
-    grid = np.logspace(np.log10(f_lo), np.log10(f_hi), grid_bins)
+    grid = np.logspace(np.log10(f_lo), np.log10(f_hi), _GRID_BINS)
     log_grid = np.log10(grid)
-    acc = np.zeros(grid_bins)
+    acc = np.zeros(_GRID_BINS)
     for ps in spectra:
         keep = ps.power > 0
         norm = ps.power[keep] / ps.power[keep].sum()

@@ -12,6 +12,7 @@ __all__ = ["log_log_plot", "scatter_plot", "heatmap"]
 
 _W, _H = 640, 440
 _MARGIN = 50
+_MAX_CELLS = 200_000  # heatmap cells drawn before columns are downsampled
 _COLORS = ["#1f77b4", "#d62728", "#2ca02c", "#9467bd", "#8c564b", "#e377c2"]
 
 
@@ -135,12 +136,11 @@ def scatter_plot(xs, ys, title="", xlabel="x", ylabel="y", labels=None,
     return "\n".join(parts) + "\n"
 
 
-def heatmap(matrix, title="", xlabel="position", ylabel="scale",
-            max_cells: int = 200_000) -> str:
+def heatmap(matrix, title="", xlabel="position", ylabel="scale") -> str:
     """|value| heatmap on a blue-to-red scale, min to max; columns are
-    downsampled if the cell count would exceed ``max_cells``."""
+    downsampled if the cell count would exceed ``_MAX_CELLS``."""
     m = np.abs(np.asarray(matrix, dtype=float))
-    step = max(1, int(np.ceil(m.shape[0] * m.shape[1] / max_cells / m.shape[0])))
+    step = max(1, int(np.ceil(m.shape[0] * m.shape[1] / _MAX_CELLS / m.shape[0])))
     m = m[:, ::step]
     lo, hi = float(m.min()), float(m.max())
     span = hi - lo if hi > lo else 1.0

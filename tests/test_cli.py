@@ -54,6 +54,15 @@ def run(argv):
     return cli.main([str(a) for a in argv])
 
 
+# the options each command needs before anything else can be checked
+REQUIRED = {"recurrence": ["--target", "the"], "slice": ["--from", "1", "--to", "2"]}
+
+# input flags, each with a value, that some commands do not take
+INPUT_FLAGS = {"series_csv": ["--series-csv", "x.csv"], "unit": ["--unit", "chars"],
+               "lexicon": ["--lexicon", "f"], "language": ["--language", "xx"],
+               "min_sentences": ["--min-sentences", "1"], "seed": ["--seed", "9"]}
+
+
 def read_rows(path):
     with open(path, newline="", encoding="utf-8") as fh:
         return list(csv.reader(fh))
@@ -74,9 +83,16 @@ class TestParser:
         for cmd in ["analyze", "spectrum", "mfdfa", "wavelet", "surrogate",
                     "zipf", "ccdf", "recurrence", "slice"]:
             assert cmd in cli._COMMANDS
-            ap.parse_args([cmd, "x.txt"] +
-                          (["--target", "the"] if cmd == "recurrence" else []) +
-                          (["--from", "1", "--to", "2"] if cmd == "slice" else []))
+            ap.parse_args([cmd, "x.txt", *REQUIRED.get(cmd, [])])
+
+    def test_analyze_option_set(self):
+        # config_digest hashes every analyze option, so the set is pinned
+        args = cli.build_parser().parse_args(["analyze", "x.txt"])
+        assert sorted(vars(args)) == [
+            "bins_per_decade", "command", "detrend_order", "fit_fmax", "fit_fmin",
+            "format", "jobs", "language", "lexicon", "min_sentences", "out", "paths",
+            "q_max", "q_min", "q_step", "scale_max", "scale_min", "seed",
+            "series_csv", "surrogates", "tail_start", "unit"]
 
     def test_missing_subcommand_exits(self):
         with pytest.raises(SystemExit):
@@ -97,7 +113,12 @@ class TestParser:
         (["analyze", "--format", "cvs"], "--format"),
         (["analyze", "--jobs", "0"], "--jobs"),
         (["analyze", "--surrogates", "-2"], "--surrogates"),
-    ], ids=["q_step_zero", "unknown_format", "jobs_zero", "negative_surrogates"])
+        (["mfdfa", "--q-step", "0.7"], "--q-min/--q-max/--q-step"),
+        (["analyze", "--q-min", "1", "--q-max", "2", "--q-step", "0.5"],
+         "--q-min/--q-max/--q-step"),
+        (["spectrum", "--fit-fmin", "0.001"], "--fit-fmin"),
+    ], ids=["q_step_zero", "unknown_format", "jobs_zero", "negative_surrogates",
+            "q_grid_without_two", "q_grid_too_short", "half_fit_range"])
     def test_bad_option_value_is_fatal_before_reading(self, argv, flag, tmp_path, capsys):
         # the input does not exist: the value must be rejected before any read
         out = tmp_path / "o"
@@ -139,11 +160,13 @@ class TestSpectrumCommand:
         assert fit["fit_range"] == [0.001, 0.1]
         assert not (out / "fgn__spectrum.csv").exists()
 
-    def test_half_fit_range_rejected(self, series_file, tmp_path):
-        path, _ = series_file
-        with pytest.raises(SystemExit):
-            run(["spectrum", "--series-csv", path, "--out", tmp_path / "o",
-                 "--fit-fmin", "0.001"])
+    def test_threshold_flag(self, text_file, tmp_path, capsys):
+        assert run(["spectrum", text_file, "--out", tmp_path / "a",
+                    "--min-sentences", "5000"]) == 0
+        assert f"warning: {text_file}: 1200 sentences, below 5000" in capsys.readouterr().err
+        assert run(["spectrum", text_file, "--out", tmp_path / "b",
+                    "--min-sentences", "100"]) == 0
+        assert "warning" not in capsys.readouterr().err
 
 
 class TestMfdfaCommand:
@@ -215,10 +238,19 @@ class TestZipfCommand:
         counts = [int(r[2]) for r in rows[1:]]
         assert counts == sorted(counts, reverse=True)
 
-    def test_rejects_series_input(self, series_file, tmp_path):
-        path, _ = series_file
-        with pytest.raises(SystemExit):
-            run(["zipf", "--series-csv", path, "--out", tmp_path / "o"])
+    # a flag the command would not read is a usage error, which exits 1
+    @pytest.mark.parametrize("cmd, flag", [
+        ("zipf", "series_csv"),
+        *((cmd, flag) for cmd in ("zipf", "recurrence")
+          for flag in ("unit", "lexicon", "language", "min_sentences", "seed")),
+        *((cmd, "seed") for cmd in ("spectrum", "mfdfa", "wavelet", "ccdf", "slice")),
+    ])
+    def test_rejects_series_input(self, cmd, flag, text_file, tmp_path, capsys):
+        out = tmp_path / "o"
+        argv = [cmd, *REQUIRED.get(cmd, []), *INPUT_FLAGS[flag], text_file, "--out", out]
+        assert run(argv) == 1
+        assert f"unrecognized arguments: {INPUT_FLAGS[flag][0]}" in capsys.readouterr().err
+        assert not out.exists()
 
 
 class TestCcdfCommand:

@@ -3,13 +3,7 @@ import pytest
 from hypothesis import given, strategies as st
 
 import textfract as tf
-from textfract.corpus import (
-    OTHER,
-    TERMINATOR,
-    WORD,
-    AbbreviationLexicon,
-    SegmenterConfig,
-)
+from textfract.corpus import TERMINATOR, WORD, AbbreviationLexicon
 from seg_fixtures import CASES
 
 # pieces of random texts that exercise every segmentation rule
@@ -92,19 +86,6 @@ class TestSegmentation:
         assert report.bracket_suppressions == 1
         assert report.trailing_tokens_dropped > 0
 
-    def test_trailing_emitted_when_configured(self):
-        doc = tf.tokenize("Done. trailing words here")
-        sents, report = tf.segment_sentences(
-            doc, config=SegmenterConfig(emit_trailing=True))
-        assert [s.word_count for s in sents] == [1, 3]
-        assert report.trailing_tokens_dropped == 0
-
-    def test_rule_c_can_be_disabled(self):
-        doc = tf.tokenize("He asked (really?) and waited. She nodded.")
-        sents, _ = tf.segment_sentences(
-            doc, config=SegmenterConfig(suppress_inside_brackets=False))
-        assert [s.word_count for s in sents] == [3, 2, 2]
-
     def test_unknown_language_falls_back_to_initials_only(self):
         doc = tf.tokenize("Mr. Smith left. He ran.", language_tag="xx")
         sents, _ = tf.segment_sentences(doc)
@@ -125,12 +106,10 @@ class TestSegmentation:
         b, _ = tf.segment_sentences(doc)
         assert a == b
 
-    @given(st.lists(st.sampled_from(SOUP), max_size=60),
-           st.builds(SegmenterConfig, suppress_inside_brackets=st.booleans(),
-                     emit_trailing=st.booleans()))
-    def test_span_invariants_on_token_soup(self, pieces, config):
+    @given(st.lists(st.sampled_from(SOUP), max_size=60))
+    def test_span_invariants_on_token_soup(self, pieces):
         doc = tf.tokenize(" ".join(pieces))
-        sents, report = tf.segment_sentences(doc, config=config)
+        sents, report = tf.segment_sentences(doc)
         n = len(doc.tokens)
         is_word = [k == WORD for k in doc.kinds.tolist()]
         assert report.n_sentences == len(sents)
@@ -138,8 +117,7 @@ class TestSegmentation:
         for s in sents:
             assert prev_end <= s.start < s.end <= n
             prev_end = s.end
-            trailing = config.emit_trailing and s.end == n
-            assert doc.kinds[s.end - 1] == TERMINATOR or trailing
+            assert doc.kinds[s.end - 1] == TERMINATOR
             span = range(s.start, s.end)
             assert s.word_count == sum(is_word[i] for i in span) >= 1
             assert s.char_count == sum(len(doc.tokens[i]) for i in span if is_word[i])
@@ -169,10 +147,6 @@ class TestSentenceLengthSeries:
     def test_empty_rejected(self):
         with pytest.raises(ValueError):
             tf.sentence_length_series([])
-
-    def test_threshold_flag(self):
-        slv = tf.sentence_length_series(self._sents("He left."), min_sentences=5)
-        assert slv.below_threshold
 
 
 class TestSliceSeries:
@@ -220,8 +194,6 @@ class TestWordRecurrence:
     def test_case_folding(self):
         doc = tf.tokenize("The cat saw the dog")
         assert tf.word_recurrence_series(doc, "the").gaps.tolist() == [3]
-        with pytest.raises(ValueError):
-            tf.word_recurrence_series(doc, "the", fold_case=False)
 
     def test_matches_brute_force_scan(self):
         rng = np.random.default_rng(17)

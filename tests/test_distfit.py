@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import textfract as tf
 from textfract.distfit import CCDF
@@ -41,6 +42,17 @@ class TestCcdf:
         c2 = tf.ccdf(np.repeat(x, 4))
         np.testing.assert_array_equal(c1.lengths, c2.lengths)
         np.testing.assert_allclose(c1.F, c2.F)
+
+    @settings(max_examples=25, deadline=None)
+    @given(values=st.lists(st.integers(1, 300) | st.floats(-1e6, 1e6),
+                           min_size=1, max_size=500),
+           seed=st.integers(0, 2**16))
+    def test_shuffle_leaves_ccdf_unchanged(self, values, seed):
+        c = tf.ccdf(np.array(values, dtype=float))
+        s = tf.ccdf(tf.shuffle_surrogate(values, seed))
+        np.testing.assert_array_equal(s.lengths, c.lengths)
+        np.testing.assert_array_equal(s.F, c.F)
+        assert s.n_samples == c.n_samples
 
     def test_empty_rejected(self):
         with pytest.raises(ValueError):

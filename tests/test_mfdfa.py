@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import textfract as tf
 import textfract.mfdfa as M
@@ -142,6 +143,17 @@ class TestGeneralizedHurst:
         surf = M.fluctuation_surface(x, scales=[20, 40, 80, 160])
         with pytest.raises(ValueError):
             M.fit_generalized_hurst(surf)
+
+
+    @settings(max_examples=25, deadline=None)
+    @given(seed=st.integers(0, 2**16), log_a=st.floats(-3, 3), negate=st.booleans(),
+           b=st.floats(-1e3, 1e3))
+    def test_h_invariant_under_affine_map(self, seed, log_a, negate, b):
+        # F_q scales by |a| and the profile drops b: every slope stays put
+        x = tf.generate_fgn(0.75, 2048, seed).values
+        a = -(10**log_a) if negate else 10**log_a
+        h = M.mfdfa(x)[1].h
+        np.testing.assert_allclose(M.mfdfa(a * x + b)[1].h, h, rtol=0, atol=1e-9)
 
 
 class TestSingularitySpectrum:

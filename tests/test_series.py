@@ -1,6 +1,6 @@
 import numpy as np
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
 import textfract as tf
 from textfract.series import (
@@ -79,6 +79,15 @@ class TestPhaseRandomizedSurrogate:
         x = np.random.default_rng(4).normal(size=1023)
         surr = tf.phase_randomized_surrogate(x, 5)
         assert_amplitudes_match(surr.values, x)
+
+    @settings(max_examples=25, deadline=None)
+    @given(n=st.integers(4, 4096), loc=st.floats(-100, 100), centred=st.booleans(),
+           data_seed=st.integers(0, 2**16), seed=st.integers(0, 2**16))
+    def test_amplitudes_preserved_property(self, n, loc, centred, data_seed, seed):
+        x = np.random.default_rng(data_seed).normal(loc=loc, size=n)
+        if centred:  # the DC amplitude is then rounding noise
+            x -= x.mean()
+        assert_amplitudes_match(tf.phase_randomized_surrogate(x, seed).values, x)
 
     def test_mean_preserved(self):
         x = np.random.default_rng(5).normal(loc=12.0, size=512)
