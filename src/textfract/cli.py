@@ -145,6 +145,16 @@ def check_args(args):
         if len(q) < 5:
             raise ValueError(f"--q-min/--q-max/--q-step: the grid has {len(q)} "
                              "points; f(alpha) needs >= 5")
+    if "detrend_order" in args:
+        if args.detrend_order < 0:
+            raise ValueError(f"--detrend-order must be >= 0, got {args.detrend_order}")
+        if args.scale_min <= args.detrend_order + 1:
+            raise ValueError(f"--scale-min must be > --detrend-order + 1 = "
+                             f"{args.detrend_order + 1}, got {args.scale_min}")
+    if "bins_per_decade" in args and args.bins_per_decade < 1:
+        raise ValueError(f"--bins-per-decade must be >= 1, got {args.bins_per_decade}")
+    if "n_scales" in args and args.n_scales < 1:
+        raise ValueError(f"--n-scales must be >= 1, got {args.n_scales}")
     if "jobs" in args and args.jobs < 1:
         raise ValueError(f"--jobs must be >= 1, got {args.jobs}")
     if "surrogates" in args and args.surrogates < 0:
@@ -240,7 +250,7 @@ def each_input(args, job, jobs=1):
     elif args.paths:
         inputs = [(Path(p).stem, p) for p in sorted(args.paths)]
     else:
-        raise SystemExit("no input: give text paths, or --series-csv "
+        raise ValueError("no input: give text paths, or --series-csv "
                          "where the command reads a series")
     em = Emitter(args)
     tasks = [(job, name, source, args, em) for name, source in inputs]

@@ -126,6 +126,8 @@ def segment_variances(p: Profile, s: int, m: int = 2) -> np.ndarray:
     ms = n // s
     if ms < 1:
         raise ValueError(f"scale {s} exceeds series length {n}")
+    if m < 0:
+        raise ValueError(f"polynomial order {m} < 0")
     if s <= m + 1:
         raise ValueError(f"scale {s} too small for polynomial order {m}")
     fwd = L[: ms * s].reshape(ms, s)

@@ -110,11 +110,14 @@ def rank_frequency_csv(table) -> str:
 
 
 def wavelet_csv(wm) -> str:
-    rows = []
-    for i, s in enumerate(wm.scales):
-        for j, k in enumerate(wm.positions):
-            rows.append(
-                (repr(float(s)), int(k), repr(float(wm.coefficients[i, j])),
-                 int(wm.boundary[i, j]))
-            )
-    return table_csv(rows, ["scale", "position", "coefficient", "boundary"])
+    """One row per (scale, position), formatted a scale at a time from
+    Python floats; every field is a number, so no field needs quoting
+    and the bytes equal those of ``table_csv``."""
+    positions = wm.positions.tolist()
+    blocks = ["scale,position,coefficient,boundary\n"]
+    for s, coefs, edge in zip(wm.scales.tolist(), wm.coefficients.tolist(),
+                              wm.boundary.astype(int).tolist()):
+        prefix = repr(s) + ","
+        blocks.append("".join([f"{prefix}{k},{c!r},{b}\n"
+                               for k, c, b in zip(positions, coefs, edge)]))
+    return "".join(blocks)

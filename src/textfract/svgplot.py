@@ -12,7 +12,6 @@ __all__ = ["log_log_plot", "scatter_plot", "heatmap"]
 
 _W, _H = 640, 440
 _MARGIN = 50
-_MAX_CELLS = 200_000  # heatmap cells drawn before columns are downsampled
 _COLORS = ["#1f77b4", "#d62728", "#2ca02c", "#9467bd", "#8c564b", "#e377c2"]
 
 
@@ -137,10 +136,13 @@ def scatter_plot(xs, ys, title="", xlabel="x", ylabel="y", labels=None,
 
 
 def heatmap(matrix, title="", xlabel="position", ylabel="scale") -> str:
-    """|value| heatmap on a blue-to-red scale, min to max; columns are
-    downsampled if the cell count would exceed ``_MAX_CELLS``."""
+    """|value| heatmap on a blue-to-red scale, min to max over the drawn
+    cells. The plot is ``_W - 2 * _MARGIN`` = 540 pixels wide, so a
+    matrix with more columns is drawn from every ceil(cols / 540)-th
+    column, starting at the first; one with 540 or fewer is drawn whole.
+    Every row is drawn."""
     m = np.abs(np.asarray(matrix, dtype=float))
-    step = max(1, int(np.ceil(m.shape[0] * m.shape[1] / _MAX_CELLS / m.shape[0])))
+    step = -(-m.shape[1] // (_W - 2 * _MARGIN))
     m = m[:, ::step]
     lo, hi = float(m.min()), float(m.max())
     span = hi - lo if hi > lo else 1.0

@@ -33,17 +33,21 @@ def mother_wavelet(x):
 
 def default_scales(n: int, n_scales: int = 50) -> np.ndarray:
     """Log-spaced scales in [4, n/10]."""
+    if n_scales < 1:
+        raise ValueError(f"n_scales must be >= 1, got {n_scales}")
     s_max = max(n / 10.0, 8.0)
     return np.logspace(np.log10(4.0), np.log10(s_max), n_scales)
 
 
 def wavelet_map(s_series, scales=None, positions=None) -> WaveletMap:
     """T(s, k) = (1/sqrt(s)) * sum_j l(j) psi((j - k)/s) for every
-    requested scale and position.
+    requested scale and position, each scale's row computed as one FFT
+    correlation of the series with the sampled wavelet.
 
-    No padding is applied; coefficients whose truncated support
-    (|x| <= 8) crosses a series edge are flagged in ``boundary`` so
-    plots can mask the cone of influence.
+    The series is not extended past its ends (the FFT's zero padding
+    only keeps the correlation from wrapping); coefficients whose
+    truncated support (|x| <= 8) crosses a series edge are flagged in
+    ``boundary`` so plots can mask the cone of influence.
     """
     x = as_values(s_series)
     n = len(x)
@@ -64,11 +68,14 @@ def wavelet_map(s_series, scales=None, positions=None) -> WaveletMap:
     boundary = np.empty((len(scales), len(positions)), dtype=bool)
     for i, s in enumerate(scales):
         half = SUPPORT_HALF_WIDTH * s
-        # full correlation with the sampled wavelet, then pick positions
-        d = np.arange(-int(np.ceil(half)), int(np.ceil(half)) + 1, dtype=float)
-        kernel = mother_wavelet(d / s)
-        full = np.convolve(x, kernel[::-1], mode="full")
         offset = int(np.ceil(half))
+        d = np.arange(-offset, offset + 1, dtype=float)
+        kernel = mother_wavelet(d / s)
+        # full correlation with the sampled wavelet by FFT, zero-padded to
+        # the next power of two >= n + len(kernel) - 1 so nothing wraps;
+        # then pick positions
+        nfft = 1 << (n + len(kernel) - 2).bit_length()
+        full = np.fft.irfft(np.fft.rfft(x, nfft) * np.fft.rfft(kernel[::-1], nfft), nfft)
         row = full[offset : offset + n] / np.sqrt(s)
         coeffs[i] = row[positions - 1]
         boundary[i] = (positions - 1 < half) | (positions - 1 > n - 1 - half)

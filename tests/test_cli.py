@@ -98,15 +98,19 @@ class TestParser:
         with pytest.raises(SystemExit):
             cli.build_parser().parse_args([])
 
-    def test_no_input_is_fatal(self, tmp_path):
-        with pytest.raises(SystemExit):
-            run(["spectrum", "--out", tmp_path / "o"])
+    def test_no_input_is_fatal(self, tmp_path, capsys):
+        out = tmp_path / "o"
+        assert run(["spectrum", "--out", out]) == 1
+        assert "fatal: no input" in capsys.readouterr().err
+        assert not out.exists()
 
     @pytest.mark.parametrize("argv", [["zipf"], ["recurrence", "--target", "the"]],
                              ids=lambda argv: argv[0])
-    def test_text_only_command_without_input_is_fatal(self, argv, tmp_path):
-        with pytest.raises(SystemExit, match="no input"):
-            run(argv + ["--out", tmp_path / "o"])
+    def test_text_only_command_without_input_is_fatal(self, argv, tmp_path, capsys):
+        out = tmp_path / "o"
+        assert run(argv + ["--out", out]) == 1
+        assert "fatal: no input" in capsys.readouterr().err
+        assert not out.exists()
 
     @pytest.mark.parametrize("argv, flag", [
         (["mfdfa", "--q-step", "0"], "--q-step"),
@@ -117,8 +121,18 @@ class TestParser:
         (["analyze", "--q-min", "1", "--q-max", "2", "--q-step", "0.5"],
          "--q-min/--q-max/--q-step"),
         (["spectrum", "--fit-fmin", "0.001"], "--fit-fmin"),
+        (["mfdfa", "--detrend-order", "-1"], "--detrend-order"),
+        (["analyze", "--detrend-order", "-1"], "--detrend-order"),
+        (["wavelet", "--n-scales", "0"], "--n-scales"),
+        (["spectrum", "--bins-per-decade", "0"], "--bins-per-decade"),
+        (["mfdfa", "--scale-min", "3"], "--scale-min"),
+        (["recurrence", "--target", "the", "--scale-min", "2", "--detrend-order", "1"],
+         "--scale-min"),
     ], ids=["q_step_zero", "unknown_format", "jobs_zero", "negative_surrogates",
-            "q_grid_without_two", "q_grid_too_short", "half_fit_range"])
+            "q_grid_without_two", "q_grid_too_short", "half_fit_range",
+            "negative_detrend_order", "analyze_negative_detrend_order", "n_scales_zero",
+            "bins_per_decade_zero", "scale_min_at_order_plus_one",
+            "recurrence_scale_min_at_order_plus_one"])
     def test_bad_option_value_is_fatal_before_reading(self, argv, flag, tmp_path, capsys):
         # the input does not exist: the value must be rejected before any read
         out = tmp_path / "o"

@@ -113,6 +113,15 @@ class TestFluctuationSurface:
             M.fluctuation_surface(np.random.default_rng(0).normal(size=100),
                                   scales=[20, 50])
 
+    def test_negative_order_rejected(self):
+        # order -1 would fit a polynomial with no terms and detrend nothing
+        prof = tf.profile(np.random.default_rng(0).normal(size=400))
+        with pytest.raises(ValueError, match="order -1"):
+            M.segment_variances(prof, 20, m=-1)
+        with pytest.raises(ValueError, match="order -1"):
+            M.fluctuation_surface(np.random.default_rng(0).normal(size=400),
+                                  scales=[20, 40], m=-1)
+
 
 class TestGeneralizedHurst:
     def test_exact_power_law_surface(self):

@@ -80,6 +80,20 @@ class TestCsvEmitters:
         assert rows[0] == ["scale", "position", "coefficient", "boundary"]
         assert len(rows) == 1 + 2 * 3
 
+    def test_wavelet_csv_matches_csv_writer_rows(self):
+        # the row formatting of the csv.writer version, kept as the oracle
+        x = np.random.default_rng(3).normal(size=200) * 1e3
+        wm = tf.wavelet_map(x, scales=np.logspace(np.log10(4.0), np.log10(20.0), 3),
+                            positions=[1, 2, 60, 199, 200])
+        buf = io.StringIO()
+        w = csv.writer(buf, lineterminator="\n")
+        w.writerow(["scale", "position", "coefficient", "boundary"])
+        for i, s in enumerate(wm.scales):
+            for j, k in enumerate(wm.positions):
+                w.writerow((repr(float(s)), int(k), repr(float(wm.coefficients[i, j])),
+                            int(wm.boundary[i, j])))
+        assert serialize.wavelet_csv(wm) == buf.getvalue()
+
     def test_mfdfa_csvs(self):
         import textfract.mfdfa as M
 
@@ -118,6 +132,22 @@ class TestSvg:
     def test_heatmap_well_formed(self):
         wm = tf.wavelet_map(tf.generate_white_noise(600, 3))
         self._check(svgplot.heatmap(wm.coefficients, title="|T|"))
+
+    @staticmethod
+    def _cells(svg):
+        # every <rect> but the white background and the plot frame
+        return svg.count("<rect") - 2
+
+    def test_heatmap_capped_at_pixel_columns(self):
+        m = np.random.default_rng(4).normal(size=(50, 16384))
+        svg = self._check(svgplot.heatmap(m))
+        assert self._cells(svg) == 50 * len(range(0, 16384, 31))
+        assert self._cells(svg) <= 50 * 540
+
+    @pytest.mark.parametrize("cols", [1, 17, 540])
+    def test_heatmap_draws_every_column_that_fits(self, cols):
+        m = np.random.default_rng(5).normal(size=(3, cols))
+        assert self._cells(svgplot.heatmap(m)) == 3 * cols
 
     def test_deterministic(self):
         args = ([( np.array([1.0, 2.0]), np.array([3.0, 4.0]), "x")],)

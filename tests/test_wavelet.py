@@ -5,6 +5,17 @@ import textfract as tf
 from textfract.wavelet import SUPPORT_HALF_WIDTH, default_scales, mother_wavelet
 
 
+def direct_map(x, scales):
+    """T(s, k) at every position by direct time-domain convolution."""
+    rows = []
+    for s in scales:
+        offset = int(np.ceil(SUPPORT_HALF_WIDTH * s))
+        kernel = mother_wavelet(np.arange(-offset, offset + 1, dtype=float) / s)
+        full = np.convolve(x, kernel[::-1], mode="full")
+        rows.append(full[offset : offset + len(x)] / np.sqrt(s))
+    return np.array(rows)
+
+
 def brute_force_coefficient(x, s, k):
     """Direct evaluation of T(s, k) from the defining sum."""
     j = np.arange(1, len(x) + 1, dtype=float)
@@ -91,6 +102,25 @@ class TestWaveletMap:
         mags = [np.abs(wm.coefficients[i][~wm.boundary[i]]).mean()
                 for i in range(2)]
         assert mags[1] > mags[0]
+
+    def test_kernel_longer_than_series_matches_brute_force(self):
+        # at s = 40 the kernel spans 641 samples, more than the 300 given
+        x = np.random.default_rng(14).normal(size=300)
+        wm = tf.wavelet_map(x, scales=[40.0], positions=[1, 75, 150, 226, 300])
+        for j, k in enumerate(wm.positions):
+            assert wm.coefficients[0, j] == pytest.approx(
+                brute_force_coefficient(x, 40.0, k), rel=1e-9, abs=1e-12)
+
+    def test_matches_direct_convolution_at_default_scales(self):
+        x = np.random.default_rng(15).normal(size=2000)
+        wm = tf.wavelet_map(x)
+        expected = direct_map(x, wm.scales)
+        np.testing.assert_allclose(wm.coefficients, expected, rtol=0,
+                                   atol=1e-12 * np.abs(expected).max())
+
+    def test_default_scales_rejects_empty_grid(self):
+        with pytest.raises(ValueError, match="n_scales"):
+            default_scales(2000, 0)
 
     def test_rejections(self):
         x = np.ones(100)
