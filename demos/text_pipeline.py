@@ -28,14 +28,14 @@ def main():
 
     with open(args.path, "rb") as fh:
         doc = tf.tokenize(fh.read(), title=args.path, language_tag=args.language)
-    sentences, report = tf.segment_sentences(doc)
-    slv = tf.sentence_length_series(sentences)
+    spans, report = tf.segment_sentences(doc)
+    slv = tf.sentence_length_series(spans)
     print(f"{report.n_sentences} sentences, mean length "
           f"{slv.values.mean():.1f} words")
-    if slv.j_max < 5000:
+    if len(slv) < 5000:
         print("note: short text, scaling estimates will be noisy")
 
-    values = slv.values.astype(float)
+    values = slv.values
     fit = tf.fit_beta(tf.power_spectrum(values))
     _, gh, spec = mfdfa.mfdfa(values)
     print(f"beta^s       = {fit.beta:+.3f} +- {fit.sigma_beta:.3f}")

@@ -5,8 +5,6 @@ from .corpus import (
     AbbreviationLexicon,
     Document,
     RankFrequencyTable,
-    RecurrenceSeries,
-    SentenceLengthSeries,
     rank_frequency,
     segment_sentences,
     sentence_length_series,

@@ -136,6 +136,10 @@ def check_args(args):
     if unknown := set(args.format.split(",")) - {"csv", "json", "svg"}:
         raise ValueError(f"--format: unknown {sorted(unknown)}; use csv,json,svg")
     if "q_step" in args:
+        for flag, value in (("--q-min", args.q_min), ("--q-max", args.q_max),
+                            ("--q-step", args.q_step)):
+            if not math.isfinite(value):
+                raise ValueError(f"{flag} must be finite, got {value}")
         if not args.q_step > 0:
             raise ValueError(f"--q-step must be > 0, got {args.q_step}")
         q = mfdfa.default_q_values(args.q_min, args.q_max, args.q_step)
@@ -151,6 +155,9 @@ def check_args(args):
         if args.scale_min <= args.detrend_order + 1:
             raise ValueError(f"--scale-min must be > --detrend-order + 1 = "
                              f"{args.detrend_order + 1}, got {args.scale_min}")
+        if args.scale_max is not None and args.scale_max <= args.scale_min:
+            raise ValueError(f"--scale-max must be > --scale-min = {args.scale_min}, "
+                             f"got {args.scale_max}")
     if "bins_per_decade" in args and args.bins_per_decade < 1:
         raise ValueError(f"--bins-per-decade must be >= 1, got {args.bins_per_decade}")
     if "n_scales" in args and args.n_scales < 1:
@@ -194,31 +201,26 @@ def load_document(path) -> corpus.Document:
     return corpus.tokenize(Path(path).read_bytes(), title=Path(path).stem)
 
 
-def load_slv(path, args):
-    """Segment one text file and return (series, report)."""
+def load_slv(path, args) -> series.Series:
+    """One text's sentence-length series; its provenance holds the segmentation."""
     doc = load_document(path)
-    if args.lexicon:
-        lex = corpus.AbbreviationLexicon.from_file(args.lexicon)
-    else:
-        lex = corpus.AbbreviationLexicon.for_language(args.language)
-    sentences, report = corpus.segment_sentences(doc, lex)
-    unit = "characters" if args.unit == "chars" else "words"
+    lex = (corpus.AbbreviationLexicon.from_file(args.lexicon) if args.lexicon
+           else corpus.AbbreviationLexicon.for_language(args.language))
+    spans, report = corpus.segment_sentences(doc, lex)
     slv = corpus.sentence_length_series(
-        sentences, unit=unit,
+        spans, unit="characters" if args.unit == "chars" else "words",
         source={"title": doc.title, "source_hash": doc.source_hash},
     )
-    if slv.j_max < args.min_sentences:
-        log(f"warning: {path}: {slv.j_max} sentences, below {args.min_sentences}")
-    return slv, report
+    if len(slv) < args.min_sentences:
+        log(f"warning: {path}: {len(slv)} sentences, below {args.min_sentences}")
+    return series.Series(slv.values, {**slv.provenance, "segmentation": asdict(report)})
 
 
-def load_series(source, args):
-    """(values, provenance) of --series-csv values or of a text path."""
+def load_series(source, args) -> series.Series:
+    """The --series-csv values, or the sentence-length series of a text path."""
     if isinstance(source, np.ndarray):
-        return source, {"series_csv": args.series_csv}
-    slv, report = load_slv(source, args)
-    prov = {"source": slv.source, "segmentation": asdict(report), "unit": slv.unit}
-    return slv.values.astype(float), prov
+        return series.Series(source, {"series_csv": args.series_csv})
+    return load_slv(source, args)
 
 
 # --------------------------------------------------------------------------
@@ -286,8 +288,7 @@ def spectrum_stage(values, args):
 def mfdfa_stage(values, args):
     """(surface, h(q), f(alpha)) on the q grid and scales the flags set."""
     q = mfdfa.default_q_values(args.q_min, args.q_max, args.q_step)
-    s_max = args.scale_max or len(values) // 5
-    scales = mfdfa.default_scales(len(values), s_min=args.scale_min, s_max=s_max)
+    scales = mfdfa.default_scales(len(values), s_min=args.scale_min, s_max=args.scale_max)
     return mfdfa.mfdfa(values, q_values=q, scales=scales, m=args.detrend_order)
 
 
@@ -312,7 +313,8 @@ def spectrum_svg(ps, fit, label, title, beta_name="beta"):
 
 def analyze_job(name, source, args, em):
     """The full pipeline; returns the input's scatter row and spectrum."""
-    values, prov = load_series(source, args)
+    s = load_series(source, args)
+    values = s.values
     ps, fit = spectrum_stage(values, args)
     _surf, gh, spec = mfdfa_stage(values, args)
     H = mfdfa.hurst_exponent(gh)
@@ -335,7 +337,7 @@ def analyze_job(name, source, args, em):
     tail = tail_stage(distfit.ccdf(values), args.tail_start, name)
     report = {
         "name": name,
-        "provenance": prov,
+        "provenance": s.provenance,
         # digest the analysis parameters only, not the output or scheduling
         "config_digest": serialize.config_digest(
             {k: v for k, v in vars(args).items()
@@ -371,23 +373,23 @@ def analyze_job(name, source, args, em):
 
 
 def spectrum_job(name, source, args, em):
-    values, prov = load_series(source, args)
-    ps, fit = spectrum_stage(values, args)
+    s = load_series(source, args)
+    ps, fit = spectrum_stage(s.values, args)
     em.write(f"{name}__spectrum", "csv", serialize.spectrum_csv(ps))
     em.write(f"{name}__spectrum_fit", "json", serialize.to_json(
-        {"provenance": prov, **asdict(fit)}))
+        {"provenance": s.provenance, **asdict(fit)}))
     em.write(f"{name}__spectrum", "svg", spectrum_svg(ps, fit, name, f"S(f), {name}"))
 
 
 def mfdfa_job(name, source, args, em):
-    values, prov = load_series(source, args)
-    surf, gh, spec = mfdfa_stage(values, args)
+    s = load_series(source, args)
+    surf, gh, spec = mfdfa_stage(s.values, args)
     H = mfdfa.hurst_exponent(gh)  # raises before any file is written
     em.write(f"{name}__fq", "csv", serialize.surface_csv(surf))
     em.write(f"{name}__hurst", "csv", serialize.hurst_csv(gh))
     em.write(f"{name}__singularity", "csv", serialize.singularity_csv(spec))
     em.write(f"{name}__mfdfa", "json", serialize.to_json({
-        "provenance": prov,
+        "provenance": s.provenance,
         "H": H,
         "delta_alpha": spec.delta_alpha,
         "alpha_at_peak": spec.alpha_at_peak,
@@ -402,25 +404,24 @@ def mfdfa_job(name, source, args, em):
 
 
 def wavelet_job(name, source, args, em):
-    values, _prov = load_series(source, args)
-    scales = wavelet.default_scales(len(values), args.n_scales)
-    wm = wavelet.wavelet_map(values, scales=scales)
+    s = load_series(source, args)
+    wm = wavelet.wavelet_map(s, scales=wavelet.default_scales(len(s), args.n_scales))
     em.write(f"{name}__wavelet", "csv", serialize.wavelet_csv(wm))
     em.write(f"{name}__wavelet", "svg", svgplot.heatmap(
         wm.coefficients, title=f"|T(s,k)|, {name}"))
 
 
 def surrogate_job(name, source, args, em):
-    values, prov = load_series(source, args)
+    s = load_series(source, args)
     make = (series.shuffle_surrogate if args.kind == "shuffle"
             else series.phase_randomized_surrogate)
     for k in range(args.surrogates):
         seed = args.seed + k
-        surr = make(values, seed=seed)
+        surr = make(s, seed=seed)
         em.write(f"{name}__{args.kind}_{seed}", "csv",
                  serialize.series_csv(surr.values, value_name="value"))
         em.write(f"{name}__{args.kind}_{seed}", "json", serialize.to_json(
-            {"provenance": {**prov, **surr.provenance}}))
+            {"provenance": {**s.provenance, **surr.provenance}}))
 
 
 def zipf_job(name, path, args, em):
@@ -450,15 +451,15 @@ def zipf_job(name, path, args, em):
 def recurrence_job(name, path, args, em):
     rec = corpus.word_recurrence_series(load_document(path), args.target)
     name = f"{name}__{args.target}"
-    values = rec.gaps.astype(float)
-    ps, fit = spectrum_stage(values, args)
-    _, gh, spec = mfdfa_stage(values, args)
+    ps, fit = spectrum_stage(rec.values, args)
+    _, gh, spec = mfdfa_stage(rec.values, args)
     H = mfdfa.hurst_exponent(gh)  # raises before any file is written
-    em.write(f"{name}__recurrence", "csv", serialize.series_csv(rec.gaps, value_name="gap"))
+    em.write(f"{name}__recurrence", "csv",
+             serialize.series_csv(rec.values.astype(int), value_name="gap"))
     em.write(f"{name}__recurrence", "json", serialize.to_json({
-        "provenance": rec.source,
-        "target": rec.target_word,
-        "n_gaps": len(rec.gaps),
+        "provenance": rec.provenance,
+        "target": args.target,
+        "n_gaps": len(rec),
         "beta_w": fit.beta,
         "sigma_beta_w": fit.sigma_beta,
         "H": H,
@@ -469,17 +470,20 @@ def recurrence_job(name, path, args, em):
 
 
 def slice_job(name, source, args, em):
-    values, prov = load_series(source, args)
-    slv = corpus.SentenceLengthSeries(values=values, unit="words", source=prov)
-    part = corpus.slice_series(slv, args.slice_from, args.slice_to)
+    s = load_series(source, args)  # a text's lengths always pass these checks
+    if not (s.values % 1 == 0).all():
+        raise ValueError("sentence lengths must be whole numbers")
+    if not (s.values >= 1).all():
+        raise ValueError("sentence lengths must be >= 1")
+    part = corpus.slice_series(s, args.slice_from, args.slice_to)
     out_name = f"{name}__slice_{args.slice_from}_{args.slice_to}"
-    em.write(out_name, "csv", serialize.series_csv(part.values))
+    em.write(out_name, "csv", serialize.series_csv(part.values.astype(int)))
     em.write(out_name, "json", serialize.to_json(
-        {"provenance": part.source, "j_max": part.j_max}))
+        {"provenance": part.provenance, "j_max": len(part)}))
 
 
 def values_job(name, source, args, em):
-    return name, load_series(source, args)[0]
+    return name, load_series(source, args).values
 
 
 def cmd_analyze(args) -> int:

@@ -15,17 +15,17 @@ import hashlib
 import re
 import unicodedata
 from collections import Counter
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass
 from importlib import resources
 
 import numpy as np
 
+from .series import Series
+
 __all__ = [
     "Document",
-    "Sentence",
+    "SentenceSpans",
     "SegmentationReport",
-    "SentenceLengthSeries",
-    "RecurrenceSeries",
     "RankFrequencyTable",
     "AbbreviationLexicon",
     "tokenize",
@@ -60,11 +60,11 @@ _OPENERS = {"(": ")", "[": "]", "{": "}", "“": "”", "«": "»"}
 _CLOSERS = {v: k for k, v in _OPENERS.items()}
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class Document:
     """A tokenized text as two parallel columns: ``tokens[i]`` is the
     surface of token i and ``kinds[i]`` its kind code (WORD,
-    TERMINATOR or OTHER)."""
+    TERMINATOR or OTHER). Documents compare and hash by identity."""
 
     title: str
     language_tag: str
@@ -73,14 +73,18 @@ class Document:
     source_hash: str
 
 
-@dataclass(frozen=True)
-class Sentence:
-    """Token span [start, end) in the document, end exclusive."""
+@dataclass(frozen=True, eq=False)
+class SentenceSpans:
+    """Sentences as int columns: sentence i is the tokens [starts[i],
+    ends[i]), with words[i] words totalling chars[i] characters."""
 
-    start: int
-    end: int
-    word_count: int
-    char_count: int  # characters of the word surfaces only
+    starts: np.ndarray
+    ends: np.ndarray
+    words: np.ndarray
+    chars: np.ndarray
+
+    def __len__(self):
+        return len(self.starts)
 
 
 @dataclass(frozen=True)
@@ -92,33 +96,6 @@ class SegmentationReport:
     ellipsis_continuations: int
     empty_spans_skipped: int
     trailing_tokens_dropped: int
-
-
-@dataclass(frozen=True)
-class SentenceLengthSeries:
-    values: np.ndarray  # positive ints, one per sentence
-    unit: str  # "words" | "characters"
-    source: dict = field(default_factory=dict)
-
-    def __post_init__(self):
-        v = np.asarray(self.values)
-        if v.dtype.kind not in "iu" and not (np.isfinite(v) & (v % 1 == 0)).all():
-            raise ValueError("sentence lengths must be whole numbers")
-        v = v.astype(int)
-        if len(v) and v.min() < 1:
-            raise ValueError("sentence lengths must be >= 1")
-        object.__setattr__(self, "values", v)
-
-    @property
-    def j_max(self) -> int:
-        return len(self.values)
-
-
-@dataclass(frozen=True)
-class RecurrenceSeries:
-    target_word: str
-    gaps: np.ndarray  # word counts between consecutive occurrences
-    source: dict = field(default_factory=dict)
 
 
 @dataclass(frozen=True)
@@ -206,7 +183,7 @@ def _running_total(values) -> np.ndarray:
 def segment_sentences(doc: Document, lexicon: AbbreviationLexicon | None = None):
     """Split a tokenized document into sentence spans.
 
-    Returns (sentences, report). A terminator closes the current span
+    Returns (spans, report). A terminator closes the current span
     unless one of the exception rules fires; spans without any word are
     skipped, and so is an unterminated tail (both counted in the report).
     """
@@ -261,10 +238,9 @@ def segment_sentences(doc: Document, lexicon: AbbreviationLexicon | None = None)
     words = np.diff(_running_total(is_word)[cuts])
     chars = np.diff(_running_total(word_chars)[cuts])
     kept = words > 0
-    sentences = list(map(Sentence, cuts[:-1][kept].tolist(), cuts[1:][kept].tolist(),
-                         words[kept].tolist(), chars[kept].tolist()))
+    spans = SentenceSpans(cuts[:-1][kept], cuts[1:][kept], words[kept], chars[kept])
     report = SegmentationReport(
-        n_sentences=len(sentences),
+        n_sentences=len(spans),
         lexicon_hits=lexicon_hits,
         initial_hits=initial_hits,
         bracket_suppressions=bracket_suppr,
@@ -272,28 +248,22 @@ def segment_sentences(doc: Document, lexicon: AbbreviationLexicon | None = None)
         empty_spans_skipped=int((~kept).sum()),
         trailing_tokens_dropped=trailing,
     )
-    return sentences, report
+    return spans, report
 
 
-def sentence_length_series(sentences, unit: str = "words",
-                           source: dict | None = None) -> SentenceLengthSeries:
-    """Series l(j) of per-sentence word (or character) counts."""
-    if not sentences:
+def sentence_length_series(spans, unit: str = "words",
+                           source: dict | None = None) -> Series:
+    """Series l(j) of per-sentence word (or character) counts; the
+    provenance records ``source`` and ``unit``."""
+    if not len(spans):
         raise ValueError("no sentences to build a series from")
-    if unit == "words":
-        values = [s.word_count for s in sentences]
-    elif unit == "characters":
-        values = [s.char_count for s in sentences]
-    else:
+    if unit not in ("words", "characters"):
         raise ValueError(f"unknown unit {unit!r}")
-    return SentenceLengthSeries(
-        values=np.asarray(values, dtype=int),
-        unit=unit,
-        source=dict(source or {}),
-    )
+    values = spans.words if unit == "words" else spans.chars
+    return Series(values, provenance={"source": dict(source or {}), "unit": unit})
 
 
-def word_recurrence_series(doc: Document, target: str) -> RecurrenceSeries:
+def word_recurrence_series(doc: Document, target: str) -> Series:
     """Gaps, in word counts, between consecutive case-folded occurrences
     of ``target``; terminators and other punctuation do not advance the
     word index.
@@ -322,12 +292,8 @@ def word_recurrence_series(doc: Document, target: str) -> RecurrenceSeries:
         # back-to-back marks ("?!", "...") delimit empty spans, which
         # segmentation also skips
         gaps = gaps[gaps > 0]
-    return RecurrenceSeries(
-        target_word=target,
-        gaps=gaps,
-        source={"title": doc.title, "source_hash": doc.source_hash,
-                "fold_case": True},
-    )
+    return Series(gaps, provenance={"title": doc.title, "source_hash": doc.source_hash,
+                                    "fold_case": True})
 
 
 def rank_frequency(doc: Document, include_terminators: bool = False) -> RankFrequencyTable:
@@ -349,13 +315,10 @@ def rank_frequency(doc: Document, include_terminators: bool = False) -> RankFreq
     )
 
 
-def slice_series(series: SentenceLengthSeries, start: int, stop: int) -> SentenceLengthSeries:
-    """Contiguous subseries over 1-based inclusive sentence indices,
-    recorded in the provenance."""
-    if not (1 <= start <= stop <= series.j_max):
-        raise ValueError(
-            f"slice [{start}, {stop}] out of range 1..{series.j_max}"
-        )
-    source = dict(series.source)
-    source["slice"] = [start, stop]
-    return replace(series, values=series.values[start - 1 : stop], source=source)
+def slice_series(series: Series, start: int, stop: int) -> Series:
+    """Contiguous subseries over 1-based inclusive indices, recorded in
+    the provenance."""
+    if not (1 <= start <= stop <= len(series)):
+        raise ValueError(f"slice [{start}, {stop}] out of range 1..{len(series)}")
+    return Series(series.values[start - 1 : stop],
+                  provenance={**series.provenance, "slice": [start, stop]})

@@ -28,11 +28,10 @@ __all__ = [
 
 @dataclass(frozen=True)
 class Series:
-    """An ordered real-valued series with a provenance record.
-
-    ``provenance`` describes where the values came from (e.g.
-    ``{"kind": "shuffled", "seed": 7}``); it is carried through
-    serialization so every output can be traced back to its inputs.
+    """An ordered real-valued series: sentence lengths, recurrence gaps,
+    a surrogate or synthetic data. ``provenance`` records where the values
+    came from (e.g. ``{"kind": "shuffled", "seed": 7}``) and is carried
+    through serialization, so every output traces back to its inputs.
     """
 
     values: np.ndarray

@@ -66,6 +66,7 @@ def wavelet_map(s_series, scales=None, positions=None) -> WaveletMap:
 
     coeffs = np.empty((len(scales), len(positions)))
     boundary = np.empty((len(scales), len(positions)), dtype=bool)
+    x_spectra = {}  # rfft of the series, once per padded length
     for i, s in enumerate(scales):
         half = SUPPORT_HALF_WIDTH * s
         offset = int(np.ceil(half))
@@ -73,9 +74,12 @@ def wavelet_map(s_series, scales=None, positions=None) -> WaveletMap:
         kernel = mother_wavelet(d / s)
         # full correlation with the sampled wavelet by FFT, zero-padded to
         # the next power of two >= n + len(kernel) - 1 so nothing wraps;
-        # then pick positions
+        # then pick positions. The product starts from a copy of the cached
+        # transform, so numpy rounds it as it did a fresh rfft's.
         nfft = 1 << (n + len(kernel) - 2).bit_length()
-        full = np.fft.irfft(np.fft.rfft(x, nfft) * np.fft.rfft(kernel[::-1], nfft), nfft)
+        if nfft not in x_spectra:
+            x_spectra[nfft] = np.fft.rfft(x, nfft)
+        full = np.fft.irfft(x_spectra[nfft].copy() * np.fft.rfft(kernel[::-1], nfft), nfft)
         row = full[offset : offset + n] / np.sqrt(s)
         coeffs[i] = row[positions - 1]
         boundary[i] = (positions - 1 < half) | (positions - 1 > n - 1 - half)

@@ -111,7 +111,7 @@ def test_criterion_6_segmentation_and_zipf(novel):
     the pooled-terminator pseudo-word inside the fitted band."""
     for text, expected in CASES:
         sents, _ = tf.segment_sentences(tf.tokenize(text))
-        assert [s.word_count for s in sents] == expected
+        assert sents.words.tolist() == expected
     assert len(CASES) >= 30
 
     text, _ = novel
@@ -146,7 +146,7 @@ def test_criterion_7_word_recurrence_contrast(novel):
     _, _, spec_s = M.mfdfa(values)
 
     rec = tf.word_recurrence_series(doc, "the")
-    gaps = rec.gaps.astype(float)
+    gaps = rec.values.astype(float)
     beta_w = tf.fit_beta(tf.power_spectrum(gaps)).beta
     _, _, spec_w = M.mfdfa(gaps)
 

@@ -128,11 +128,22 @@ class TestParser:
         (["mfdfa", "--scale-min", "3"], "--scale-min"),
         (["recurrence", "--target", "the", "--scale-min", "2", "--detrend-order", "1"],
          "--scale-min"),
+        (["mfdfa", "--series-csv", "s.csv", "--q-max", "inf"], "--q-max must be finite"),
+        (["mfdfa", "--series-csv", "s.csv", "--q-min=-inf"], "--q-min must be finite"),
+        (["analyze", "--q-max", "1e400"], "--q-max must be finite"),
+        (["mfdfa", "--q-step", "inf"], "--q-step must be finite"),
+        (["mfdfa", "--scale-max", "10"], "--scale-max"),
+        (["mfdfa", "--scale-max", "-5"], "--scale-max"),
+        (["mfdfa", "--scale-max", "0"], "--scale-max"),
+        (["recurrence", "--target", "the", "--scale-min", "30", "--scale-max", "30"],
+         "--scale-max"),
     ], ids=["q_step_zero", "unknown_format", "jobs_zero", "negative_surrogates",
             "q_grid_without_two", "q_grid_too_short", "half_fit_range",
             "negative_detrend_order", "analyze_negative_detrend_order", "n_scales_zero",
             "bins_per_decade_zero", "scale_min_at_order_plus_one",
-            "recurrence_scale_min_at_order_plus_one"])
+            "recurrence_scale_min_at_order_plus_one", "q_max_inf", "q_min_minus_inf",
+            "analyze_q_max_overflow", "q_step_inf", "scale_max_below_min", "negative_scale_max",
+            "scale_max_zero", "recurrence_scale_max_at_min"])
     def test_bad_option_value_is_fatal_before_reading(self, argv, flag, tmp_path, capsys):
         # the input does not exist: the value must be rejected before any read
         out = tmp_path / "o"
@@ -296,7 +307,7 @@ class TestRecurrenceCommand:
         assert run(["recurrence", text_file, "--target", ".",
                     "--out", out, "--format", "csv"]) == 0
         rows = read_rows(out / "tale__.__recurrence.csv")
-        gaps = np.array([int(float(r[1])) for r in rows[1:]])
+        gaps = np.array([int(r[1]) for r in rows[1:]])  # integer text, not "5.0"
         doc = tf.tokenize(text_file.read_text(encoding="utf-8"))
         slv = tf.sentence_length_series(tf.segment_sentences(doc)[0])
         np.testing.assert_array_equal(gaps, slv.values[1:])
@@ -323,6 +334,18 @@ class TestSliceCommand:
         assert meta["j_max"] == 10
         assert meta["provenance"]["slice"] == [11, 20]
 
+    @pytest.mark.parametrize("unit", ["words", "chars"])
+    def test_cut_text(self, unit, text_file, tmp_path):
+        out = tmp_path / "out"
+        assert run(["slice", text_file, "--unit", unit, "--min-sentences", "1",
+                    "--out", out, "--from", "3", "--to", "40"]) == 0
+        spans, _ = tf.segment_sentences(tf.tokenize(text_file.read_bytes()))
+        rows = read_rows(out / "tale__slice_3_40.csv")
+        assert [int(r[1]) for r in rows[1:]] == getattr(spans, unit)[2:40].tolist()
+        meta = json.loads((out / "tale__slice_3_40.json").read_text())
+        assert meta["j_max"] == 38
+        assert set(meta["provenance"]) == {"source", "segmentation", "unit", "slice"}
+
     def test_non_integral_lengths_rejected(self, tmp_path, capsys):
         path = tmp_path / "lengths.csv"
         path.write_text(serialize.series_csv([3.0, 1.53, 7.0, 2.0]), encoding="utf-8")
@@ -330,6 +353,15 @@ class TestSliceCommand:
         assert run(["slice", "--series-csv", path, "--out", out,
                     "--from", "1", "--to", "3"]) == 1
         assert "error: lengths: sentence lengths must be whole numbers" in capsys.readouterr().err
+        assert list(out.iterdir()) == []
+
+    def test_lengths_below_one_rejected(self, tmp_path, capsys):
+        path = tmp_path / "lengths.csv"
+        path.write_text(serialize.series_csv([3, 0, 7, 2]), encoding="utf-8")
+        out = tmp_path / "out"
+        assert run(["slice", "--series-csv", path, "--out", out,
+                    "--from", "1", "--to", "3"]) == 1
+        assert "error: lengths: sentence lengths must be >= 1" in capsys.readouterr().err
         assert list(out.iterdir()) == []
 
 
@@ -346,6 +378,7 @@ class TestAnalyzeCommand:
         assert report["j_max"] == 1200
         assert set(report) >= {"beta", "H", "delta_alpha", "surrogates",
                                "config_digest", "provenance"}
+        assert set(report["provenance"]) == {"source", "segmentation", "unit"}
         assert report["provenance"]["segmentation"]["n_sentences"] == 1200
         assert len(report["surrogates"]) == 1
         scatter = read_rows(out / "corpus__scatter.csv")

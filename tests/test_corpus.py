@@ -62,6 +62,11 @@ class TestTokenize:
         assert d1.tokens == d2.tokens
         assert d1.kinds.tolist() == d2.kinds.tolist()
 
+    def test_documents_compare_and_hash_by_identity(self):
+        a, b = tf.tokenize("He left."), tf.tokenize("He left.")
+        assert a == a and a != b
+        assert len({a, b, a}) == 2
+
 
 class TestSegmentation:
     @pytest.mark.parametrize("text,expected", CASES,
@@ -69,7 +74,7 @@ class TestSegmentation:
     def test_hand_labeled_fixture(self, text, expected):
         doc = tf.tokenize(text)
         sentences, _ = tf.segment_sentences(doc)
-        assert [s.word_count for s in sentences] == expected
+        assert sentences.words.tolist() == expected
 
     def test_plain_declaratives_count(self):
         n = 40
@@ -90,21 +95,22 @@ class TestSegmentation:
         doc = tf.tokenize("Mr. Smith left. He ran.", language_tag="xx")
         sents, _ = tf.segment_sentences(doc)
         # without a lexicon "Mr." splits; initials rule alone remains
-        assert [s.word_count for s in sents] == [1, 2, 2]
+        assert sents.words.tolist() == [1, 2, 2]
 
     def test_word_sum_bounded_by_document(self):
         text = "First one. Second one here. dangling tail"
         doc = tf.tokenize(text)
         sents, _ = tf.segment_sentences(doc)
         total_words = int((doc.kinds == WORD).sum())
-        assert sum(s.word_count for s in sents) <= total_words
+        assert sents.words.sum() <= total_words
 
     def test_deterministic_spans(self):
         text = "Dr. Hale saw (them!) arrive... Then all was still. End."
         doc = tf.tokenize(text)
         a, _ = tf.segment_sentences(doc)
         b, _ = tf.segment_sentences(doc)
-        assert a == b
+        for column in ("starts", "ends", "words", "chars"):
+            assert getattr(a, column).tolist() == getattr(b, column).tolist()
 
     @given(st.lists(st.sampled_from(SOUP), max_size=60))
     def test_span_invariants_on_token_soup(self, pieces):
@@ -114,15 +120,16 @@ class TestSegmentation:
         is_word = [k == WORD for k in doc.kinds.tolist()]
         assert report.n_sentences == len(sents)
         prev_end = 0
-        for s in sents:
-            assert prev_end <= s.start < s.end <= n
-            prev_end = s.end
-            assert doc.kinds[s.end - 1] == TERMINATOR
-            span = range(s.start, s.end)
-            assert s.word_count == sum(is_word[i] for i in span) >= 1
-            assert s.char_count == sum(len(doc.tokens[i]) for i in span if is_word[i])
+        for start, end, words, chars in zip(sents.starts, sents.ends,
+                                            sents.words, sents.chars):
+            assert prev_end <= start < end <= n
+            prev_end = end
+            assert doc.kinds[end - 1] == TERMINATOR
+            span = range(start, end)
+            assert words == sum(is_word[i] for i in span) >= 1
+            assert chars == sum(len(doc.tokens[i]) for i in span if is_word[i])
         tail_words = sum(is_word[n - report.trailing_tokens_dropped:])
-        assert sum(s.word_count for s in sents) + tail_words == sum(is_word)
+        assert sents.words.sum() + tail_words == sum(is_word)
 
 
 class TestSentenceLengthSeries:
@@ -132,7 +139,7 @@ class TestSentenceLengthSeries:
     def test_word_counts(self):
         slv = tf.sentence_length_series(self._sents("One two three. Four five."))
         assert slv.values.tolist() == [3, 2]
-        assert slv.unit == "words"
+        assert slv.provenance["unit"] == "words"
 
     def test_character_counts(self):
         slv = tf.sentence_length_series(
@@ -151,12 +158,12 @@ class TestSentenceLengthSeries:
 
 class TestSliceSeries:
     def _series(self, values):
-        return tf.SentenceLengthSeries(values=np.array(values), unit="words")
+        return tf.Series(values=np.array(values))
 
     def test_basic_slice(self):
         part = tf.slice_series(self._series([5, 1, 9, 2]), 1, 2)
         assert part.values.tolist() == [5, 1]
-        assert part.source["slice"] == [1, 2]
+        assert part.provenance["slice"] == [1, 2]
 
     def test_full_range_identity(self):
         s = self._series([5, 1, 9, 2])
@@ -181,26 +188,26 @@ class TestSliceSeries:
 class TestWordRecurrence:
     def test_simple_gap(self):
         doc = tf.tokenize("the cat the")
-        assert tf.word_recurrence_series(doc, "the").gaps.tolist() == [2]
+        assert tf.word_recurrence_series(doc, "the").values.tolist() == [2]
 
     def test_adjacent_repeats(self):
         doc = tf.tokenize("a a a a")
-        assert tf.word_recurrence_series(doc, "a").gaps.tolist() == [1, 1, 1]
+        assert tf.word_recurrence_series(doc, "a").values.tolist() == [1, 1, 1]
 
     def test_terminators_do_not_count(self):
         doc = tf.tokenize("the end. the start")
-        assert tf.word_recurrence_series(doc, "the").gaps.tolist() == [2]
+        assert tf.word_recurrence_series(doc, "the").values.tolist() == [2]
 
     def test_case_folding(self):
         doc = tf.tokenize("The cat saw the dog")
-        assert tf.word_recurrence_series(doc, "the").gaps.tolist() == [3]
+        assert tf.word_recurrence_series(doc, "the").values.tolist() == [3]
 
     def test_matches_brute_force_scan(self):
         rng = np.random.default_rng(17)
         vocab = ["the", "cat", "dog", "ran", "sat"]
         words = [vocab[i] for i in rng.integers(0, len(vocab), size=500)]
         doc = tf.tokenize(" ".join(words))
-        got = tf.word_recurrence_series(doc, "the").gaps
+        got = tf.word_recurrence_series(doc, "the").values
         positions = [i for i, w in enumerate(words) if w == "the"]
         expected = np.diff(positions)
         np.testing.assert_array_equal(got, expected)
@@ -208,7 +215,7 @@ class TestWordRecurrence:
     def test_gap_sum_is_index_distance(self):
         doc = tf.tokenize("x the y z the w the")
         rec = tf.word_recurrence_series(doc, "the")
-        assert rec.gaps.sum() == 6 - 1
+        assert rec.values.sum() == 6 - 1
 
     def test_insufficient_occurrences_named(self):
         doc = tf.tokenize("one two three")
@@ -220,7 +227,7 @@ class TestWordRecurrence:
         doc = tf.tokenize(text)
         slv = tf.sentence_length_series(tf.segment_sentences(doc)[0])
         rec = tf.word_recurrence_series(doc, ".")
-        np.testing.assert_array_equal(rec.gaps, slv.values[1:])
+        np.testing.assert_array_equal(rec.values, slv.values[1:])
 
 
 class TestRankFrequency:
