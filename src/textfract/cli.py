@@ -131,43 +131,63 @@ def build_parser() -> argparse.ArgumentParser:
     return ap
 
 
+def parse_formats(text) -> set:
+    if unknown := set(text.split(",")) - {"csv", "json", "svg"}:
+        raise ValueError(f"unknown {sorted(unknown)}; use csv,json,svg")
+    return set(text.split(","))
+
+
+# Each option's own domain, walked by check_args: every float must be
+# finite, an int at least its least value, and a list or file must parse.
+_LEAST = {"detrend_order": 0, "bins_per_decade": 1, "n_scales": 1, "jobs": 1,
+          "surrogates": 0, "seed": 0, "slice_from": 1}
+_PARSED = {"format": parse_formats, "lexicon": corpus.AbbreviationLexicon.from_file}
+_FLAGS = {"slice_from": "--from", "slice_to": "--to"}  # else "--" + dest with dashes
+
+
 def check_args(args):
     """Reject, before any input is read, values that can only fail."""
-    if unknown := set(args.format.split(",")) - {"csv", "json", "svg"}:
-        raise ValueError(f"--format: unknown {sorted(unknown)}; use csv,json,svg")
+    for dest, value in vars(args).items():
+        name = _FLAGS.get(dest, "--" + dest.replace("_", "-"))
+        if isinstance(value, float) and not math.isfinite(value):
+            raise ValueError(f"{name} must be finite, got {value}")
+        if dest in _LEAST and value < _LEAST[dest]:
+            raise ValueError(f"{name} must be >= {_LEAST[dest]}, got {value}")
+        if dest in _PARSED and value is not None:
+            try:
+                _PARSED[dest](value)
+            except (OSError, ValueError) as exc:
+                raise ValueError(f"{name}: {exc}") from exc
+    # the rules below join two or more options
     if "q_step" in args:
-        for flag, value in (("--q-min", args.q_min), ("--q-max", args.q_max),
-                            ("--q-step", args.q_step)):
-            if not math.isfinite(value):
-                raise ValueError(f"{flag} must be finite, got {value}")
         if not args.q_step > 0:
             raise ValueError(f"--q-step must be > 0, got {args.q_step}")
+        grid = (f"--q-min/--q-max/--q-step: {args.q_min} to {args.q_max} "
+                f"in steps of {args.q_step}")
+        if not math.isfinite((args.q_max - args.q_min) / args.q_step):
+            raise ValueError(f"{grid} has more points than can be counted")
         q = mfdfa.default_q_values(args.q_min, args.q_max, args.q_step)
         if not np.isclose(q, 2.0).any():
-            raise ValueError(f"--q-min/--q-max/--q-step: {args.q_min} to {args.q_max} "
-                             f"in steps of {args.q_step} misses q = 2, which H needs")
+            raise ValueError(f"{grid} misses q = 2, which H needs")
         if len(q) < 5:
-            raise ValueError(f"--q-min/--q-max/--q-step: the grid has {len(q)} "
-                             "points; f(alpha) needs >= 5")
+            raise ValueError(f"{grid} gives {len(q)} points; f(alpha) needs >= 5")
     if "detrend_order" in args:
-        if args.detrend_order < 0:
-            raise ValueError(f"--detrend-order must be >= 0, got {args.detrend_order}")
         if args.scale_min <= args.detrend_order + 1:
             raise ValueError(f"--scale-min must be > --detrend-order + 1 = "
                              f"{args.detrend_order + 1}, got {args.scale_min}")
-        if args.scale_max is not None and args.scale_max <= args.scale_min:
-            raise ValueError(f"--scale-max must be > --scale-min = {args.scale_min}, "
-                             f"got {args.scale_max}")
-    if "bins_per_decade" in args and args.bins_per_decade < 1:
-        raise ValueError(f"--bins-per-decade must be >= 1, got {args.bins_per_decade}")
-    if "n_scales" in args and args.n_scales < 1:
-        raise ValueError(f"--n-scales must be >= 1, got {args.n_scales}")
-    if "jobs" in args and args.jobs < 1:
-        raise ValueError(f"--jobs must be >= 1, got {args.jobs}")
-    if "surrogates" in args and args.surrogates < 0:
-        raise ValueError(f"--surrogates must be >= 0, got {args.surrogates}")
+        # a given --scale-max fixes the scales whatever the series length
+        smax = args.scale_max
+        if smax is not None and (smax <= args.scale_min or len(
+                mfdfa.default_scales(0, args.scale_min, smax)) < mfdfa.MIN_FIT_SCALES):
+            raise ValueError(f"--scale-max must give >= {mfdfa.MIN_FIT_SCALES} scales "
+                             f"from --scale-min = {args.scale_min}, got {smax}")
     if "fit_fmin" in args and (args.fit_fmin is None) != (args.fit_fmax is None):
         raise ValueError("--fit-fmin and --fit-fmax must be given together")
+    if getattr(args, "fit_fmin", None) is not None and not args.fit_fmin < args.fit_fmax:
+        raise ValueError(f"--fit-fmin must be < --fit-fmax = {args.fit_fmax}, "
+                         f"got {args.fit_fmin}")
+    if "slice_to" in args and args.slice_to < args.slice_from:
+        raise ValueError(f"--to must be >= --from = {args.slice_from}, got {args.slice_to}")
 
 
 def spectrum_fit_range(args):
@@ -228,17 +248,15 @@ def load_series(source, args) -> series.Series:
 
 class Emitter:
     def __init__(self, args):
-        self.formats = set(args.format.split(","))
+        self.formats = parse_formats(args.format)
         self.out = Path(args.out)
         self.out.mkdir(parents=True, exist_ok=True)
 
     def write(self, name: str, ext: str, content: str):
-        if ext not in self.formats:
-            return None
-        path = self.out / f"{name}.{ext}"
-        path.write_text(content, encoding="utf-8")
-        log(f"wrote {path}")
-        return path
+        if ext in self.formats:
+            path = self.out / f"{name}.{ext}"
+            path.write_text(content, encoding="utf-8")
+            log(f"wrote {path}")
 
 
 def each_input(args, job, jobs=1):

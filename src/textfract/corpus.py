@@ -119,28 +119,18 @@ class AbbreviationLexicon:
 
     @classmethod
     def from_file(cls, path) -> "AbbreviationLexicon":
-        entries = []
         with open(path, encoding="utf-8") as fh:
-            for line in fh:
-                line = line.split("#", 1)[0].strip()
-                if line:
-                    entries.append(line)
-        return cls(entries)
+            return cls(line.split("#", 1)[0].strip() for line in fh)
 
     @classmethod
     def for_language(cls, tag: str) -> "AbbreviationLexicon":
         """Bundled lexicon for a language tag; unknown tags fall back to
         an empty lexicon (initials-only rule still applies)."""
-        name = f"{tag.lower()[:2]}.txt"
-        base = resources.files("textfract") / "lexicons"
-        path = base / name
-        if path.is_file():
-            entries = [
-                ln.split("#", 1)[0].strip()
-                for ln in path.read_text(encoding="utf-8").splitlines()
-            ]
-            return cls(e for e in entries if e)
-        return cls()
+        path = resources.files("textfract") / "lexicons" / f"{tag.lower()[:2]}.txt"
+        if not path.is_file():
+            return cls()
+        with resources.as_file(path) as file:
+            return cls.from_file(file)
 
 
 def tokenize(raw, title: str = "", language_tag: str = "en") -> Document:

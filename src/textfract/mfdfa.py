@@ -38,6 +38,7 @@ __all__ = [
 ]
 
 _N_SCALES = 30  # log-spaced points of the default scale grid
+MIN_FIT_SCALES = 6  # fewest scales an h(q) fit accepts
 
 
 @dataclass(frozen=True)
@@ -194,8 +195,8 @@ def fit_generalized_hurst(surf: FluctuationSurface, fit_range=None) -> Generaliz
         fit_range = (int(surf.scales[0]), int(surf.scales[-1]))
     s_lo, s_hi = fit_range
     sel = (surf.scales >= s_lo) & (surf.scales <= s_hi)
-    if sel.sum() < 6:
-        raise ValueError(f"only {int(sel.sum())} scales in fit range; need >= 6")
+    if sel.sum() < MIN_FIT_SCALES:
+        raise ValueError(f"only {sel.sum()} scales in fit range; need >= {MIN_FIT_SCALES}")
     log_s = np.log(surf.scales[sel].astype(float))
     h = np.empty(len(surf.q_values))
     stderr = np.empty(len(surf.q_values))

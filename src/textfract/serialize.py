@@ -103,10 +103,7 @@ def ccdf_csv(c) -> str:
 
 
 def rank_frequency_csv(table) -> str:
-    return table_csv(
-        ((r, s, c) for r, s, c in table.entries),
-        ["rank", "surface", "count"],
-    )
+    return table_csv(table.entries, ["rank", "surface", "count"])
 
 
 def wavelet_csv(wm) -> str:

@@ -1,9 +1,14 @@
+import argparse
 import csv
 import json
+import math
+import tempfile
 import xml.etree.ElementTree as ET
+from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 import textfract as tf
 from textfract import cli, serialize
@@ -137,19 +142,114 @@ class TestParser:
         (["mfdfa", "--scale-max", "0"], "--scale-max"),
         (["recurrence", "--target", "the", "--scale-min", "30", "--scale-max", "30"],
          "--scale-max"),
+        (["mfdfa", "--q-min=-1e308"], "--q-min/--q-max/--q-step"),
+        (["analyze", "--q-max=1.7e308"], "--q-min/--q-max/--q-step"),
+        (["mfdfa", "--q-min=1e308", "--q-max=-1e308"], "--q-min/--q-max/--q-step"),
+        (["mfdfa", "--series-csv", "s.csv", "--scale-max", "21"], "--scale-max"),
+        (["recurrence", "--target", "the", "--scale-max", "24"], "--scale-max"),
+        (["spectrum", "--fit-fmin", "0.1", "--fit-fmax", "0.01"], "--fit-fmin"),
+        (["analyze", "--fit-fmin", "0.1", "--fit-fmax", "0.1"], "--fit-fmin"),
+        (["spectrum", "--fit-fmin", "nan", "--fit-fmax", "0.1"], "--fit-fmin must be finite"),
+        (["recurrence", "--target", "the", "--fit-fmin", "0.01", "--fit-fmax", "inf"],
+         "--fit-fmax must be finite"),
+        (["slice", "--from", "3", "--to", "2"], "--to must be >= --from"),
+        (["slice", "--from", "0", "--to", "2"], "--from must be >= 1"),
+        (["analyze", "--seed", "-1"], "--seed must be >= 0"),
+        (["surrogate", "--seed", "-1"], "--seed must be >= 0"),
+        (["analyze", "--tail-start", "inf"], "--tail-start must be finite"),
+        (["ccdf", "--tail-start", "nan"], "--tail-start must be finite"),
+        (["spectrum", "--lexicon", "no/such/dir/abbr.txt"], "--lexicon: [Errno 2]"),
     ], ids=["q_step_zero", "unknown_format", "jobs_zero", "negative_surrogates",
             "q_grid_without_two", "q_grid_too_short", "half_fit_range",
             "negative_detrend_order", "analyze_negative_detrend_order", "n_scales_zero",
             "bins_per_decade_zero", "scale_min_at_order_plus_one",
             "recurrence_scale_min_at_order_plus_one", "q_max_inf", "q_min_minus_inf",
             "analyze_q_max_overflow", "q_step_inf", "scale_max_below_min", "negative_scale_max",
-            "scale_max_zero", "recurrence_scale_max_at_min"])
+            "scale_max_zero", "recurrence_scale_max_at_min", "q_min_grid_overflow",
+            "analyze_q_max_grid_overflow", "q_bounds_reversed_overflow",
+            "scale_max_two_scales", "recurrence_scale_max_five_scales",
+            "fit_range_reversed", "analyze_fit_range_empty", "fit_fmin_nan",
+            "recurrence_fit_fmax_inf", "slice_to_below_from", "slice_from_zero",
+            "negative_seed", "surrogate_negative_seed", "tail_start_inf", "ccdf_tail_start_nan",
+            "missing_lexicon"])
     def test_bad_option_value_is_fatal_before_reading(self, argv, flag, tmp_path, capsys):
         # the input does not exist: the value must be rejected before any read
         out = tmp_path / "o"
         assert run(argv + [tmp_path / "missing.txt", "--out", out]) == 1
         assert f"fatal: {flag}" in capsys.readouterr().err
         assert not out.exists()
+
+    def test_every_numeric_option_has_a_domain(self):
+        # each float is held finite and each int in the table at its least
+        # value; the other ints are checked against other options, or take
+        # any value
+        cross_option = {"scale_min", "scale_max", "slice_to"}
+        all_valid = {"min_sentences", "rank_min", "rank_max"}
+        for cmd, parser in subparsers().items():
+            for action in parser._actions:
+                assert action.type in (None, int, float), (cmd, action.dest)
+                if action.type is int and action.dest not in cli._LEAST:
+                    assert action.dest in cross_option | all_valid, (cmd, action.dest)
+                elif action.type is not None:
+                    bad = "nan" if action.type is float else cli._LEAST[action.dest] - 1
+                    flag = action.option_strings[-1]
+                    args = parser.parse_args([*REQUIRED.get(cmd, []), f"{flag}={bad}"])
+                    with pytest.raises(ValueError, match=f"^{flag} must be"):
+                        cli.check_args(args)
+
+
+def subparsers():
+    """Each subcommand's parser, by name."""
+    ap = cli.build_parser()
+    (sub,) = (a for a in ap._actions if isinstance(a, argparse._SubParsersAction))
+    return sub.choices
+
+
+# For each option: its domain's edge, one step past it and its default, as
+# far as they differ; floats also take nan, +-inf and +-1e308. The smallest
+# --q-step drawn is 0.1, so a grid holds at most 81 q values.
+EXTREMES = [math.nan, math.inf, -math.inf, 1e308, -1e308]
+DRAWN = {
+    "q_min": [-4.0, 2.0, 2.5, *EXTREMES], "q_max": [4.0, 2.0, 1.5, *EXTREMES],
+    "q_step": [0.25, 0.1, 0.0, -0.25, *EXTREMES],
+    "scale_min": [20, 4, 3, 2], "scale_max": [25, 24, 21, 20],
+    "detrend_order": [2, 0, -1], "bins_per_decade": [20, 1, 0],
+    "fit_fmin": [0.01, 0.1, *EXTREMES], "fit_fmax": [0.1, 0.5, *EXTREMES],
+    "n_scales": [50, 1, 0], "seed": [0, -1], "surrogates": [1, 0, -1], "jobs": [2, 1, 0],
+    "tail_start": [100.0, *EXTREMES], "min_sentences": [5000, 1, 0],
+    "rank_min": [10, 1, 0], "rank_max": [1000, 10, 0],
+    "slice_from": [1, 0, 2], "slice_to": [2, 1, 1024, 1025],
+    "format": ["json", "cvs"], "lexicon": ["no/such/dir/abbr.txt"],
+}
+
+
+@st.composite
+def argvs(draw):
+    """A subcommand with drawn values for up to three of its options and
+    for each required one."""
+    cmd = draw(st.sampled_from(sorted(subparsers())))
+    actions = [a for a in subparsers()[cmd]._actions if a.type or a.dest in DRAWN]
+    assert all(a.dest in DRAWN for a in actions), cmd
+    chosen = draw(st.sets(st.sampled_from([a.dest for a in actions]), max_size=3))
+    return [cmd] + [f"{a.option_strings[-1]}={draw(st.sampled_from(DRAWN[a.dest]))}"
+                    for a in actions if a.required or a.dest in chosen]
+
+
+@settings(max_examples=50, deadline=None, derandomize=True)
+@given(argv=argvs())
+@example(argv=["mfdfa", "--q-min=-1e308"])
+def test_main_never_raises(argv):
+    # exit codes only: 0 ok, 1 fatal or all inputs skipped, 2 some skipped
+    with tempfile.TemporaryDirectory() as tmp:
+        tmp = Path(tmp)
+        if argv[0] in ("zipf", "recurrence"):
+            (tmp / "tale.txt").write_text(make_text(300, 5), encoding="utf-8")
+            inputs = [tmp / "tale.txt"] + (["--target", "the"] if argv[0] == "recurrence" else [])
+        else:
+            (tmp / "fgn.csv").write_text(serialize.series_csv(
+                tf.generate_fgn(0.75, 1024, 5).values, value_name="value"), encoding="utf-8")
+            inputs = ["--series-csv", tmp / "fgn.csv"]
+        assert run(argv + inputs + ["--out", tmp / "o"]) in (0, 1, 2)
 
 
 class TestSeriesCsvInput:

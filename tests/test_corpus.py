@@ -1,3 +1,5 @@
+from pathlib import Path
+
 import numpy as np
 import pytest
 from hypothesis import given, strategies as st
@@ -278,8 +280,12 @@ class TestLexicon:
 
     def test_bundled_languages_load(self):
         for tag in ["en", "de", "fr", "es", "it", "pl", "ru"]:
-            assert len(AbbreviationLexicon.for_language(tag)) > 0
-        assert len(AbbreviationLexicon.for_language("zz")) == 0
+            lex = AbbreviationLexicon.for_language(tag)
+            assert len(lex) > 0
+            # the bundled files follow the format of a user's --lexicon file
+            path = Path(tf.__file__).parent / "lexicons" / f"{tag}.txt"
+            assert lex.entries == AbbreviationLexicon.from_file(path).entries
+        assert AbbreviationLexicon.for_language("zz").entries == frozenset()
 
 
 class TestNovelScale:
