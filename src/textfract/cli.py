@@ -5,8 +5,10 @@ length series -> spectrum fit -> MFDFA -> singularity spectrum ->
 surrogates -> tail fit, plus the single-purpose commands (zipf, ccdf,
 wavelet, recurrence, surrogate, slice).
 
-Each input is one job that reads, analyses and writes it. A text input
-that cannot be read or analysed is skipped with ``error: <name>: ...``.
+Every command runs one way: the runner loads each input and hands it
+to the command's job, which analyses and writes it; analyze and ccdf
+then run a corpus step over what their jobs returned. An input that
+cannot be read or analysed is skipped with ``error: <name>: ...``.
 The seven commands that read a sentence-length series (all but zipf and
 recurrence) take the segmentation flags --unit, --lexicon, --language
 and --min-sentences, or ``--series-csv`` to read one series instead of
@@ -183,9 +185,13 @@ def check_args(args):
                              f"from --scale-min = {args.scale_min}, got {smax}")
     if "fit_fmin" in args and (args.fit_fmin is None) != (args.fit_fmax is None):
         raise ValueError("--fit-fmin and --fit-fmax must be given together")
-    if getattr(args, "fit_fmin", None) is not None and not args.fit_fmin < args.fit_fmax:
-        raise ValueError(f"--fit-fmin must be < --fit-fmax = {args.fit_fmax}, "
-                         f"got {args.fit_fmin}")
+    if getattr(args, "fit_fmin", None) is not None:
+        if not args.fit_fmin < args.fit_fmax:
+            raise ValueError(f"--fit-fmin must be < --fit-fmax = {args.fit_fmax}, "
+                             f"got {args.fit_fmin}")
+        if args.fit_fmax <= 0 or args.fit_fmin >= 0.5:
+            raise ValueError(f"--fit-fmin/--fit-fmax: {args.fit_fmin} to {args.fit_fmax} "
+                             "holds at most one periodogram frequency, in (0, 0.5]")
     if "slice_to" in args and args.slice_to < args.slice_from:
         raise ValueError(f"--to must be >= --from = {args.slice_from}, got {args.slice_to}")
 
@@ -217,13 +223,13 @@ def read_series_csv(path) -> np.ndarray:
     return np.array(values)
 
 
-def load_document(path) -> corpus.Document:
+def load_document(path, args) -> corpus.Document:
     return corpus.tokenize(Path(path).read_bytes(), title=Path(path).stem)
 
 
 def load_slv(path, args) -> series.Series:
     """One text's sentence-length series; its provenance holds the segmentation."""
-    doc = load_document(path)
+    doc = load_document(path, args)
     lex = (corpus.AbbreviationLexicon.from_file(args.lexicon) if args.lexicon
            else corpus.AbbreviationLexicon.for_language(args.language))
     spans, report = corpus.segment_sentences(doc, lex)
@@ -259,12 +265,13 @@ class Emitter:
             log(f"wrote {path}")
 
 
-def each_input(args, job, jobs=1):
-    """Run ``job(name, source, args, em)`` on each input in up to ``jobs``
-    processes; ``source`` is a text path for the job to load, or the
-    --series-csv values. Returns the results of the jobs that did not
-    raise, in input order, and the exit status: 0, 2 or 1 when all, some
-    or none succeeded."""
+def each_input(args, job):
+    """Load each input and run ``job(name, loaded, args, em)`` on it in
+    up to --jobs processes. A text loads as its series, or as its
+    Document where the command has no --series-csv; the --series-csv
+    values are read here, before any job. Returns the run's Emitter,
+    the results of the inputs that did not raise, in input order, and
+    the status: 0, 2 or 1 when all, some or none succeeded."""
     if csv_path := getattr(args, "series_csv", None):
         inputs = [(Path(csv_path).stem, read_series_csv(csv_path))]
     elif args.paths:
@@ -274,7 +281,7 @@ def each_input(args, job, jobs=1):
                          "where the command reads a series")
     em = Emitter(args)
     tasks = [(job, name, source, args, em) for name, source in inputs]
-    workers = min(jobs, len(tasks))
+    workers = min(getattr(args, "jobs", 1), len(tasks))
     if workers > 1:
         with concurrent.futures.ProcessPoolExecutor(max_workers=workers) as ex:
             outcomes = list(ex.map(_run_job, *zip(*tasks)))
@@ -284,12 +291,13 @@ def each_input(args, job, jobs=1):
         if not ok:
             log(f"error: {name}: {result}")
     results = [result for ok, result in outcomes if ok]
-    return results, 0 if len(results) == len(tasks) else 2 if results else 1
+    return em, results, 0 if len(results) == len(tasks) else 2 if results else 1
 
 
 def _run_job(job, name, source, args, em):
+    load = load_series if "series_csv" in args else load_document
     try:
-        return True, job(name, source, args, em)
+        return True, job(name, load(source, args), args, em)
     except Exception as exc:  # one bad input never sinks the batch
         return False, str(exc)
 
@@ -327,11 +335,10 @@ def spectrum_svg(ps, fit, label, title, beta_name="beta"):
 
 
 # --------------------------------------------------------------------------
-# commands: a job per input, plus what analyze and ccdf add over the corpus
+# commands: a job per loaded input, and the corpus steps of analyze and ccdf
 
-def analyze_job(name, source, args, em):
+def analyze_job(name, s, args, em):
     """The full pipeline; returns the input's scatter row and spectrum."""
-    s = load_series(source, args)
     values = s.values
     ps, fit = spectrum_stage(values, args)
     _surf, gh, spec = mfdfa_stage(values, args)
@@ -390,8 +397,7 @@ def analyze_job(name, source, args, em):
     return (name, H, spec.delta_alpha, fit.beta, shuffled_da), ps
 
 
-def spectrum_job(name, source, args, em):
-    s = load_series(source, args)
+def spectrum_job(name, s, args, em):
     ps, fit = spectrum_stage(s.values, args)
     em.write(f"{name}__spectrum", "csv", serialize.spectrum_csv(ps))
     em.write(f"{name}__spectrum_fit", "json", serialize.to_json(
@@ -399,8 +405,7 @@ def spectrum_job(name, source, args, em):
     em.write(f"{name}__spectrum", "svg", spectrum_svg(ps, fit, name, f"S(f), {name}"))
 
 
-def mfdfa_job(name, source, args, em):
-    s = load_series(source, args)
+def mfdfa_job(name, s, args, em):
     surf, gh, spec = mfdfa_stage(s.values, args)
     H = mfdfa.hurst_exponent(gh)  # raises before any file is written
     em.write(f"{name}__fq", "csv", serialize.surface_csv(surf))
@@ -421,16 +426,14 @@ def mfdfa_job(name, source, args, em):
         curves, title=f"F_q(s), {name}", xlabel="s", ylabel="F_q(s)"))
 
 
-def wavelet_job(name, source, args, em):
-    s = load_series(source, args)
+def wavelet_job(name, s, args, em):
     wm = wavelet.wavelet_map(s, scales=wavelet.default_scales(len(s), args.n_scales))
     em.write(f"{name}__wavelet", "csv", serialize.wavelet_csv(wm))
     em.write(f"{name}__wavelet", "svg", svgplot.heatmap(
         wm.coefficients, title=f"|T(s,k)|, {name}"))
 
 
-def surrogate_job(name, source, args, em):
-    s = load_series(source, args)
+def surrogate_job(name, s, args, em):
     make = (series.shuffle_surrogate if args.kind == "shuffle"
             else series.phase_randomized_surrogate)
     for k in range(args.surrogates):
@@ -442,9 +445,8 @@ def surrogate_job(name, source, args, em):
             {"provenance": {**s.provenance, **surr.provenance}}))
 
 
-def zipf_job(name, path, args, em):
-    table = corpus.rank_frequency(
-        load_document(path), include_terminators=args.include_terminators)
+def zipf_job(name, doc, args, em):
+    table = corpus.rank_frequency(doc, include_terminators=args.include_terminators)
     em.write(f"{name}__zipf", "csv", serialize.rank_frequency_csv(table))
     ranks = np.array([e[0] for e in table.entries], dtype=float)
     counts = np.array([e[2] for e in table.entries], dtype=float)
@@ -466,8 +468,8 @@ def zipf_job(name, path, args, em):
         xlabel="rank", ylabel="count", fit_lines=fit_lines))
 
 
-def recurrence_job(name, path, args, em):
-    rec = corpus.word_recurrence_series(load_document(path), args.target)
+def recurrence_job(name, doc, args, em):
+    rec = corpus.word_recurrence_series(doc, args.target)
     name = f"{name}__{args.target}"
     ps, fit = spectrum_stage(rec.values, args)
     _, gh, spec = mfdfa_stage(rec.values, args)
@@ -487,8 +489,7 @@ def recurrence_job(name, path, args, em):
         ps, fit, args.target, f"S(f), recurrence of {args.target!r}", "beta_w"))
 
 
-def slice_job(name, source, args, em):
-    s = load_series(source, args)  # a text's lengths always pass these checks
+def slice_job(name, s, args, em):  # a text's lengths always pass these checks
     if not (s.values % 1 == 0).all():
         raise ValueError("sentence lengths must be whole numbers")
     if not (s.values >= 1).all():
@@ -500,16 +501,14 @@ def slice_job(name, source, args, em):
         {"provenance": part.provenance, "j_max": len(part)}))
 
 
-def values_job(name, source, args, em):
-    return name, load_series(source, args).values
+def values_job(name, s, args, em):
+    return name, s.values
 
 
-def cmd_analyze(args) -> int:
-    results, status = each_input(args, analyze_job, args.jobs)
-    if not results:
-        return status
+def analyze_corpus(results, args, em):
+    """The delta_alpha-vs-H scatter and, over two or more inputs, the
+    corpus-average spectrum."""
     summary, spectra = zip(*sorted(results, key=lambda r: r[0][0]))
-    em = Emitter(args)
     header = ["name", "H", "delta_alpha", "beta", "shuffled_delta_alpha"]
     em.write("corpus__scatter", "csv", serialize.table_csv(
         [(row[0], *map(repr, row[1:])) for row in summary], header))
@@ -525,17 +524,13 @@ def cmd_analyze(args) -> int:
         em.write("corpus__avg_spectrum", "csv", serialize.spectrum_csv(avg))
         em.write("corpus__avg_spectrum", "svg", spectrum_svg(
             avg, avg_fit, "average", "corpus-average S(f)"))
-    return status
 
 
-def cmd_ccdf(args) -> int:
-    results, status = each_input(args, values_job)
-    if not results:
-        return status
+def ccdf_corpus(results, args, em):
+    """The CCDF and tail fit of one input's values, or of all pooled."""
     names, pooled = zip(*results)
     c = distfit.ccdf(pooled)
     name = names[0] if len(names) == 1 else "pooled"
-    em = Emitter(args)
     em.write(f"{name}__ccdf", "csv", serialize.ccdf_csv(c))
     payload = {"n_samples": c.n_samples, "members": names}
     tail = tail_stage(c, args.tail_start, name)
@@ -544,23 +539,19 @@ def cmd_ccdf(args) -> int:
     em.write(f"{name}__ccdf_fit", "json", serialize.to_json(payload))
     em.write(f"{name}__ccdf", "svg", svgplot.log_log_plot(
         [(c.lengths, c.F, name)], title="CCDF", xlabel="length", ylabel="F"))
-    return status
 
 
-def _per_input(job):
-    return lambda args: each_input(args, job)[1]
-
-
+# each command: its job per input, and its corpus step or None
 _COMMANDS = {
-    "analyze": cmd_analyze,
-    "spectrum": _per_input(spectrum_job),
-    "mfdfa": _per_input(mfdfa_job),
-    "wavelet": _per_input(wavelet_job),
-    "surrogate": _per_input(surrogate_job),
-    "zipf": _per_input(zipf_job),
-    "ccdf": cmd_ccdf,
-    "recurrence": _per_input(recurrence_job),
-    "slice": _per_input(slice_job),
+    "analyze": (analyze_job, analyze_corpus),
+    "spectrum": (spectrum_job, None),
+    "mfdfa": (mfdfa_job, None),
+    "wavelet": (wavelet_job, None),
+    "surrogate": (surrogate_job, None),
+    "zipf": (zipf_job, None),
+    "ccdf": (values_job, ccdf_corpus),
+    "recurrence": (recurrence_job, None),
+    "slice": (slice_job, None),
 }
 
 
@@ -572,7 +563,11 @@ def main(argv=None) -> int:
         return 1 if exc.code else 0
     try:
         check_args(args)
-        return _COMMANDS[args.command](args)
+        job, corpus_step = _COMMANDS[args.command]
+        em, results, status = each_input(args, job)
+        if corpus_step and results:
+            corpus_step(results, args, em)
+        return status
     except (ValueError, OSError) as exc:
         log(f"fatal: {exc}")
         return 1

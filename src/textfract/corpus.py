@@ -101,7 +101,6 @@ class SegmentationReport:
 @dataclass(frozen=True)
 class RankFrequencyTable:
     entries: list  # (rank, surface, count), rank 1 = most frequent
-    include_terminators: bool
 
 
 class AbbreviationLexicon:
@@ -300,9 +299,7 @@ def rank_frequency(doc: Document, include_terminators: bool = False) -> RankFreq
     # most_common sorts stably, so equal counts keep first-occurrence order
     ranked = Counter(keys).most_common()
     return RankFrequencyTable(
-        entries=[(rank, key, count) for rank, (key, count) in enumerate(ranked, 1)],
-        include_terminators=include_terminators,
-    )
+        entries=[(rank, key, count) for rank, (key, count) in enumerate(ranked, 1)])
 
 
 def slice_series(series: Series, start: int, stop: int) -> Series:

@@ -49,14 +49,14 @@ def ccdf(samples) -> CCDF:
 
 
 def fit_stretched_exponential(c: CCDF, tail_start: float = 100.0) -> TailFit:
-    """Fit F(l) = exp(-mu * l^b) over l > tail_start.
+    """Fit F(l) = exp(-mu * l^b) over l > max(tail_start, 0).
 
     OLS on the linearization ln(-ln F) = ln mu + b ln l, evaluated at
     the distinct lengths (not per sample) so the dense head of the
-    distribution cannot dominate. Points with F = 1 are excluded (the
-    double log is undefined there).
+    distribution cannot dominate. Points with l <= 0 or F = 1 are
+    excluded (the logs are undefined there).
     """
-    sel = (c.lengths > tail_start) & (c.F < 1.0) & (c.F > 0.0)
+    sel = (c.lengths > max(tail_start, 0)) & (c.F < 1.0) & (c.F > 0.0)
     if sel.sum() < 10:
         raise ValueError(
             f"only {int(sel.sum())} usable tail points above {tail_start}; need >= 10"

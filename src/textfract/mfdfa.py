@@ -46,7 +46,6 @@ class FluctuationSurface:
     q_values: np.ndarray
     scales: np.ndarray
     F: np.ndarray  # shape (len(q_values), len(scales)), strictly positive
-    detrend_order: int
     n_segments: np.ndarray  # 2*M_s per scale
 
 
@@ -183,9 +182,7 @@ def fluctuation_surface(s_series, q_values=None, scales=None, m: int = 2) -> Flu
                 amax = a.max()
                 log_mean = amax + np.log(np.mean(np.exp(a - amax)))
                 F[i, j] = np.exp(log_mean / q)
-    return FluctuationSurface(
-        q_values=q_values, scales=scales, F=F, detrend_order=m, n_segments=n_segments
-    )
+    return FluctuationSurface(q_values=q_values, scales=scales, F=F, n_segments=n_segments)
 
 
 def fit_generalized_hurst(surf: FluctuationSurface, fit_range=None) -> GeneralizedHurst:

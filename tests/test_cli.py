@@ -159,6 +159,11 @@ class TestParser:
         (["analyze", "--tail-start", "inf"], "--tail-start must be finite"),
         (["ccdf", "--tail-start", "nan"], "--tail-start must be finite"),
         (["spectrum", "--lexicon", "no/such/dir/abbr.txt"], "--lexicon: [Errno 2]"),
+        (["spectrum", "--fit-fmin", "0.6", "--fit-fmax", "0.9"], "--fit-fmin/--fit-fmax"),
+        (["spectrum", "--fit-fmin=-1", "--fit-fmax", "0"], "--fit-fmin/--fit-fmax"),
+        (["analyze", "--fit-fmin", "0.5", "--fit-fmax", "0.7"], "--fit-fmin/--fit-fmax"),
+        (["recurrence", "--target", "the", "--fit-fmin=-0.2", "--fit-fmax=-0.1"],
+         "--fit-fmin/--fit-fmax"),
     ], ids=["q_step_zero", "unknown_format", "jobs_zero", "negative_surrogates",
             "q_grid_without_two", "q_grid_too_short", "half_fit_range",
             "negative_detrend_order", "analyze_negative_detrend_order", "n_scales_zero",
@@ -171,7 +176,8 @@ class TestParser:
             "fit_range_reversed", "analyze_fit_range_empty", "fit_fmin_nan",
             "recurrence_fit_fmax_inf", "slice_to_below_from", "slice_from_zero",
             "negative_seed", "surrogate_negative_seed", "tail_start_inf", "ccdf_tail_start_nan",
-            "missing_lexicon"])
+            "missing_lexicon", "fit_range_above_nyquist", "fit_range_at_or_below_zero",
+            "analyze_fit_fmin_at_nyquist", "recurrence_fit_range_negative"])
     def test_bad_option_value_is_fatal_before_reading(self, argv, flag, tmp_path, capsys):
         # the input does not exist: the value must be rejected before any read
         out = tmp_path / "o"
@@ -391,6 +397,16 @@ class TestCcdfCommand:
         assert meta["n_samples"] == 20000
         assert meta["tail_fit"]["b"] == pytest.approx(1.0, abs=0.05)
 
+    def test_negative_tail_start_fits_positive_lengths(self, series_file, tmp_path, capfd):
+        # fGn holds values <= 0, where the double log is undefined
+        path, _ = series_file
+        out = tmp_path / "out"
+        assert run(["ccdf", "--series-csv", path, "--tail-start=-1", "--out", out]) == 0
+        meta = json.loads((out / "fgn__ccdf_fit.json").read_text())
+        assert meta["tail_fit"]["n_points"] >= 10
+        stdout, stderr = capfd.readouterr()
+        assert "RuntimeWarning" not in stderr and "DLASCL" not in stdout + stderr
+
 
 class TestRecurrenceCommand:
     def test_word_target(self, text_file, tmp_path):
@@ -533,3 +549,35 @@ class TestAnalyzeCommand:
         assert "error: bad: " in capsys.readouterr().err
         # the bad text leaves no file behind and changes no byte of the rest
         assert_same_tree(alone, out)
+
+
+class TestRunner:
+    @pytest.mark.parametrize("argv", [
+        ["ccdf", "--min-sentences", "1"], ["zipf"], ["recurrence", "--target", "the"],
+    ], ids=lambda argv: argv[0])
+    def test_partial_failure_exits_two(self, argv, tmp_path, capsys):
+        # a corpus step, and the loader of the text-only commands
+        good = tmp_path / "good.txt"
+        good.write_text(make_text(900, 4), encoding="utf-8")
+        bad = tmp_path / "bad.txt"
+        bad.write_bytes(bytes(range(128, 256)))
+        alone, out = tmp_path / "alone", tmp_path / "o"
+        assert run(argv + [good, "--out", alone]) == 0
+        assert run(argv + [good, bad, "--out", out]) == 2
+        assert "error: bad: " in capsys.readouterr().err
+        assert_same_tree(alone, out)
+
+    @pytest.mark.parametrize("fmt, corpus_files", [
+        ("csv", ["corpus__avg_spectrum.csv", "corpus__scatter.csv"]),
+        ("svg", ["corpus__avg_spectrum.svg", "corpus__scatter.svg"]),
+        ("json", []),
+    ])
+    def test_corpus_step_honours_format(self, fmt, corpus_files, tmp_path):
+        for name, seed in [("a.txt", 1), ("b.txt", 2)]:
+            (tmp_path / name).write_text(make_text(800, seed), encoding="utf-8")
+        out = tmp_path / "out"
+        assert run(["analyze", tmp_path / "a.txt", tmp_path / "b.txt", "--out", out,
+                    "--format", fmt, "--min-sentences", "100", "--surrogates", "0"]) == 0
+        names = sorted(p.name for p in out.iterdir())
+        assert [n for n in names if n.startswith("corpus__")] == corpus_files
+        assert all(n.endswith("." + fmt) for n in names)

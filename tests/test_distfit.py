@@ -99,6 +99,16 @@ class TestStretchedExponentialFit:
         assert fit.fit_range[0] == 150.0
         assert fit.fit_range[1] <= x.max()
 
+    def test_non_positive_lengths_left_out(self, capfd):
+        # ln l is undefined at l <= 0, so a negative tail_start fits what 0 does
+        c = tf.ccdf(np.random.default_rng(6).normal(size=2000))
+        below = tf.fit_stretched_exponential(c, tail_start=-1)
+        at_zero = tf.fit_stretched_exponential(c, tail_start=0)
+        assert ((below.mu, below.b, below.n_points)
+                == (at_zero.mu, at_zero.b, at_zero.n_points))
+        out, err = capfd.readouterr()
+        assert "DLASCL" not in out + err
+
     def test_too_few_tail_points(self):
         c = tf.ccdf(np.arange(1.0, 50.0))
         with pytest.raises(ValueError, match="tail points"):

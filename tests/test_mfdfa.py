@@ -129,7 +129,6 @@ class TestGeneralizedHurst:
         q = M.default_q_values()
         F = np.tile(scales**0.6, (len(q), 1))
         surf = M.FluctuationSurface(q_values=q, scales=scales, F=F,
-                                    detrend_order=2,
                                     n_segments=np.full(len(scales), 10))
         gh = M.fit_generalized_hurst(surf)
         np.testing.assert_allclose(gh.h, 0.6, atol=1e-12)
