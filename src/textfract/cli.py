@@ -37,7 +37,9 @@ __all__ = ["main", "build_parser"]
 
 
 def log(msg: str):
-    print(msg, file=sys.stderr)
+    # one write per line, so lines from parallel workers never merge
+    sys.stderr.write(msg + "\n")
+    sys.stderr.flush()
 
 
 # --------------------------------------------------------------------------
@@ -145,6 +147,8 @@ _LEAST = {"detrend_order": 0, "bins_per_decade": 1, "n_scales": 1, "jobs": 1,
           "surrogates": 0, "seed": 0, "slice_from": 1}
 _PARSED = {"format": parse_formats, "lexicon": corpus.AbbreviationLexicon.from_file}
 _FLAGS = {"slice_from": "--from", "slice_to": "--to"}  # else "--" + dest with dashes
+# MFDFA holds n_q x 2*M_s floats per scale: at most a step of 0.02 over [-4, 4]
+_MAX_Q_POINTS = 401
 
 
 def check_args(args):
@@ -168,6 +172,9 @@ def check_args(args):
                 f"in steps of {args.q_step}")
         if not math.isfinite((args.q_max - args.q_min) / args.q_step):
             raise ValueError(f"{grid} has more points than can be counted")
+        n_q = int(round((args.q_max - args.q_min) / args.q_step)) + 1
+        if n_q > _MAX_Q_POINTS:
+            raise ValueError(f"{grid} gives {n_q} points; at most {_MAX_Q_POINTS}")
         q = mfdfa.default_q_values(args.q_min, args.q_max, args.q_step)
         if not np.isclose(q, 2.0).any():
             raise ValueError(f"{grid} misses q = 2, which H needs")

@@ -116,10 +116,15 @@ def detrended_variance(p: Profile, nu: int, s: int, m: int = 2) -> float:
 
 
 def segment_variances(p: Profile, s: int, m: int = 2) -> np.ndarray:
-    """F^2(nu, s) for all 2*M_s segments at one scale, vectorized.
+    """F^2(nu, s) for all 2*M_s segments at one scale, vectorized, in
+    ``nu`` order: element ``nu - 1`` is ``detrended_variance(p, nu, s, m)``,
+    so the backward segments count from the end of the profile.
 
-    The design matrix is shared by every segment of a given length, so
-    the residual projector is built once per scale.
+    Each segment is centred on its own mean before its fit is subtracted
+    in place. The mean lies in the span of the trend polynomial, so the
+    residuals are unchanged; centring first keeps the profile's offset
+    out of the projection, where it would cancel to the last digits. The
+    orthonormal basis of the design matrix is built once per scale.
     """
     L = p.values
     n = len(L)
@@ -130,14 +135,17 @@ def segment_variances(p: Profile, s: int, m: int = 2) -> np.ndarray:
         raise ValueError(f"polynomial order {m} < 0")
     if s <= m + 1:
         raise ValueError(f"scale {s} too small for polynomial order {m}")
-    fwd = L[: ms * s].reshape(ms, s)
-    bwd = L[n - ms * s :].reshape(ms, s)
-    segs = np.vstack([fwd, bwd])
     k = np.arange(1, s + 1, dtype=float)
-    design = np.vander(k, m + 1)
-    q_mat, _ = np.linalg.qr(design)
-    fitted = (segs @ q_mat) @ q_mat.T
-    return np.mean((segs - fitted) ** 2, axis=1)
+    q_mat, _ = np.linalg.qr(np.vander(k, m + 1))
+    f2 = np.empty(2 * ms)
+    # the backward rows reversed, so row j - 1 is the j-th from the end
+    blocks = (L[: ms * s].reshape(ms, s), L[n - ms * s :].reshape(ms, s)[::-1])
+    for out, block in zip((f2[:ms], f2[ms:]), blocks):
+        resid = block - block.mean(axis=1, keepdims=True)
+        resid -= (resid @ q_mat) @ q_mat.T
+        np.einsum("ij,ij->i", resid, resid, out=out)
+    f2 /= s
+    return f2
 
 
 def fluctuation_surface(s_series, q_values=None, scales=None, m: int = 2) -> FluctuationSurface:
@@ -163,6 +171,8 @@ def fluctuation_surface(s_series, q_values=None, scales=None, m: int = 2) -> Flu
     F = np.empty((len(q_values), len(scales)))
     n_segments = np.empty(len(scales), dtype=int)
     has_negative_q = bool((q_values < 0).any())
+    is_zero = q_values == 0
+    q_nonzero = q_values[~is_zero]
     for j, s in enumerate(scales):
         f2 = segment_variances(prof, int(s), m)
         n_segments[j] = len(f2)
@@ -173,15 +183,12 @@ def fluctuation_surface(s_series, q_values=None, scales=None, m: int = 2) -> Flu
                 "negative q moments diverge"
             )
         log_f2 = np.log(np.maximum(f2, np.finfo(float).tiny))
-        for i, q in enumerate(q_values):
-            if q == 0:
-                F[i, j] = np.exp(0.5 * log_f2.mean())
-            else:
-                # log-sum-exp keeps large negative q finite on tiny variances
-                a = log_f2 * (q / 2.0)
-                amax = a.max()
-                log_mean = amax + np.log(np.mean(np.exp(a - amax)))
-                F[i, j] = np.exp(log_mean / q)
+        F[is_zero, j] = np.exp(0.5 * log_f2.mean())
+        # log-sum-exp keeps large negative q finite on tiny variances
+        a = np.multiply.outer(q_nonzero / 2.0, log_f2)
+        amax = a.max(axis=1)
+        log_mean = amax + np.log(np.mean(np.exp(a - amax[:, None]), axis=1))
+        F[~is_zero, j] = np.exp(log_mean / q_nonzero)
     return FluctuationSurface(q_values=q_values, scales=scales, F=F, n_segments=n_segments)
 
 

@@ -2,7 +2,9 @@ import argparse
 import csv
 import json
 import math
+import sys
 import tempfile
+import types
 import xml.etree.ElementTree as ET
 from pathlib import Path
 
@@ -164,6 +166,10 @@ class TestParser:
         (["analyze", "--fit-fmin", "0.5", "--fit-fmax", "0.7"], "--fit-fmin/--fit-fmax"),
         (["recurrence", "--target", "the", "--fit-fmin=-0.2", "--fit-fmax=-0.1"],
          "--fit-fmin/--fit-fmax"),
+        (["mfdfa", "--q-step", "1e-6"], "--q-min/--q-max/--q-step: -4.0 to 4.0 in steps "
+         "of 1e-06 gives 8000001 points; at most 401"),
+        (["analyze", "--q-max", "4.02", "--q-step", "0.02"],
+         "--q-min/--q-max/--q-step: -4.0 to 4.02 in steps of 0.02 gives 402 points"),
     ], ids=["q_step_zero", "unknown_format", "jobs_zero", "negative_surrogates",
             "q_grid_without_two", "q_grid_too_short", "half_fit_range",
             "negative_detrend_order", "analyze_negative_detrend_order", "n_scales_zero",
@@ -177,7 +183,8 @@ class TestParser:
             "recurrence_fit_fmax_inf", "slice_to_below_from", "slice_from_zero",
             "negative_seed", "surrogate_negative_seed", "tail_start_inf", "ccdf_tail_start_nan",
             "missing_lexicon", "fit_range_above_nyquist", "fit_range_at_or_below_zero",
-            "analyze_fit_fmin_at_nyquist", "recurrence_fit_range_negative"])
+            "analyze_fit_fmin_at_nyquist", "recurrence_fit_range_negative",
+            "q_grid_too_fine", "analyze_q_grid_one_past_bound"])
     def test_bad_option_value_is_fatal_before_reading(self, argv, flag, tmp_path, capsys):
         # the input does not exist: the value must be rejected before any read
         out = tmp_path / "o"
@@ -525,6 +532,30 @@ class TestAnalyzeCommand:
                     "--min-sentences", "100", "--jobs", "2"]) == 0
         assert len(list(serial.iterdir())) == 14  # 5 per text, 4 for the corpus
         assert_same_tree(serial, parallel)
+
+    def test_parallel_workers_log_whole_lines(self, tmp_path, capfd):
+        # both workers log at once; each line must start as one message does
+        for name, seed in [("a.txt", 1), ("b.txt", 2)]:
+            (tmp_path / name).write_text(make_text(800, seed), encoding="utf-8")
+        (tmp_path / "bad.txt").write_bytes(bytes(range(128, 256)))
+        paths = [tmp_path / n for n in ("a.txt", "bad.txt", "b.txt")]
+        prefixes = ("wrote ", "error: ", "warning: ", "a: ", "b: ", "bad: ")
+        for i in range(4):
+            assert run(["analyze", *paths, "--out", tmp_path / f"o{i}",
+                        "--min-sentences", "100", "--surrogates", "0",
+                        "--jobs", "2"]) == 2
+            lines = capfd.readouterr().err.split("\n")
+            assert lines[-1] == ""
+            assert all(line.startswith(prefixes) for line in lines[:-1]), lines
+
+    def test_log_writes_each_line_in_one_call(self, monkeypatch):
+        # a line written as text and newline apart can take another
+        # worker's line between the two
+        calls = []
+        monkeypatch.setattr(sys, "stderr", types.SimpleNamespace(
+            write=calls.append, flush=lambda: calls.append("<flush>")))
+        cli.log("b: tail fit skipped (x)")
+        assert calls == ["b: tail fit skipped (x)\n", "<flush>"]
 
     def test_all_inputs_failing_exits_one(self, tmp_path):
         path = tmp_path / "tiny.txt"

@@ -62,6 +62,35 @@ class TestDetrendedVariance:
             M.detrended_variance(prof, 1, 3, m=2)
 
 
+ORACLE_N = 2**14
+
+
+def oracle_series(name):
+    """fGn, the binomial cascade, and a trend on a large offset: the
+    trend leaves a profile quadratic of about 3e5 that a kernel fitting
+    uncentred segments cancels against their values."""
+    if name == "fgn":
+        return tf.generate_fgn(0.75, ORACLE_N, 11).values
+    if name == "cascade":
+        return tf.generate_binomial_cascade(0.3, 14).values
+    k = np.arange(ORACLE_N)
+    return 1e6 + 0.01 * k + np.random.default_rng(12).normal(size=ORACLE_N)
+
+
+class TestSegmentVariances:
+    @pytest.mark.parametrize("name", ["fgn", "cascade", "trended"])
+    def test_matches_scalar_oracle_in_order(self, name):
+        # element nu - 1 is segment nu, the backward ones counted from the end
+        prof = tf.profile(oracle_series(name))
+        for s in M.default_scales(ORACLE_N)[::4]:
+            for m in range(4):
+                got = M.segment_variances(prof, int(s), m)
+                want = [M.detrended_variance(prof, nu, int(s), m)
+                        for nu in range(1, len(got) + 1)]
+                np.testing.assert_allclose(got, want, rtol=1e-10, atol=0,
+                                           err_msg=f"s={s}, m={m}")
+
+
 class TestFluctuationSurface:
     def test_q2_is_classic_dfa(self):
         x = np.random.default_rng(2).normal(size=2000)
@@ -103,6 +132,29 @@ class TestFluctuationSurface:
         surf = M.fluctuation_surface(c, q_values=[-4.0, 4.0])
         gh = M.fit_generalized_hurst(surf)
         assert gh.h[0] > gh.h[1]  # h(-4) > h(4)
+
+    def test_matches_scalar_definition_per_q(self):
+        x = tf.generate_fgn(0.75, 4096, 13).values
+        q = M.default_q_values()
+        scales = [20, 45, 100, 220]
+        surf = M.fluctuation_surface(x, q_values=q, scales=scales)
+        prof = tf.profile(x)
+        for j, s in enumerate(scales):
+            f2 = M.segment_variances(prof, s)
+            for i, qi in enumerate(q):
+                want = (np.exp(0.5 * np.mean(np.log(f2))) if qi == 0
+                        else np.mean(f2 ** (qi / 2)) ** (1 / qi))
+                assert surf.F[i, j] == pytest.approx(want, rel=1e-12, abs=0), (qi, s)
+
+    def test_large_negative_q_finite_on_tiny_variances(self):
+        # F^2 near 1e-200 puts (F^2)^(q/2) at 1e4000 for q = -40; the
+        # log-sum-exp keeps F finite, and F scales with the series
+        x = tf.generate_fgn(0.75, 2048, 14).values
+        q, scales = [-40.0, 0.0, 2.0], [20, 50, 100]
+        tiny = M.fluctuation_surface(1e-100 * x, q_values=q, scales=scales)
+        base = M.fluctuation_surface(x, q_values=q, scales=scales)
+        assert np.isfinite(tiny.F).all() and (tiny.F > 0).all()
+        np.testing.assert_allclose(tiny.F, 1e-100 * base.F, rtol=1e-9)
 
     def test_zero_variance_segment_rejected_for_negative_q(self):
         with pytest.raises(ValueError, match="scale"):
