@@ -276,13 +276,20 @@ def each_input(args, job):
     """Load each input and run ``job(name, loaded, args, em)`` on it in
     up to --jobs processes. A text loads as its series, or as its
     Document where the command has no --series-csv; the --series-csv
-    values are read here, before any job. Returns the run's Emitter,
-    the results of the inputs that did not raise, in input order, and
-    the status: 0, 2 or 1 when all, some or none succeeded."""
+    values are read here, before any job. Two texts with the same stem
+    are rejected before any read, since they would write the same files.
+    Returns the run's Emitter, the results of the inputs that did not
+    raise, in input order, and the status: 0, 2 or 1 when all, some or
+    none succeeded."""
     if csv_path := getattr(args, "series_csv", None):
         inputs = [(Path(csv_path).stem, read_series_csv(csv_path))]
     elif args.paths:
         inputs = [(Path(p).stem, p) for p in sorted(args.paths)]
+        first = {}  # each output file is named after its input's stem
+        for name, p in inputs:
+            if name in first:
+                raise ValueError(f"{first[name]} and {p} both write {name}__*; rename one")
+            first[name] = p
     else:
         raise ValueError("no input: give text paths, or --series-csv "
                          "where the command reads a series")
@@ -517,8 +524,7 @@ def analyze_corpus(results, args, em):
     corpus-average spectrum."""
     summary, spectra = zip(*sorted(results, key=lambda r: r[0][0]))
     header = ["name", "H", "delta_alpha", "beta", "shuffled_delta_alpha"]
-    em.write("corpus__scatter", "csv", serialize.table_csv(
-        [(row[0], *map(repr, row[1:])) for row in summary], header))
+    em.write("corpus__scatter", "csv", serialize.table_csv(summary, header))
     names, hs, das, _betas, sdas = zip(*summary)
     finite = [x for x in sdas if np.isfinite(x)]
     band = (float(np.mean(finite)), float(np.max(finite))) if finite else None

@@ -289,8 +289,6 @@ def rank_frequency(doc: Document, include_terminators: bool = False) -> RankFreq
     """Zipf table: case-folded words ranked by count, descending, ties
     broken by first occurrence. With ``include_terminators`` all
     sentence-ending marks pool into one pseudo-word, ``TERMINATOR_SURFACE``."""
-    if not doc.tokens:
-        raise ValueError("empty document")
     keys = (
         TERMINATOR_SURFACE if kind == TERMINATOR else surface.lower()
         for surface, kind in zip(doc.tokens, doc.kinds.tolist())
@@ -298,6 +296,8 @@ def rank_frequency(doc: Document, include_terminators: bool = False) -> RankFreq
     )
     # most_common sorts stably, so equal counts keep first-occurrence order
     ranked = Counter(keys).most_common()
+    if not ranked:
+        raise ValueError("no words to rank")
     return RankFrequencyTable(
         entries=[(rank, key, count) for rank, (key, count) in enumerate(ranked, 1)])
 

@@ -51,7 +51,7 @@ def to_json(payload: dict) -> str:
 
 
 def table_csv(rows, header) -> str:
-    """Generic CSV emission for ad-hoc tables."""
+    """CSV of rows that may hold text, quoted where a field needs it."""
     buf = io.StringIO()
     w = csv.writer(buf, lineterminator="\n")
     w.writerow(header)
@@ -59,47 +59,54 @@ def table_csv(rows, header) -> str:
     return buf.getvalue()
 
 
+# Rows formatted at a time, so that no whole column is held as Python objects.
+_BLOCK = 4096
+
+
+def _reprs(column) -> list:
+    """A float as its repr, which reads back exactly; an int as its digits."""
+    return list(map(repr, column.tolist()))
+
+
+def _lines(*text_columns) -> str:
+    """One comma-separated line per row of the text columns."""
+    return "".join([",".join(row) + "\n" for row in zip(*text_columns)])
+
+
+def _columns_csv(header, *columns) -> str:
+    """A header, then a line per row of equal-length numeric columns."""
+    blocks = [",".join(header) + "\n"]
+    for i in range(0, len(columns[0]), _BLOCK):
+        blocks.append(_lines(*(_reprs(c[i:i + _BLOCK]) for c in columns)))
+    return "".join(blocks)
+
+
 def series_csv(values, value_name: str = "length") -> str:
-    return table_csv(
-        ((j + 1, _fmt(v)) for j, v in enumerate(values)),
-        ["index", value_name],
-    )
-
-
-def _fmt(v):
-    if isinstance(v, (int, np.integer)):
-        return int(v)
-    return repr(float(v))
-
-
-def _float_columns_csv(header, *columns) -> str:
-    """One row per index across equal-length float columns, each value
-    as its repr; rows are streamed, not built per column."""
-    return table_csv(zip(*(map(repr, map(float, col)) for col in columns)), header)
+    values = np.asarray(values)
+    return _columns_csv(["index", value_name], np.arange(1, len(values) + 1), values)
 
 
 def spectrum_csv(ps) -> str:
-    return _float_columns_csv(["frequency", "power"], ps.freqs, ps.power)
+    return _columns_csv(["frequency", "power"], ps.freqs, ps.power)
 
 
 def surface_csv(surf) -> str:
-    rows = []
-    for i, q in enumerate(surf.q_values):
-        for j, s in enumerate(surf.scales):
-            rows.append((int(s), repr(float(q)), repr(float(surf.F[i, j]))))
-    return table_csv(rows, ["scale", "q", "F"])
+    """One row per (q, scale), the scales running fastest."""
+    n_q, n_s = surf.F.shape
+    return _columns_csv(["scale", "q", "F"], np.tile(surf.scales, n_q),
+                        np.repeat(surf.q_values, n_s), surf.F.ravel())
 
 
 def hurst_csv(gh) -> str:
-    return _float_columns_csv(["q", "h", "h_stderr"], gh.q_values, gh.h, gh.h_stderr)
+    return _columns_csv(["q", "h", "h_stderr"], gh.q_values, gh.h, gh.h_stderr)
 
 
 def singularity_csv(spec) -> str:
-    return _float_columns_csv(["q", "alpha", "f"], spec.q_values, spec.alphas, spec.f_values)
+    return _columns_csv(["q", "alpha", "f"], spec.q_values, spec.alphas, spec.f_values)
 
 
 def ccdf_csv(c) -> str:
-    return _float_columns_csv(["length", "F"], c.lengths, c.F)
+    return _columns_csv(["length", "F"], c.lengths, c.F)
 
 
 def rank_frequency_csv(table) -> str:
@@ -107,14 +114,11 @@ def rank_frequency_csv(table) -> str:
 
 
 def wavelet_csv(wm) -> str:
-    """One row per (scale, position), formatted a scale at a time from
-    Python floats; every field is a number, so no field needs quoting
-    and the bytes equal those of ``table_csv``."""
-    positions = wm.positions.tolist()
+    """One row per (scale, position), a scale at a time; the scale and
+    the positions are formatted once."""
+    positions = _reprs(wm.positions)
     blocks = ["scale,position,coefficient,boundary\n"]
-    for s, coefs, edge in zip(wm.scales.tolist(), wm.coefficients.tolist(),
-                              wm.boundary.astype(int).tolist()):
-        prefix = repr(s) + ","
-        blocks.append("".join([f"{prefix}{k},{c!r},{b}\n"
-                               for k, c, b in zip(positions, coefs, edge)]))
+    for s, coefs, edge in zip(wm.scales.tolist(), wm.coefficients, wm.boundary):
+        blocks.append(_lines([repr(s)] * len(positions), positions,
+                             _reprs(coefs), _reprs(edge.astype(int))))
     return "".join(blocks)

@@ -8,15 +8,13 @@ from __future__ import annotations
 
 import numpy as np
 
+from .serialize import _BLOCK
+
 __all__ = ["log_log_plot", "scatter_plot", "heatmap"]
 
 _W, _H = 640, 440
 _MARGIN = 50
 _COLORS = ["#1f77b4", "#d62728", "#2ca02c", "#9467bd", "#8c564b", "#e377c2"]
-
-
-def _fmt(x: float) -> str:
-    return f"{x:.2f}"
 
 
 def _header(title: str) -> list:
@@ -67,9 +65,11 @@ class _Axes:
 
 
 def _polyline(ax, xs, ys, color, dashed=False):
+    px, py = ax.px(xs), ax.py(ys)
     pts = " ".join(
-        f"{_fmt(ax.px(x))},{_fmt(ax.py(y))}" for x, y in zip(xs, ys)
-    )
+        " ".join(map("{:.2f},{:.2f}".format, px[i:i + _BLOCK].tolist(),
+                     py[i:i + _BLOCK].tolist()))
+        for i in range(0, len(px), _BLOCK))
     dash = ' stroke-dasharray="6,4"' if dashed else ""
     return f'<polyline points="{pts}" fill="none" stroke="{color}"{dash}/>'
 
@@ -114,21 +114,17 @@ def scatter_plot(xs, ys, title="", xlabel="x", ylabel="y", labels=None,
     ax = _Axes(xs, ys, log=False)
     parts = _header(title)
     if hband is not None:
-        lo, hi = hband
-        y_hi, y_lo = ax.py(lo), ax.py(hi)
+        y_hi, y_lo = ax.py(np.asarray(hband, dtype=float)).tolist()
         parts.append(
-            f'<rect x="{_MARGIN}" y="{_fmt(y_lo)}" width="{_W - 2 * _MARGIN}" '
-            f'height="{_fmt(y_hi - y_lo)}" fill="#cccccc" opacity="0.5"/>'
+            f'<rect x="{_MARGIN}" y="{y_lo:.2f}" width="{_W - 2 * _MARGIN}" '
+            f'height="{y_hi - y_lo:.2f}" fill="#cccccc" opacity="0.5"/>'
         )
     parts += _frame(xlabel, ylabel)
-    for i, (x, y) in enumerate(zip(xs, ys)):
-        parts.append(
-            f'<circle cx="{_fmt(ax.px(x))}" cy="{_fmt(ax.py(y))}" r="4" '
-            f'fill="{_COLORS[0]}"/>'
-        )
+    for i, (x, y) in enumerate(zip(ax.px(xs).tolist(), ax.py(ys).tolist())):
+        parts.append(f'<circle cx="{x:.2f}" cy="{y:.2f}" r="4" fill="{_COLORS[0]}"/>')
         if labels is not None:
             parts.append(
-                f'<text x="{_fmt(ax.px(x) + 6)}" y="{_fmt(ax.py(y) - 6)}" '
+                f'<text x="{x + 6:.2f}" y="{y - 6:.2f}" '
                 f'font-family="sans-serif" font-size="10">{labels[i]}</text>'
             )
     parts.append("</svg>")
@@ -149,17 +145,17 @@ def heatmap(matrix, title="", xlabel="position", ylabel="scale") -> str:
     rows, cols = m.shape
     cw = (_W - 2 * _MARGIN) / cols
     ch = (_H - 2 * _MARGIN) / rows
+    t = (m - lo) / span
+    r = (255 * t).astype(int).tolist()
+    g = (64 * (1 - np.abs(2 * t - 1))).astype(int).tolist()
+    b = (255 * (1 - t)).astype(int).tolist()
+    xs = [f"{x:.2f}" for x in (_MARGIN + np.arange(cols) * cw).tolist()]
     parts = _header(title)
     for i in range(rows):
         # row 0 = smallest scale, drawn at the bottom
         y = _H - _MARGIN - (i + 1) * ch
-        for j in range(cols):
-            t = (m[i, j] - lo) / span
-            r, g, b = int(255 * t), int(64 * (1 - abs(2 * t - 1))), int(255 * (1 - t))
-            parts.append(
-                f'<rect x="{_fmt(_MARGIN + j * cw)}" y="{_fmt(y)}" '
-                f'width="{_fmt(cw + 0.5)}" height="{_fmt(ch + 0.5)}" '
-                f'fill="rgb({r},{g},{b})"/>'
-            )
+        cell = (f'<rect x="{{}}" y="{y:.2f}" width="{cw + 0.5:.2f}" '
+                f'height="{ch + 0.5:.2f}" fill="rgb({{}},{{}},{{}})"/>')
+        parts += map(cell.format, xs, r[i], g[i], b[i])
     parts += _frame(xlabel, ylabel) + ["</svg>"]
     return "\n".join(parts) + "\n"

@@ -74,12 +74,14 @@ def wavelet_map(s_series, scales=None, positions=None) -> WaveletMap:
         kernel = mother_wavelet(d / s)
         # full correlation with the sampled wavelet by FFT, zero-padded to
         # the next power of two >= n + len(kernel) - 1 so nothing wraps;
-        # then pick positions. The product starts from a copy of the cached
-        # transform, so numpy rounds it as it did a fresh rfft's.
+        # then pick positions.
         nfft = 1 << (n + len(kernel) - 2).bit_length()
         if nfft not in x_spectra:
             x_spectra[nfft] = np.fft.rfft(x, nfft)
-        full = np.fft.irfft(x_spectra[nfft].copy() * np.fft.rfft(kernel[::-1], nfft), nfft)
+        # a call, not `*`: numpy may write a `*` product into the rfft's
+        # temporary, which moves the map's last bits from n = 16,384 up
+        full = np.fft.irfft(
+            np.multiply(x_spectra[nfft], np.fft.rfft(kernel[::-1], nfft)), nfft)
         row = full[offset : offset + n] / np.sqrt(s)
         coeffs[i] = row[positions - 1]
         boundary[i] = (positions - 1 < half) | (positions - 1 > n - 1 - half)

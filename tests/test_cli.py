@@ -1,7 +1,10 @@
 import argparse
+import contextlib
 import csv
+import io
 import json
 import math
+import re
 import sys
 import tempfile
 import types
@@ -612,3 +615,53 @@ class TestRunner:
         names = sorted(p.name for p in out.iterdir())
         assert [n for n in names if n.startswith("corpus__")] == corpus_files
         assert all(n.endswith("." + fmt) for n in names)
+
+
+class TestOutputNames:
+    @pytest.mark.parametrize("cmd, paths", [
+        (["spectrum"], ["a/x.txt", "b/x.txt"]),
+        (["analyze"], ["a/x.txt", "b/x.txt"]),
+        (["ccdf"], ["a/x.txt", "b/x.txt"]),
+        (["analyze"], ["a/x.txt", "a/x.txt"]),
+    ], ids=["spectrum", "analyze", "ccdf", "same_path_twice"])
+    def test_colliding_stems_are_fatal(self, cmd, paths, tmp_path, capsys):
+        for d in ("a", "b"):
+            (tmp_path / d).mkdir()
+            (tmp_path / d / "x.txt").write_text(make_text(300, 3), encoding="utf-8")
+        out = tmp_path / "o"
+        paths = [tmp_path / p for p in paths]
+        assert run(cmd + paths + ["--out", out, "--min-sentences", "1"]) == 1
+        assert capsys.readouterr().err == (
+            f"fatal: {paths[0]} and {paths[1]} both write x__*; rename one\n")
+        assert not out.exists()
+
+
+# Texts that have broken a text pipeline somewhere: each drawn text joins
+# up to three of these.
+TEXT_PIECES = [
+    b"", b"  \n\t \n", b"no terminator at all", b"(an unbalanced bracket. ",
+    b'"an unclosed quote. ', b"\xe2\x80\xa6", b"...", b"\xff\xfe\xc3(",
+    b"One long sentence " + b"and then some " * 3000 + b"end. ",
+    make_text(200, 11).encode(),
+]
+TEXT_ARGS = {**REQUIRED, "slice": ["--from", "1", "--to", "1"]}
+
+
+@settings(max_examples=50, deadline=None, derandomize=True)
+@given(argv=st.sampled_from(sorted(cli._COMMANDS)).map(
+           lambda cmd: [cmd, *TEXT_ARGS.get(cmd, [])]),
+       text=st.lists(st.sampled_from(TEXT_PIECES), max_size=3).map(b"".join))
+@example(argv=["zipf"], text=b"...")
+def test_any_text_ends_in_a_named_exit(argv, text):
+    with tempfile.TemporaryDirectory() as tmp:
+        path, out = Path(tmp) / "t.txt", Path(tmp) / "o"
+        path.write_bytes(text)
+        err = io.StringIO()
+        with contextlib.redirect_stderr(err):
+            code = run(argv + [path, "--out", out])
+        assert code in (0, 1, 2)
+        assert "Traceback" not in err.getvalue()
+        if code:
+            assert re.search(r"^(error|fatal): ", err.getvalue(), re.M)
+        if code == 1:
+            assert not out.exists() or not any(out.iterdir())

@@ -1,9 +1,11 @@
 import csv
 import io
+import types
 import xml.etree.ElementTree as ET
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import textfract as tf
 from textfract import serialize, svgplot
@@ -153,3 +155,133 @@ class TestSvg:
         args = ([( np.array([1.0, 2.0]), np.array([3.0, 4.0]), "x")],)
         kw = dict(title="t", xlabel="x", ylabel="y")
         assert svgplot.log_log_plot(*args, **kw) == svgplot.log_log_plot(*args, **kw)
+
+
+# ---------------------------------------------------------------------------
+# The block formatters against the per-element formatting they replaced:
+# csv.writer rows of repr(float(v)), or int(v) for an int, and 2-decimal
+# pixel coordinates computed one point or one cell at a time.
+
+def writer_csv(header, rows):
+    buf = io.StringIO()
+    w = csv.writer(buf, lineterminator="\n")
+    w.writerow(header)
+    w.writerows(rows)
+    return buf.getvalue()
+
+
+def element_text(v):
+    return int(v) if isinstance(v, (int, np.integer)) else repr(float(v))
+
+
+# one either side of each block edge, and more than two blocks
+LENGTHS = [0, 1, 4095, 4096, 4097, 10_001]
+SPECIAL = [-0.0, 0.0, 5e-324, -5e-324, 1.7976931348623157e308,
+           -1.7976931348623157e308, 1.0, -3.0, 2.0**53, 1e16, 0.1, 1 / 3]
+
+
+@st.composite
+def columns(draw, k, n=None, kind="float"):
+    """``k`` numeric columns of a drawn length: floats over many decades,
+    whole-number floats and the drawn special values; or ints."""
+    n = draw(st.sampled_from(LENGTHS)) if n is None else n
+    specials = draw(st.lists(st.sampled_from(SPECIAL), max_size=6))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    cols = []
+    for _ in range(k):
+        if kind == "int":
+            cols.append(rng.integers(-2**62, 2**62, n) >> rng.integers(0, 62, n))
+            continue
+        x = rng.standard_normal(n) * 10.0 ** rng.integers(-300, 300, n)
+        whole = rng.random(n) < 0.25
+        x[whole] = rng.integers(-2**60, 2**60, int(whole.sum())).astype(float)
+        if n:
+            x[rng.integers(0, n, len(specials))] = specials
+        cols.append(x)
+    return cols
+
+
+ORACLE = settings(max_examples=8, deadline=None, derandomize=True)
+FLOAT_TABLES = {
+    "spectrum_csv": (["frequency", "power"], ["freqs", "power"]),
+    "hurst_csv": (["q", "h", "h_stderr"], ["q_values", "h", "h_stderr"]),
+    "singularity_csv": (["q", "alpha", "f"], ["q_values", "alphas", "f_values"]),
+    "ccdf_csv": (["length", "F"], ["lengths", "F"]),
+}
+
+
+class TestBlockFormatting:
+    @pytest.mark.parametrize("emitter", sorted(FLOAT_TABLES))
+    @ORACLE
+    @given(data=st.data())
+    def test_float_tables(self, emitter, data):
+        header, attrs = FLOAT_TABLES[emitter]
+        cols = data.draw(columns(len(attrs)))
+        got = getattr(serialize, emitter)(types.SimpleNamespace(**dict(zip(attrs, cols))))
+        assert got == writer_csv(header, zip(*(map(repr, map(float, c)) for c in cols)))
+
+    @pytest.mark.parametrize("kind", ["int", "float"])
+    @ORACLE
+    @given(data=st.data())
+    def test_series(self, kind, data):
+        (values,) = data.draw(columns(1, kind=kind))
+        want = writer_csv(["index", "value"],
+                          ((j + 1, element_text(v)) for j, v in enumerate(values)))
+        assert serialize.series_csv(values, value_name="value") == want
+
+    @ORACLE
+    @given(n_q=st.sampled_from([1, 2]), data=st.data())
+    def test_surface(self, n_q, data):
+        (q,) = data.draw(columns(1, n=n_q))
+        (scales,) = data.draw(columns(1, kind="int"))
+        F = np.array(data.draw(columns(n_q, n=len(scales)))).reshape(n_q, len(scales))
+        want = writer_csv(["scale", "q", "F"], (
+            (int(s), repr(float(qi)), repr(float(F[i, j])))
+            for i, qi in enumerate(q) for j, s in enumerate(scales)))
+        surf = types.SimpleNamespace(q_values=q, scales=scales, F=F)
+        assert serialize.surface_csv(surf) == want
+
+    @ORACLE
+    @given(n_scales=st.sampled_from([1, 2]), data=st.data())
+    def test_wavelet(self, n_scales, data):
+        (scales,) = data.draw(columns(1, n=n_scales))
+        (positions,) = data.draw(columns(1, kind="int"))
+        n = len(positions)
+        coefs = np.array(data.draw(columns(n_scales, n=n))).reshape(n_scales, n)
+        edge = np.random.default_rng(n).random((n_scales, n)) < 0.5
+        want = writer_csv(["scale", "position", "coefficient", "boundary"], (
+            (repr(float(s)), int(k), repr(float(coefs[i, j])), int(edge[i, j]))
+            for i, s in enumerate(scales) for j, k in enumerate(positions)))
+        wm = types.SimpleNamespace(scales=scales, positions=positions,
+                                   coefficients=coefs, boundary=edge)
+        assert serialize.wavelet_csv(wm) == want
+
+    @pytest.mark.parametrize("n", [4095, 4096, 4097, 65536])
+    def test_log_log_polyline(self, n):
+        # n points drawn; a point at 0 is left off a log axis
+        xs = np.arange(n + 1) / (2.0 * n)
+        ys = np.random.default_rng(n).exponential(size=n + 1) * (xs + 0.01)**-0.5
+        svg = svgplot.log_log_plot([(xs, ys, "S")])
+        ax = svgplot._Axes(xs[1:], ys[1:], log=True)
+        points = " ".join(f"{float(ax.px(x)):.2f},{float(ax.py(y)):.2f}"
+                          for x, y in zip(xs[1:], ys[1:]))
+        assert f'<polyline points="{points}" fill="none"' in svg
+
+    @pytest.mark.parametrize("shape", [(3, 17), (50, 16384)])
+    def test_heatmap(self, shape):
+        matrix = np.random.default_rng(shape[1]).normal(size=shape)
+        m = np.abs(matrix)[:, ::-(-shape[1] // 540)]
+        lo, hi = float(m.min()), float(m.max())
+        rows, cols = m.shape
+        cw, ch = 540 / cols, 340 / rows
+        parts = svgplot._header("")
+        for i in range(rows):
+            y = 440 - 50 - (i + 1) * ch
+            for j in range(cols):
+                t = (m[i, j] - lo) / (hi - lo)
+                r, g, b = int(255 * t), int(64 * (1 - abs(2 * t - 1))), int(255 * (1 - t))
+                parts.append(f'<rect x="{50 + j * cw:.2f}" y="{y:.2f}" '
+                             f'width="{cw + 0.5:.2f}" height="{ch + 0.5:.2f}" '
+                             f'fill="rgb({r},{g},{b})"/>')
+        parts += svgplot._frame("position", "scale") + ["</svg>"]
+        assert svgplot.heatmap(matrix) == "\n".join(parts) + "\n"
