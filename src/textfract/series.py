@@ -65,6 +65,24 @@ def as_values(s) -> np.ndarray:
     return np.asarray(s, dtype=float)
 
 
+def _line_fit(x, y, w=None):
+    """Least-squares line y = slope * x + intercept, the points weighted
+    by ``w`` (default equal); a 2-D ``y`` is one fit per row. Returns
+    slope, intercept, the slope's standard error on len(x) - 2 degrees
+    of freedom, and the residuals."""
+    n = len(x)
+    w = np.full(n, 1.0 / n) if w is None else w / w.sum()
+    x_bar = (w * x).sum()
+    y_bar = (w * y).sum(axis=-1)
+    dx = x - x_bar
+    sxx = (w * dx**2).sum()
+    slope = (w * dx * (y - y_bar[..., None])).sum(axis=-1) / sxx
+    intercept = y_bar - slope * x_bar
+    resid = y - (slope[..., None] * x + intercept[..., None])
+    sigma2 = (w * resid**2).sum(axis=-1) * n / (n - 2)
+    return slope, intercept, np.sqrt(sigma2 / (sxx * n)), resid
+
+
 def profile(s) -> Profile:
     """Cumulative demeaned sum L(j) of the series.
 

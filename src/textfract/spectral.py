@@ -6,7 +6,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .series import as_values
+from .series import _line_fit, as_values
 
 __all__ = [
     "PowerSpectrum",
@@ -117,22 +117,13 @@ def fit_beta(ps: PowerSpectrum, fit_range=None, bins_per_decade: int = 20) -> Sp
     # Bins are weighted by their point counts: the variance of a bin's
     # geometric mean scales as 1/count, and equal weights would let the
     # sparse low-frequency bins dominate the slope error.
+    slope, intercept, stderr, resid = _line_fit(lf, lp, counts)
     w = counts / counts.sum()
-    x_bar = float((w * lf).sum())
-    y_bar = float((w * lp).sum())
-    sxx = float((w * (lf - x_bar) ** 2).sum())
-    if sxx == 0:
-        raise ValueError("degenerate binning: no frequency spread")
-    slope = float((w * (lf - x_bar) * (lp - y_bar)).sum()) / sxx
-    intercept = y_bar - slope * x_bar
-    resid = lp - (slope * lf + intercept)
-    dof = max(len(lf) - 2, 1)
-    sigma2 = float((w * resid**2).sum()) * len(lf) / dof
-    ss_tot = float((w * (lp - y_bar) ** 2).sum())
+    ss_tot = float((w * (lp - (w * lp).sum()) ** 2).sum())
     r2 = 1.0 - float((w * resid**2).sum()) / ss_tot if ss_tot > 0 else 1.0
     return SpectrumFit(
-        beta=-slope,
-        sigma_beta=float(np.sqrt(sigma2 / (sxx * len(lf)))),
+        beta=-float(slope),
+        sigma_beta=float(stderr),
         fit_range=(float(f_lo), float(f_hi)),
         binning=f"log, {bins_per_decade} bins/decade, geometric mean, count-weighted",
         r_squared=r2,

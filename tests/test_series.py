@@ -1,3 +1,5 @@
+from fractions import Fraction
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -5,6 +7,7 @@ from hypothesis import given, settings, strategies as st
 import textfract as tf
 from textfract.series import (
     Series,
+    _line_fit,
     cascade_alpha_width,
     cascade_generalized_hurst,
 )
@@ -202,3 +205,44 @@ class TestSeriesType:
     def test_provenance_carried(self):
         s = tf.generate_white_noise(100, 4)
         assert s.provenance["seed"] == 4
+
+
+def exact_line_fit(x, y, w):
+    """Weighted least-squares slope and its standard error on n - 2
+    degrees of freedom, in exact rational arithmetic on the given floats."""
+    x, y, w = ([Fraction(float(v)) for v in a] for a in (x, y, w))
+    sw = sum(w)
+    x_bar = sum(wi * xi for wi, xi in zip(w, x)) / sw
+    y_bar = sum(wi * yi for wi, yi in zip(w, y)) / sw
+    sxx = sum(wi * (xi - x_bar) ** 2 for wi, xi in zip(w, x))
+    slope = sum(wi * (xi - x_bar) * (yi - y_bar) for wi, xi, yi in zip(w, x, y)) / sxx
+    intercept = y_bar - slope * x_bar
+    ssr = sum(wi * (yi - slope * xi - intercept) ** 2 for wi, xi, yi in zip(w, x, y))
+    return float(slope), float(ssr / ((len(x) - 2) * sxx)) ** 0.5
+
+
+class TestLineFit:
+    @pytest.mark.parametrize("weighted", [False, True])
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    def test_matches_exact_ols(self, weighted, seed):
+        rng = np.random.default_rng(seed)
+        n = int(rng.integers(6, 40))
+        x = np.sort(rng.uniform(-3.0, 2.0, n))
+        slopes = np.array([-1.7, 0.0, 0.5, 3.25])
+        y = slopes[:, None] * x + rng.normal(0.3, 0.2, (len(slopes), n))
+        w = rng.integers(1, 50, n).astype(float) if weighted else None
+        slope, _, stderr, resid = _line_fit(x, y, w)
+        assert slope.shape == stderr.shape == (len(slopes),) and resid.shape == y.shape
+        for i in range(len(slopes)):
+            exact = exact_line_fit(x, y[i], np.ones(n) if w is None else w)
+            one = _line_fit(x, y[i], w)  # a 1-D y is the same fit as its row
+            for got in (slope[i], one[0]):
+                assert got == pytest.approx(exact[0], rel=1e-14)
+            for got in (stderr[i], one[2]):
+                assert got == pytest.approx(exact[1], rel=1e-13)
+
+    def test_residuals_about_the_line(self):
+        x = np.log(np.arange(2.0, 12.0))
+        y = 0.5 * x + 2.0 + np.random.default_rng(3).normal(0, 0.1, len(x))
+        slope, intercept, _, resid = _line_fit(x, y)
+        np.testing.assert_allclose(resid, y - (slope * x + intercept), atol=1e-15)
