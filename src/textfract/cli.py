@@ -467,7 +467,8 @@ def zipf_job(name, doc, args, em):
     sel = (ranks >= args.rank_min) & (ranks <= args.rank_max)
     fit = None
     if sel.sum() >= 10:
-        slope, intercept = np.polyfit(np.log10(ranks[sel]), np.log10(counts[sel]), 1)
+        slope, intercept, _, _ = series._line_fit(np.log10(ranks[sel]),
+                                                  np.log10(counts[sel]))
         fit = {"slope": float(slope), "intercept": float(intercept),
                "rank_range": [args.rank_min, args.rank_max]}
     em.write(f"{name}__zipf", "json", serialize.to_json({

@@ -7,7 +7,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .series import as_values
+from .series import _line_fit, as_values
 
 __all__ = ["CCDF", "TailFit", "ccdf", "fit_stretched_exponential"]
 
@@ -63,8 +63,7 @@ def fit_stretched_exponential(c: CCDF, tail_start: float = 100.0) -> TailFit:
         )
     x = np.log(c.lengths[sel])
     y = np.log(-np.log(c.F[sel]))
-    slope, intercept = np.polyfit(x, y, 1)
-    resid = y - (slope * x + intercept)
+    slope, intercept, _, resid = _line_fit(x, y)
     return TailFit(
         mu=float(np.exp(intercept)),
         b=float(slope),

@@ -19,7 +19,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .series import Profile, as_values, profile
+from .series import Profile, _line_fit, as_values, profile
 
 __all__ = [
     "FluctuationSurface",
@@ -201,13 +201,8 @@ def fit_generalized_hurst(surf: FluctuationSurface, fit_range=None) -> Generaliz
     sel = (surf.scales >= s_lo) & (surf.scales <= s_hi)
     if sel.sum() < MIN_FIT_SCALES:
         raise ValueError(f"only {sel.sum()} scales in fit range; need >= {MIN_FIT_SCALES}")
-    log_s = np.log(surf.scales[sel].astype(float))
-    h = np.empty(len(surf.q_values))
-    stderr = np.empty(len(surf.q_values))
-    for i in range(len(surf.q_values)):
-        (slope, _), cov = np.polyfit(log_s, np.log(surf.F[i, sel]), 1, cov=True)
-        h[i] = slope
-        stderr[i] = np.sqrt(cov[0, 0])
+    h, _, stderr, _ = _line_fit(np.log(surf.scales[sel].astype(float)),
+                                np.log(surf.F[:, sel]))
     return GeneralizedHurst(
         q_values=surf.q_values, h=h, h_stderr=stderr,
         fit_scale_range=(int(s_lo), int(s_hi)),

@@ -4,6 +4,7 @@ from hypothesis import given, settings, strategies as st
 
 import textfract as tf
 import textfract.mfdfa as M
+from _novel import sentence_lengths
 from textfract.series import cascade_generalized_hurst
 
 
@@ -175,7 +176,29 @@ class TestFluctuationSurface:
                                   scales=[20, 40], m=-1)
 
 
+def polyfit_generalized_hurst(surf):
+    """Reference: one np.polyfit(cov=True) per q over the full scale grid."""
+    log_s = np.log(surf.scales.astype(float))
+    h, stderr = np.empty(len(surf.q_values)), np.empty(len(surf.q_values))
+    for i in range(len(surf.q_values)):
+        (h[i], _), cov = np.polyfit(log_s, np.log(surf.F[i]), 1, cov=True)
+        stderr[i] = np.sqrt(cov[0, 0])
+    return h, stderr
+
+
 class TestGeneralizedHurst:
+    @pytest.mark.parametrize("series", [
+        lambda: tf.generate_fgn(0.75, 2**14, 3),
+        lambda: tf.generate_binomial_cascade(0.3, 14),
+        lambda: sentence_lengths(),
+    ], ids=["fgn", "cascade", "novel"])
+    def test_matches_polyfit_per_q(self, series):
+        surf = M.fluctuation_surface(series())
+        gh = M.fit_generalized_hurst(surf)
+        h, stderr = polyfit_generalized_hurst(surf)
+        np.testing.assert_allclose(gh.h, h, rtol=1e-12)
+        np.testing.assert_allclose(gh.h_stderr, stderr, rtol=1e-12)
+
     def test_exact_power_law_surface(self):
         scales = np.array([20, 40, 80, 160, 320, 640])
         q = M.default_q_values()
