@@ -85,14 +85,11 @@ def _log_bin(freqs, power, bins_per_decade: int):
     n_bins = max(1, int(np.ceil((hi - lo) * bins_per_decade)))
     edges = np.linspace(lo, hi, n_bins + 1)
     idx = np.clip(np.digitize(lf, edges) - 1, 0, n_bins - 1)
-    bl_f, bl_p, bl_n = [], [], []
-    for b in range(n_bins):
-        m = idx == b
-        if m.any():
-            bl_f.append(lf[m].mean())
-            bl_p.append(lp[m].mean())
-            bl_n.append(int(m.sum()))
-    return np.array(bl_f), np.array(bl_p), np.array(bl_n, dtype=float)
+    counts = np.bincount(idx, minlength=n_bins)
+    full = counts > 0
+    n = counts[full].astype(float)
+    return (np.bincount(idx, weights=lf, minlength=n_bins)[full] / n,
+            np.bincount(idx, weights=lp, minlength=n_bins)[full] / n, n)
 
 
 def fit_beta(ps: PowerSpectrum, fit_range=None, bins_per_decade: int = 20) -> SpectrumFit:

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 import textfract as tf
-from textfract.spectral import PowerSpectrum
+from textfract.spectral import PowerSpectrum, _log_bin
 
 
 def exact_power_law_spectrum(beta, n=4096, c=1.0):
@@ -40,6 +40,38 @@ class TestPowerSpectrum:
     def test_too_short(self):
         with pytest.raises(ValueError):
             tf.power_spectrum(np.ones(4))
+
+
+def loop_log_bin(freqs, power, bins_per_decade):
+    """Reference: the log bins one at a time, each mean over its own mask."""
+    keep = power > 0
+    lf, lp = np.log10(freqs[keep]), np.log10(power[keep])
+    n_bins = max(1, int(np.ceil((lf.max() - lf.min()) * bins_per_decade)))
+    edges = np.linspace(lf.min(), lf.max(), n_bins + 1)
+    idx = np.clip(np.digitize(lf, edges) - 1, 0, n_bins - 1)
+    rows = [(lf[idx == b].mean(), lp[idx == b].mean(), (idx == b).sum())
+            for b in range(n_bins) if (idx == b).any()]
+    return tuple(np.array(col, dtype=float) for col in zip(*rows))
+
+
+class TestLogBin:
+    @pytest.mark.parametrize("bins_per_decade", [1, 20, 2000])
+    @pytest.mark.parametrize("n", [64, 4096, 2**15])
+    def test_matches_per_bin_loop(self, bins_per_decade, n):
+        ps = tf.power_spectrum(tf.generate_fgn(0.75, n, 4))
+        power = ps.power.copy()
+        power[::7] = 0.0  # zero power leaves the bins
+        got = _log_bin(ps.freqs, power, bins_per_decade)
+        want = loop_log_bin(ps.freqs, power, bins_per_decade)
+        np.testing.assert_array_equal(got[2], want[2])
+        np.testing.assert_allclose(got[0], want[0], rtol=1e-13)
+        np.testing.assert_allclose(got[1], want[1], rtol=1e-13)
+
+    def test_leaves_out_empty_bins(self):
+        ps = tf.power_spectrum(tf.generate_fgn(0.75, 4096, 4))
+        lf, _, counts = _log_bin(ps.freqs, ps.power, 2000)
+        n_bins = int(np.ceil(np.log10(ps.freqs[-1] / ps.freqs[0]) * 2000))
+        assert len(lf) < n_bins and counts.min() >= 1 and np.all(np.diff(lf) > 0)
 
 
 class TestFitBeta:
