@@ -282,6 +282,8 @@ def each_input(args, job):
     raise, in input order, and the status: 0, 2 or 1 when all, some or
     none succeeded."""
     if csv_path := getattr(args, "series_csv", None):
+        if args.paths:
+            raise ValueError("give text paths or --series-csv, not both")
         inputs = [(Path(csv_path).stem, read_series_csv(csv_path))]
     elif args.paths:
         inputs = [(Path(p).stem, p) for p in sorted(args.paths)]
@@ -467,8 +469,7 @@ def zipf_job(name, doc, args, em):
     sel = (ranks >= args.rank_min) & (ranks <= args.rank_max)
     fit = None
     if sel.sum() >= 10:
-        slope, intercept, _, _ = series._line_fit(np.log10(ranks[sel]),
-                                                  np.log10(counts[sel]))
+        slope, intercept, _, _ = series._line_fit(np.log10(ranks[sel]), np.log10(counts[sel]))
         fit = {"slope": float(slope), "intercept": float(intercept),
                "rank_range": [args.rank_min, args.rank_max]}
     em.write(f"{name}__zipf", "json", serialize.to_json({
@@ -545,14 +546,14 @@ def ccdf_corpus(results, args, em):
     names, pooled = zip(*results)
     c = distfit.ccdf(pooled)
     name = names[0] if len(names) == 1 else "pooled"
+    em.write(f"{name}__ccdf", "svg", svgplot.log_log_plot(  # first: it can raise
+        [(c.lengths, c.F, name)], title="CCDF", xlabel="length", ylabel="F"))
     em.write(f"{name}__ccdf", "csv", serialize.ccdf_csv(c))
     payload = {"n_samples": c.n_samples, "members": names}
     tail = tail_stage(c, args.tail_start, name)
     if tail is not None:
         payload["tail_fit"] = asdict(tail)
     em.write(f"{name}__ccdf_fit", "json", serialize.to_json(payload))
-    em.write(f"{name}__ccdf", "svg", svgplot.log_log_plot(
-        [(c.lengths, c.F, name)], title="CCDF", xlabel="length", ylabel="F"))
 
 
 # each command: its job per input, and its corpus step or None

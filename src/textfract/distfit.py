@@ -61,9 +61,8 @@ def fit_stretched_exponential(c: CCDF, tail_start: float = 100.0) -> TailFit:
         raise ValueError(
             f"only {int(sel.sum())} usable tail points above {tail_start}; need >= 10"
         )
-    x = np.log(c.lengths[sel])
-    y = np.log(-np.log(c.F[sel]))
-    slope, intercept, _, resid = _line_fit(x, y)
+    slope, intercept, _, resid = _line_fit(np.log(c.lengths[sel]),
+                                           np.log(-np.log(c.F[sel])))
     return TailFit(
         mu=float(np.exp(intercept)),
         b=float(slope),

@@ -66,10 +66,11 @@ def as_values(s) -> np.ndarray:
 
 
 def _line_fit(x, y, w=None):
-    """Least-squares line y = slope * x + intercept, the points weighted
-    by ``w`` (default equal); a 2-D ``y`` is one fit per row. Returns
-    slope, intercept, the slope's standard error on len(x) - 2 degrees
-    of freedom, and the residuals."""
+    """Least-squares line y = slope * x + intercept, weighted by ``w``
+    (default equal), one fit per row of a 2-D ``y``. Returns the slope, the
+    intercept, the slope's standard error on len(x) - 2 dof and the residuals."""
+    if not np.isfinite(y).all():
+        raise ValueError("cannot fit a line through non-finite values")
     n = len(x)
     w = np.full(n, 1.0 / n) if w is None else w / w.sum()
     x_bar = (w * x).sum()

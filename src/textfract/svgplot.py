@@ -6,6 +6,8 @@ written alongside, so anything fancier can be replotted externally.
 
 from __future__ import annotations
 
+from html import escape  # xml.sax.saxutils would import urllib.request and ssl
+
 import numpy as np
 
 from .serialize import _BLOCK
@@ -17,13 +19,19 @@ _MARGIN = 50
 _COLORS = ["#1f77b4", "#d62728", "#2ca02c", "#9467bd", "#8c564b", "#e377c2"]
 
 
+def _text(x, y, size, text, anchor="", extra="") -> str:
+    """A <text> element with ``text`` escaped; ``extra`` attributes follow the font."""
+    anchor = f' text-anchor="{anchor}"' if anchor else ""
+    return (f'<text x="{x}" y="{y}"{anchor} font-family="sans-serif" '
+            f'font-size="{size}"{extra}>{escape(text, quote=False)}</text>')
+
+
 def _header(title: str) -> list:
     return [
         f'<svg xmlns="http://www.w3.org/2000/svg" width="{_W}" height="{_H}" '
         f'viewBox="0 0 {_W} {_H}">',
         f'<rect width="{_W}" height="{_H}" fill="white"/>',
-        f'<text x="{_W // 2}" y="20" text-anchor="middle" '
-        f'font-family="sans-serif" font-size="14">{title}</text>',
+        _text(_W // 2, 20, 14, title, "middle"),
     ]
 
 
@@ -31,11 +39,8 @@ def _frame(xlabel, ylabel) -> list:
     return [
         f'<rect x="{_MARGIN}" y="{_MARGIN}" width="{_W - 2 * _MARGIN}" '
         f'height="{_H - 2 * _MARGIN}" fill="none" stroke="black"/>',
-        f'<text x="{_W // 2}" y="{_H - 12}" text-anchor="middle" '
-        f'font-family="sans-serif" font-size="12">{xlabel}</text>',
-        f'<text x="14" y="{_H // 2}" text-anchor="middle" '
-        f'font-family="sans-serif" font-size="12" '
-        f'transform="rotate(-90 14 {_H // 2})">{ylabel}</text>',
+        _text(_W // 2, _H - 12, 12, xlabel, "middle"),
+        _text(14, _H // 2, 12, ylabel, "middle", f' transform="rotate(-90 14 {_H // 2})"'),
     ]
 
 
@@ -80,6 +85,8 @@ def log_log_plot(curves, title="", xlabel="x", ylabel="y", fit_lines=()) -> str:
     all_x = np.concatenate([np.asarray(c[0], dtype=float) for c in curves])
     all_y = np.concatenate([np.asarray(c[1], dtype=float) for c in curves])
     keep = (all_x > 0) & (all_y > 0)
+    if not keep.any():
+        raise ValueError(f"{title}: no point with x > 0 and y > 0 to plot on log axes")
     ax = _Axes(all_x[keep], all_y[keep], log=True)
     parts = _header(title) + _frame(xlabel, ylabel)
     for i, (xs, ys, label) in enumerate(curves):
@@ -88,20 +95,14 @@ def log_log_plot(curves, title="", xlabel="x", ylabel="y", fit_lines=()) -> str:
         color = _COLORS[i % len(_COLORS)]
         parts.append(_polyline(ax, xs[m], ys[m], color))
         if label:
-            parts.append(
-                f'<text x="{_W - _MARGIN - 5}" y="{_MARGIN + 16 + 16 * i}" '
-                f'text-anchor="end" font-family="sans-serif" font-size="11" '
-                f'fill="{color}">{label}</text>'
-            )
+            parts.append(_text(_W - _MARGIN - 5, _MARGIN + 16 + 16 * i, 11, label, "end",
+                               f' fill="{color}"'))
     for i, (slope, intercept, label) in enumerate(fit_lines):
         lx = np.array([10**ax.x0, 10**ax.x1])
         ly = 10**intercept * lx**slope
         parts.append(_polyline(ax, lx, ly, "#333333", dashed=True))
         if label:
-            parts.append(
-                f'<text x="{_MARGIN + 5}" y="{_MARGIN + 16 + 16 * i}" '
-                f'font-family="sans-serif" font-size="11">{label}</text>'
-            )
+            parts.append(_text(_MARGIN + 5, _MARGIN + 16 + 16 * i, 11, label))
     parts.append("</svg>")
     return "\n".join(parts) + "\n"
 
@@ -123,10 +124,7 @@ def scatter_plot(xs, ys, title="", xlabel="x", ylabel="y", labels=None,
     for i, (x, y) in enumerate(zip(ax.px(xs).tolist(), ax.py(ys).tolist())):
         parts.append(f'<circle cx="{x:.2f}" cy="{y:.2f}" r="4" fill="{_COLORS[0]}"/>')
         if labels is not None:
-            parts.append(
-                f'<text x="{x + 6:.2f}" y="{y - 6:.2f}" '
-                f'font-family="sans-serif" font-size="10">{labels[i]}</text>'
-            )
+            parts.append(_text(f"{x + 6:.2f}", f"{y - 6:.2f}", 10, labels[i]))
     parts.append("</svg>")
     return "\n".join(parts) + "\n"
 

@@ -4,7 +4,9 @@ import csv
 import io
 import json
 import math
+import os
 import re
+import subprocess
 import sys
 import tempfile
 import types
@@ -278,6 +280,34 @@ class TestSeriesCsvInput:
         assert run(["spectrum", "--series-csv", path, "--out", tmp_path / "o"]) == 1
         assert f"fatal: {path}, line 4:" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("cmd", ["spectrum", "analyze"])
+    def test_texts_with_series_csv_are_fatal(self, cmd, text_file, series_file,
+                                             tmp_path, capsys):
+        out = tmp_path / "o"
+        assert run([cmd, text_file, "--series-csv", series_file[0], "--out", out]) == 1
+        assert "fatal: give text paths or --series-csv, not both" in capsys.readouterr().err
+        assert not out.exists()
+
+    # In a child process, where numpy's overflow RuntimeWarning stays a
+    # warning as in a real run; raised as an error it would stop the run
+    # before any fit sees the infinities.
+    @pytest.mark.parametrize("cmd", ["spectrum", "analyze", "mfdfa"])
+    def test_overflowing_series_writes_nothing(self, cmd, tmp_path):
+        rng = np.random.default_rng(0)
+        values = rng.choice([-1.0, 1.0], 512) * rng.uniform(0.5, 1.0, 512) * 1e300
+        path = tmp_path / "huge.csv"
+        path.write_text(serialize.series_csv(values, value_name="value"), encoding="utf-8")
+        src = str(Path(tf.__file__).resolve().parents[1])
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+            filter(None, [src, os.environ.get("PYTHONPATH")])))
+        out = tmp_path / "o"
+        proc = subprocess.run(
+            [sys.executable, "-m", "textfract.cli", cmd, "--series-csv", str(path),
+             "--out", str(out)], capture_output=True, text=True, env=env, timeout=120)
+        assert proc.returncode == 1
+        assert "error: huge: cannot fit a line through non-finite values" in proc.stderr
+        assert list(out.iterdir()) == []
+
 
 class TestSpectrumCommand:
     def test_series_csv_input(self, series_file, tmp_path):
@@ -416,6 +446,15 @@ class TestCcdfCommand:
         assert meta["tail_fit"]["n_points"] >= 10
         stdout, stderr = capfd.readouterr()
         assert "RuntimeWarning" not in stderr and "DLASCL" not in stdout + stderr
+
+
+    def test_no_positive_value_writes_nothing(self, tmp_path, capsys):
+        path = tmp_path / "neg.csv"
+        path.write_text("index,value\n1,-1\n2,-2\n3,-3\n4,0\n", encoding="utf-8")
+        out = tmp_path / "out"
+        assert run(["ccdf", "--series-csv", path, "--out", out]) == 1
+        assert "fatal: CCDF: no point with x > 0 and y > 0" in capsys.readouterr().err
+        assert list(out.iterdir()) == []
 
 
 class TestRecurrenceCommand:
@@ -615,6 +654,22 @@ class TestRunner:
         names = sorted(p.name for p in out.iterdir())
         assert [n for n in names if n.startswith("corpus__")] == corpus_files
         assert all(n.endswith("." + fmt) for n in names)
+
+
+class TestSvgText:
+    @pytest.mark.parametrize("argv", [["spectrum"], ["mfdfa"], ["wavelet"], ["zipf"],
+                                      ["ccdf"], ["analyze", "--surrogates", "0"]],
+                             ids=lambda argv: argv[0])
+    @pytest.mark.parametrize("stem", ["R&D", "a<b"])
+    def test_markup_in_a_stem_is_escaped(self, argv, stem, tmp_path):
+        path = tmp_path / f"{stem}.txt"
+        path.write_text(make_text(1200, 7), encoding="utf-8")
+        out = tmp_path / "out"
+        assert run([*argv, path, "--out", out, "--format", "svg"]) == 0
+        texts = []
+        for svg in out.iterdir():
+            texts += [t.text for t in ET.parse(svg).iter("{http://www.w3.org/2000/svg}text")]
+        assert any(stem in t for t in texts)
 
 
 class TestOutputNames:
