@@ -141,14 +141,17 @@ def parse_formats(text) -> set:
     return set(text.split(","))
 
 
-# Each option's own domain, walked by check_args: every float must be
-# finite, an int at least its least value, and a list or file must parse.
+# Each option's own domain, walked by check_args: every float must be finite,
+# an int within its least and most values, and a list or file must parse.
 _LEAST = {"detrend_order": 0, "bins_per_decade": 1, "n_scales": 1, "jobs": 1,
           "surrogates": 0, "seed": 0, "slice_from": 1}
+_MOST = {"bins_per_decade": 100_000}  # _log_bin holds ~20 B per bin, empty or not
 _PARSED = {"format": parse_formats, "lexicon": corpus.AbbreviationLexicon.from_file}
 _FLAGS = {"slice_from": "--from", "slice_to": "--to"}  # else "--" + dest with dashes
 # MFDFA holds n_q x 2*M_s floats per scale: at most a step of 0.02 over [-4, 4]
 _MAX_Q_POINTS = 401
+# the fewest ranks a Zipf slope is fitted through
+_MIN_ZIPF_RANKS = 10
 
 
 def check_args(args):
@@ -159,6 +162,8 @@ def check_args(args):
             raise ValueError(f"{name} must be finite, got {value}")
         if dest in _LEAST and value < _LEAST[dest]:
             raise ValueError(f"{name} must be >= {_LEAST[dest]}, got {value}")
+        if dest in _MOST and value > _MOST[dest]:
+            raise ValueError(f"{name} must be <= {_MOST[dest]}, got {value}")
         if dest in _PARSED and value is not None:
             try:
                 _PARSED[dest](value)
@@ -199,6 +204,9 @@ def check_args(args):
         if args.fit_fmax <= 0 or args.fit_fmin >= 0.5:
             raise ValueError(f"--fit-fmin/--fit-fmax: {args.fit_fmin} to {args.fit_fmax} "
                              "holds at most one periodogram frequency, in (0, 0.5]")
+    if "rank_min" in args and args.rank_max - max(1, args.rank_min) + 1 < _MIN_ZIPF_RANKS:
+        raise ValueError(f"--rank-min/--rank-max: {args.rank_min} to {args.rank_max} holds "
+                         f"fewer than the {_MIN_ZIPF_RANKS} ranks the Zipf fit needs")
     if "slice_to" in args and args.slice_to < args.slice_from:
         raise ValueError(f"--to must be >= --from = {args.slice_from}, got {args.slice_to}")
 
@@ -468,7 +476,7 @@ def zipf_job(name, doc, args, em):
     counts = np.array([e[2] for e in table.entries], dtype=float)
     sel = (ranks >= args.rank_min) & (ranks <= args.rank_max)
     fit = None
-    if sel.sum() >= 10:
+    if sel.sum() >= _MIN_ZIPF_RANKS:
         slope, intercept, _, _ = series._line_fit(np.log10(ranks[sel]), np.log10(counts[sel]))
         fit = {"slope": float(slope), "intercept": float(intercept),
                "rank_range": [args.rank_min, args.rank_max]}

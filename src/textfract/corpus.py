@@ -44,17 +44,11 @@ OTHER = 2
 # the pseudo-word into which all sentence-ending marks pool
 TERMINATOR_SURFACE = "⟨.⟩"
 
-# Maximal letter/digit runs joined by internal apostrophes or hyphens;
-# an ellipsis is one token, any other punctuation one token per char.
-_TOKEN_RE = re.compile(
-    r"(?P<ellipsis>\.\.\.|…)"
-    r"|(?P<word>[^\W_]+(?:['’‘-][^\W_]+)*)"
-    r"|(?P<term>[.?!])"
-    r"|(?P<other>\S)",
-    re.UNICODE,
-)
-_GROUP_KIND = {"ellipsis": TERMINATOR, "word": WORD, "term": TERMINATOR,
-               "other": OTHER}
+# A maximal letter/digit run joined by internal apostrophes or hyphens,
+# or any other non-space character alone. "..." is made "…" first: words
+# hold no ".", so each run of dots splits three at a time from its left.
+_TOKEN_RE = re.compile(r"[^\W_]+(?:['’‘-][^\W_]+)*|\S")
+_TERMINATORS = frozenset("….?!")
 
 _OPENERS = {"(": ")", "[": "]", "{": "}", "“": "”", "«": "»"}
 _CLOSERS = {v: k for k, v in _OPENERS.items()}
@@ -136,27 +130,21 @@ def tokenize(raw, title: str = "", language_tag: str = "en") -> Document:
     """Split raw text (bytes or str) into Word / Terminator / Other
     tokens after NFC normalization. Bytes that are not UTF-8 raise with
     the byte offset."""
-    if isinstance(raw, bytes):
-        digest_src = raw
-        try:
-            text = raw.decode("utf-8")
-        except UnicodeDecodeError as exc:
-            raise ValueError(f"input is not valid utf-8 at byte {exc.start}") from exc
-    else:
-        text = raw
-        digest_src = raw.encode("utf-8")
-    text = unicodedata.normalize("NFC", text)
-    surfaces = []
-    kinds = []
-    for m in _TOKEN_RE.finditer(text):
-        kinds.append(_GROUP_KIND[m.lastgroup])
-        surfaces.append("…" if m.lastgroup == "ellipsis" else m.group())
+    raw = raw.encode("utf-8") if isinstance(raw, str) else raw
+    try:
+        text = raw.decode("utf-8")
+    except UnicodeDecodeError as exc:
+        raise ValueError(f"input is not valid utf-8 at byte {exc.start}") from exc
+    surfaces = _TOKEN_RE.findall(unicodedata.normalize("NFC", text).replace("...", "…"))
+    # [^\W_] is str.isalnum, so only a word starts with a letter or digit
+    kinds = [TERMINATOR if s in _TERMINATORS else WORD if s[0].isalnum() else OTHER
+             for s in surfaces]
     return Document(
         title=title,
         language_tag=language_tag,
         tokens=tuple(surfaces),
         kinds=np.array(kinds, dtype=np.int8),
-        source_hash=hashlib.sha256(digest_src).hexdigest(),
+        source_hash=hashlib.sha256(raw).hexdigest(),
     )
 
 

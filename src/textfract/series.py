@@ -77,6 +77,9 @@ def _line_fit(x, y, w=None):
     y_bar = (w * y).sum(axis=-1)
     dx = x - x_bar
     sxx = (w * dx**2).sum()
+    # the rounding in x_bar and dx is about n * eps * max|x|
+    if not sxx > (n * np.finfo(float).eps * np.abs(x).max()) ** 2:
+        raise ValueError("cannot fit a line: x does not vary beyond rounding")
     slope = (w * dx * (y - y_bar[..., None])).sum(axis=-1) / sxx
     intercept = y_bar - slope * x_bar
     resid = y - (slope[..., None] * x + intercept[..., None])

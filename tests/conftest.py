@@ -3,8 +3,13 @@ import sys
 from pathlib import Path
 
 import pytest
+from hypothesis import settings
 
 sys.path.insert(0, str(Path(__file__).parent))
+
+# every property test draws the same examples on every run
+settings.register_profile("derandomized", derandomize=True, deadline=None)
+settings.load_profile("derandomized")
 
 from _novel import build_novel  # noqa: E402
 

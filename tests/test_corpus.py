@@ -1,16 +1,54 @@
+import re
+import sys
+import unicodedata
 from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 import textfract as tf
-from textfract.corpus import TERMINATOR, WORD, AbbreviationLexicon
+from textfract.corpus import OTHER, TERMINATOR, WORD, AbbreviationLexicon
 from seg_fixtures import CASES
 
 # pieces of random texts that exercise every segmentation rule
 SOUP = ["Alma", "Bert", "Oslo", "the", "cat", "ran", "Mr", "A", "J",
         ".", "?", "!", "...", "…", "(", ")", "[", "]", '"', "“", "”", ","]
+
+# pieces of drawn texts for the tokenizer: every mark the scan or the
+# kinds tell apart, digits, combining marks (e + U+0301 composes under NFC),
+# a zero-width space, ligatures and letters of several scripts
+TOKEN_PIECES = ["...", ".", "…", "?", "!", "'", "’", "‘", "-", "_", "\u0301", "\u0308",
+                "7", "٣", "²", "(", ")", "[", "]", "«", "»", '"', "“", "”", ",",
+                " ", "\n", "\t", "\u00a0", "\u200b", "a", "Q", "e", "é", "ж", "Ω",
+                "中", "ǅ", "ﬁ", "ｆ"]
+
+# The reference tokenizer: one regex match per token, its kind read from
+# the named group that matched. tokenize must agree with it exactly.
+ORACLE_RE = re.compile(
+    r"(?P<ellipsis>\.\.\.|…)"
+    r"|(?P<word>[^\W_]+(?:['’‘-][^\W_]+)*)"
+    r"|(?P<term>[.?!])"
+    r"|(?P<other>\S)",
+    re.UNICODE,
+)
+ORACLE_KIND = {"ellipsis": TERMINATOR, "word": WORD, "term": TERMINATOR, "other": OTHER}
+
+
+def oracle_tokenize(text):
+    surfaces, kinds = [], []
+    for m in ORACLE_RE.finditer(unicodedata.normalize("NFC", text)):
+        kinds.append(ORACLE_KIND[m.lastgroup])
+        surfaces.append("…" if m.lastgroup == "ellipsis" else m.group())
+    return tuple(surfaces), kinds
+
+
+def assert_matches_oracle(text):
+    doc = tf.tokenize(text)
+    surfaces, kinds = oracle_tokenize(text)
+    assert doc.tokens == surfaces
+    assert doc.kinds.tolist() == kinds
+    assert doc.kinds.dtype == np.int8
 
 
 def words_of(doc):
@@ -68,6 +106,27 @@ class TestTokenize:
         a, b = tf.tokenize("He left."), tf.tokenize("He left.")
         assert a == a and a != b
         assert len({a, b, a}) == 2
+
+    # "..." is made "…" before the scan: every run of dots must split as
+    # the reference splits it, three at a time from the left
+    @pytest.mark.parametrize("text", [
+        *(c[0] for c in CASES), "..", "....", ".....", "......", "a...b", "a....b",
+        "…...", "?...!", "x_y 3.14 ’tis rock-’n’-roll", "e\u0301...E\u0301",
+    ])
+    def test_matches_oracle(self, text):
+        assert_matches_oracle(text)
+
+    @settings(max_examples=300)
+    @given(st.lists(st.sampled_from(TOKEN_PIECES), max_size=40).map("".join))
+    @example("Wait.... What?! ’Twas «ﬁne»...")
+    def test_matches_oracle_on_drawn_text(self, text):
+        assert_matches_oracle(text)
+
+    def test_word_class_is_isalnum(self):
+        # the scan takes words by [^\W_], the kinds by str.isalnum: the two
+        # must accept the same code points
+        every = "".join(map(chr, range(sys.maxunicode + 1)))
+        assert set(re.findall(r"[^\W_]", every)) == set(filter(str.isalnum, every))
 
 
 class TestSegmentation:
@@ -298,6 +357,9 @@ class TestNovelScale:
         slv = tf.sentence_length_series(sents)
         assert report.n_sentences == len(lengths)
         np.testing.assert_array_equal(slv.values, lengths)
+
+    def test_tokens_match_oracle(self, novel):
+        assert_matches_oracle(novel[0])
 
     def test_zipf_midrank_slope(self, novel):
         text, _ = novel

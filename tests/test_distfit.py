@@ -43,7 +43,7 @@ class TestCcdf:
         np.testing.assert_array_equal(c1.lengths, c2.lengths)
         np.testing.assert_allclose(c1.F, c2.F)
 
-    @settings(max_examples=25, deadline=None)
+    @settings(max_examples=25)
     @given(values=st.lists(st.integers(1, 300) | st.floats(-1e6, 1e6),
                            min_size=1, max_size=500),
            seed=st.integers(0, 2**16))

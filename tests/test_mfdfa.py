@@ -228,7 +228,7 @@ class TestGeneralizedHurst:
             M.fit_generalized_hurst(surf)
 
 
-    @settings(max_examples=25, deadline=None)
+    @settings(max_examples=25)
     @given(seed=st.integers(0, 2**16), log_a=st.floats(-3, 3), negate=st.booleans(),
            b=st.floats(-1e3, 1e3))
     def test_h_invariant_under_affine_map(self, seed, log_a, negate, b):

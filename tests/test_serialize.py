@@ -201,7 +201,7 @@ def columns(draw, k, n=None, kind="float"):
     return cols
 
 
-ORACLE = settings(max_examples=8, deadline=None, derandomize=True)
+ORACLE = settings(max_examples=8)
 FLOAT_TABLES = {
     "spectrum_csv": (["frequency", "power"], ["freqs", "power"]),
     "hurst_csv": (["q", "h", "h_stderr"], ["q_values", "h", "h_stderr"]),

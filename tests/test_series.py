@@ -83,7 +83,7 @@ class TestPhaseRandomizedSurrogate:
         surr = tf.phase_randomized_surrogate(x, 5)
         assert_amplitudes_match(surr.values, x)
 
-    @settings(max_examples=25, deadline=None)
+    @settings(max_examples=25)
     @given(n=st.integers(4, 4096), loc=st.floats(-100, 100), centred=st.booleans(),
            data_seed=st.integers(0, 2**16), seed=st.integers(0, 2**16))
     def test_amplitudes_preserved_property(self, n, loc, centred, data_seed, seed):
@@ -246,3 +246,22 @@ class TestLineFit:
         y = 0.5 * x + 2.0 + np.random.default_rng(3).normal(0, 0.1, len(x))
         slope, intercept, _, resid = _line_fit(x, y)
         np.testing.assert_allclose(resid, y - (slope * x + intercept), atol=1e-15)
+
+    @pytest.mark.parametrize("x", [
+        np.zeros(5),
+        np.full(7, 3.5),
+        np.log(1e15 + np.arange(20.0)),  # a few ulps apart
+        np.array([1.0, 1.0 + 2**-52, 1.0, 1.0 + 2**-51]),
+    ], ids=["zeros", "constant", "logs_of_close_lengths", "ulp_steps"])
+    def test_x_varying_only_by_rounding_is_rejected(self, x):
+        y = np.arange(len(x), dtype=float)
+        with pytest.raises(ValueError, match="x does not vary beyond rounding"):
+            _line_fit(x, y)
+        with pytest.raises(ValueError, match="x does not vary beyond rounding"):
+            _line_fit(x, np.vstack([y, -y]), np.ones(len(x)))
+
+    def test_x_varying_beyond_rounding_is_fitted(self):
+        # lengths 1e6 apart at 1e15: their logs differ by 1e-9, far past rounding
+        x = np.log(1e15 + 1e6 * np.arange(20.0))
+        slope, _, _, _ = _line_fit(x, 2.0 * x)
+        assert slope == pytest.approx(2.0, rel=1e-3)
