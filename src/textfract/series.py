@@ -87,6 +87,16 @@ def _line_fit(x, y, w=None):
     return slope, intercept, np.sqrt(sigma2 / (sxx * n)), resid
 
 
+def _random_phases(spec, n: int, seed: int) -> np.ndarray:
+    """The real length-n series whose rfft has the amplitudes ``|spec|``
+    and uniform random phases. DC and, for even n, the Nyquist bin must
+    stay real: each keeps the sign of its real part in ``spec``."""
+    phases = np.random.default_rng(seed).uniform(0.0, 2.0 * np.pi, size=len(spec))
+    real_bins = [0, -1] if n % 2 == 0 else [0]
+    phases[real_bins] = np.where(np.real(spec[real_bins]) >= 0, 0.0, np.pi)
+    return np.fft.irfft(np.abs(spec) * np.exp(1j * phases), n=n)
+
+
 def profile(s) -> Profile:
     """Cumulative demeaned sum L(j) of the series.
 
@@ -128,16 +138,8 @@ def phase_randomized_surrogate(s, seed: int) -> Series:
     n = len(x)
     if n < 4:
         raise ValueError("series too short for phase randomization (need >= 4 points)")
-    spec = np.fft.rfft(x)
-    rng = np.random.default_rng(seed)
-    amplitudes = np.abs(spec)
-    phases = rng.uniform(0.0, 2.0 * np.pi, size=len(spec))
-    # DC keeps its sign; for even n the last bin is Nyquist and must stay real.
-    phases[0] = 0.0 if spec[0].real >= 0 else np.pi
-    if n % 2 == 0:
-        phases[-1] = 0.0 if spec[-1].real >= 0 else np.pi
-    surrogate = np.fft.irfft(amplitudes * np.exp(1j * phases), n=n)
-    return Series(surrogate, provenance={"kind": "phase_randomized", "seed": int(seed)})
+    return Series(_random_phases(np.fft.rfft(x), n, seed),
+                  provenance={"kind": "phase_randomized", "seed": int(seed)})
 
 
 def generate_binomial_cascade(p: float, levels: int) -> Series:
@@ -193,15 +195,10 @@ def generate_fgn(H: float, n: int, seed: int) -> Series:
         raise ValueError(f"H must be in (0, 1), got {H}")
     if n < 64:
         raise ValueError(f"n must be >= 64, got {n}")
-    rng = np.random.default_rng(seed)
     freqs = np.fft.rfftfreq(n)
     amplitudes = np.zeros(len(freqs))
     amplitudes[1:] = freqs[1:] ** (-(2.0 * H - 1.0) / 2.0)
-    phases = rng.uniform(0.0, 2.0 * np.pi, size=len(freqs))
-    phases[0] = 0.0
-    if n % 2 == 0:
-        phases[-1] = 0.0
-    x = np.fft.irfft(amplitudes * np.exp(1j * phases), n=n)
+    x = _random_phases(amplitudes, n, seed)
     x = (x - x.mean()) / x.std()
     return Series(x, provenance={"kind": "fgn", "H": H, "n": n, "seed": int(seed)})
 

@@ -119,6 +119,50 @@ class TestPhaseRandomizedSurrogate:
             tf.phase_randomized_surrogate([1.0, 2.0, 3.0], 0)
 
 
+def oracle_phase_surrogate(x, seed):
+    """The phase surrogate as it was written before fGn and the surrogate
+    shared one random-phase synthesis."""
+    n = len(x)
+    spec = np.fft.rfft(x)
+    rng = np.random.default_rng(seed)
+    amplitudes = np.abs(spec)
+    phases = rng.uniform(0.0, 2.0 * np.pi, size=len(spec))
+    phases[0] = 0.0 if spec[0].real >= 0 else np.pi
+    if n % 2 == 0:
+        phases[-1] = 0.0 if spec[-1].real >= 0 else np.pi
+    return np.fft.irfft(amplitudes * np.exp(1j * phases), n=n)
+
+
+class TestPhaseSurrogateOracle:
+    @pytest.mark.parametrize("n", [4, 5, 64, 65, 4096, 4097])
+    def test_matches_oracle(self, n):
+        x = np.random.default_rng(n).normal(loc=3.0, size=n)
+        for seed in (0, 1, 99):
+            got = tf.phase_randomized_surrogate(x, seed).values
+            assert np.array_equal(got, oracle_phase_surrogate(x, seed))
+
+    @pytest.mark.parametrize("n", [64, 65])
+    def test_negative_dc_bin(self, n):
+        x = np.random.default_rng(8).normal(loc=-5.0, size=n)
+        assert np.fft.rfft(x)[0].real < 0
+        got = tf.phase_randomized_surrogate(x, 4).values
+        assert np.array_equal(got, oracle_phase_surrogate(x, 4))
+
+    def test_negative_nyquist_bin(self):
+        k = np.arange(256)
+        x = 2.0 - (-1.0) ** k + np.random.default_rng(9).normal(scale=0.1, size=256)
+        spec = np.fft.rfft(x)
+        assert spec[0].real > 0 and spec[-1].real < 0
+        got = tf.phase_randomized_surrogate(x, 4).values
+        assert np.array_equal(got, oracle_phase_surrogate(x, 4))
+
+    @pytest.mark.parametrize("n", [4096, 4097])
+    def test_fgn_input(self, n):
+        x = tf.generate_fgn(0.75, n, 5).values
+        got = tf.phase_randomized_surrogate(x, 6).values
+        assert np.array_equal(got, oracle_phase_surrogate(x, 6))
+
+
 class TestBinomialCascade:
     def test_sum_is_one(self):
         for levels in (1, 5, 12):
