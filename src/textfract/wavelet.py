@@ -39,10 +39,10 @@ def default_scales(n: int, n_scales: int = 50) -> np.ndarray:
     return np.logspace(np.log10(4.0), np.log10(s_max), n_scales)
 
 
-def wavelet_map(s_series, scales=None, positions=None) -> WaveletMap:
+def wavelet_map(s_series, scales=None) -> WaveletMap:
     """T(s, k) = (1/sqrt(s)) * sum_j l(j) psi((j - k)/s) for every
-    requested scale and position, each scale's row computed as one FFT
-    correlation of the series with the sampled wavelet.
+    scale and every position k = 1..n, each scale's row computed as one
+    FFT correlation of the series with the sampled wavelet.
 
     The series is not extended past its ends (the FFT's zero padding
     only keeps the correlation from wrapping); coefficients whose
@@ -58,14 +58,10 @@ def wavelet_map(s_series, scales=None, positions=None) -> WaveletMap:
         raise ValueError("scales must be positive")
     if n < 4 * scales.min():
         raise ValueError(f"series length {n} < 4 * min scale {scales.min()}")
-    if positions is None:
-        positions = np.arange(1, n + 1)
-    positions = np.asarray(positions, dtype=int)
-    if positions.min() < 1 or positions.max() > n:
-        raise ValueError("positions must lie within the series (1-based)")
 
-    coeffs = np.empty((len(scales), len(positions)))
-    boundary = np.empty((len(scales), len(positions)), dtype=bool)
+    k = np.arange(n)  # 0-based positions
+    coeffs = np.empty((len(scales), n))
+    boundary = np.empty((len(scales), n), dtype=bool)
     x_spectra = {}  # rfft of the series, once per padded length
     for i, s in enumerate(scales):
         half = SUPPORT_HALF_WIDTH * s
@@ -73,8 +69,7 @@ def wavelet_map(s_series, scales=None, positions=None) -> WaveletMap:
         d = np.arange(-offset, offset + 1, dtype=float)
         kernel = mother_wavelet(d / s)
         # full correlation with the sampled wavelet by FFT, zero-padded to
-        # the next power of two >= n + len(kernel) - 1 so nothing wraps;
-        # then pick positions.
+        # the next power of two >= n + len(kernel) - 1 so nothing wraps
         nfft = 1 << (n + len(kernel) - 2).bit_length()
         if nfft not in x_spectra:
             x_spectra[nfft] = np.fft.rfft(x, nfft)
@@ -82,9 +77,7 @@ def wavelet_map(s_series, scales=None, positions=None) -> WaveletMap:
         # temporary, which moves the map's last bits from n = 16,384 up
         full = np.fft.irfft(
             np.multiply(x_spectra[nfft], np.fft.rfft(kernel[::-1], nfft)), nfft)
-        row = full[offset : offset + n] / np.sqrt(s)
-        coeffs[i] = row[positions - 1]
-        boundary[i] = (positions - 1 < half) | (positions - 1 > n - 1 - half)
-    return WaveletMap(
-        scales=scales, positions=positions, coefficients=coeffs, boundary=boundary
-    )
+        coeffs[i] = full[offset : offset + n] / np.sqrt(s)
+        boundary[i] = (k < half) | (k > n - 1 - half)
+    return WaveletMap(scales=scales, positions=k + 1, coefficients=coeffs,
+                      boundary=boundary)

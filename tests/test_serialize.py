@@ -77,16 +77,15 @@ class TestCsvEmitters:
 
     def test_wavelet_csv_row_count(self):
         wm = tf.wavelet_map(np.random.default_rng(1).normal(size=200),
-                            scales=[5.0, 10.0], positions=[50, 100, 150])
+                            scales=[5.0, 10.0])
         rows = parse_csv(serialize.wavelet_csv(wm))
         assert rows[0] == ["scale", "position", "coefficient", "boundary"]
-        assert len(rows) == 1 + 2 * 3
+        assert len(rows) == 1 + 2 * 200
 
     def test_wavelet_csv_matches_csv_writer_rows(self):
         # the row formatting of the csv.writer version, kept as the oracle
         x = np.random.default_rng(3).normal(size=200) * 1e3
-        wm = tf.wavelet_map(x, scales=np.logspace(np.log10(4.0), np.log10(20.0), 3),
-                            positions=[1, 2, 60, 199, 200])
+        wm = tf.wavelet_map(x, scales=np.logspace(np.log10(4.0), np.log10(20.0), 3))
         buf = io.StringIO()
         w = csv.writer(buf, lineterminator="\n")
         w.writerow(["scale", "position", "coefficient", "boundary"])
