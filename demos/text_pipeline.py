@@ -27,8 +27,9 @@ def main():
     args = ap.parse_args()
 
     with open(args.path, "rb") as fh:
-        doc = tf.tokenize(fh.read(), title=args.path, language_tag=args.language)
-    spans, report = tf.segment_sentences(doc)
+        doc = tf.tokenize(fh.read(), title=args.path)
+    lexicon = tf.AbbreviationLexicon.for_language(args.language)
+    spans, report = tf.segment_sentences(doc, lexicon)
     slv = tf.sentence_length_series(spans)
     print(f"{report.n_sentences} sentences, mean length "
           f"{slv.values.mean():.1f} words")

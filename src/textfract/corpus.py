@@ -61,7 +61,6 @@ class Document:
     TERMINATOR or OTHER). Documents compare and hash by identity."""
 
     title: str
-    language_tag: str
     tokens: tuple  # str surfaces
     kinds: np.ndarray  # int8 kind codes
     source_hash: str
@@ -126,7 +125,7 @@ class AbbreviationLexicon:
             return cls.from_file(file)
 
 
-def tokenize(raw, title: str = "", language_tag: str = "en") -> Document:
+def tokenize(raw, title: str = "") -> Document:
     """Split raw text (bytes or str) into Word / Terminator / Other
     tokens after NFC normalization. Bytes that are not UTF-8 raise with
     the byte offset."""
@@ -141,7 +140,6 @@ def tokenize(raw, title: str = "", language_tag: str = "en") -> Document:
              for s in surfaces]
     return Document(
         title=title,
-        language_tag=language_tag,
         tokens=tuple(surfaces),
         kinds=np.array(kinds, dtype=np.int8),
         source_hash=hashlib.sha256(raw).hexdigest(),
@@ -163,8 +161,9 @@ def segment_sentences(doc: Document, lexicon: AbbreviationLexicon | None = None)
     Returns (spans, report). A terminator closes the current span
     unless one of the exception rules fires; spans without any word are
     skipped, and so is an unterminated tail (both counted in the report).
+    The lexicon defaults to the bundled English one.
     """
-    lexicon = lexicon if lexicon is not None else AbbreviationLexicon.for_language(doc.language_tag)
+    lexicon = lexicon if lexicon is not None else AbbreviationLexicon.for_language("en")
     tokens, kinds = doc.tokens, doc.kinds
     is_word = kinds == WORD
     # words and terminators in token order: the word after a mark, if

@@ -153,8 +153,8 @@ class TestSegmentation:
         assert report.trailing_tokens_dropped > 0
 
     def test_unknown_language_falls_back_to_initials_only(self):
-        doc = tf.tokenize("Mr. Smith left. He ran.", language_tag="xx")
-        sents, _ = tf.segment_sentences(doc)
+        doc = tf.tokenize("Mr. Smith left. He ran.")
+        sents, _ = tf.segment_sentences(doc, tf.AbbreviationLexicon.for_language("xx"))
         # without a lexicon "Mr." splits; initials rule alone remains
         assert sents.words.tolist() == [1, 2, 2]
 
