@@ -257,13 +257,6 @@ def load_slv(path, args) -> series.Series:
     return series.Series(slv.values, {**slv.provenance, "segmentation": asdict(report)})
 
 
-def load_series(source, args) -> series.Series:
-    """The --series-csv values, or the sentence-length series of a text path."""
-    if isinstance(source, np.ndarray):
-        return series.Series(source, {"series_csv": args.series_csv})
-    return load_slv(source, args)
-
-
 # --------------------------------------------------------------------------
 # the per-input runner
 
@@ -284,7 +277,7 @@ def each_input(args, job):
     """Load each input and run ``job(name, loaded, args, em)`` on it in
     up to --jobs processes. A text loads as its series, or as its
     Document where the command has no --series-csv; the --series-csv
-    values are read here, before any job. Two texts with the same stem
+    values are read into their Series here, before any job. Two texts with the same stem
     are rejected before any read, since they would write the same files.
     Returns the run's Emitter, the results of the inputs that did not
     raise, in input order, and the status: 0, 2 or 1 when all, some or
@@ -292,7 +285,8 @@ def each_input(args, job):
     if csv_path := getattr(args, "series_csv", None):
         if args.paths:
             raise ValueError("give text paths or --series-csv, not both")
-        inputs = [(Path(csv_path).stem, read_series_csv(csv_path))]
+        inputs = [(Path(csv_path).stem,
+                   series.Series(read_series_csv(csv_path), {"series_csv": csv_path}))]
     elif args.paths:
         inputs = [(Path(p).stem, p) for p in sorted(args.paths)]
         first = {}  # each output file is named after its input's stem
@@ -319,9 +313,10 @@ def each_input(args, job):
 
 
 def _run_job(job, name, source, args, em):
-    load = load_series if "series_csv" in args else load_document
     try:
-        return True, job(name, load(source, args), args, em)
+        if not isinstance(source, series.Series):  # a text path
+            source = (load_slv if "series_csv" in args else load_document)(source, args)
+        return True, job(name, source, args, em)
     except Exception as exc:  # one bad input never sinks the batch
         return False, str(exc)
 
