@@ -145,7 +145,10 @@ def parse_formats(text) -> set:
 # an int within its least and most values, and a list or file must parse.
 _LEAST = {"detrend_order": 0, "bins_per_decade": 1, "n_scales": 1, "jobs": 1,
           "surrogates": 0, "seed": 0, "slice_from": 1}
-_MOST = {"bins_per_decade": 100_000}  # _log_bin holds ~20 B per bin, empty or not
+# _log_bin holds ~20 B per bin, empty or not; on 16,384 sentences each wavelet
+# scale holds 147 kB of map and writes 0.72 MB of CSV
+_MOST = {"bins_per_decade": 100_000, "n_scales": 1_000,
+         "detrend_order": mfdfa.MAX_DETREND_ORDER}
 _PARSED = {"format": parse_formats, "lexicon": corpus.AbbreviationLexicon.from_file}
 _FLAGS = {"slice_from": "--from", "slice_to": "--to"}  # else "--" + dest with dashes
 # MFDFA holds n_q x 2*M_s floats per scale: at most a step of 0.02 over [-4, 4]

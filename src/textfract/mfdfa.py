@@ -39,6 +39,9 @@ __all__ = [
 
 _N_SCALES = 30  # log-spaced points of the default scale grid
 MIN_FIT_SCALES = 6  # fewest scales an h(q) fit accepts
+# the monomial basis on k = 1..s loses F^2's digits as the order grows:
+# relative errors of 9e-11 at order 10, 3e-7 at 15 and 2e-3 at 20 on fGn
+MAX_DETREND_ORDER = 10
 
 
 @dataclass(frozen=True)
@@ -100,6 +103,8 @@ def detrended_variance(p: Profile, nu: int, s: int, m: int = 2) -> float:
     L = p.values
     n = len(L)
     ms = n // s
+    if not 0 <= m <= MAX_DETREND_ORDER:
+        raise ValueError(f"polynomial order {m} not in 0..{MAX_DETREND_ORDER}")
     if s <= m + 1:
         raise ValueError(f"scale {s} too small for polynomial order {m}")
     if not (1 <= nu <= 2 * ms):
@@ -131,8 +136,8 @@ def segment_variances(p: Profile, s: int, m: int = 2) -> np.ndarray:
     ms = n // s
     if ms < 1:
         raise ValueError(f"scale {s} exceeds series length {n}")
-    if m < 0:
-        raise ValueError(f"polynomial order {m} < 0")
+    if not 0 <= m <= MAX_DETREND_ORDER:
+        raise ValueError(f"polynomial order {m} not in 0..{MAX_DETREND_ORDER}")
     if s <= m + 1:
         raise ValueError(f"scale {s} too small for polynomial order {m}")
     k = np.arange(1, s + 1, dtype=float)

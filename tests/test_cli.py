@@ -184,6 +184,11 @@ class TestParser:
         (["analyze", "--bins-per-decade", "100000000"], "--bins-per-decade must be <= 100000"),
         (["recurrence", "--target", "the", "--bins-per-decade", "100001"],
          "--bins-per-decade must be <= 100000"),
+        (["mfdfa", "--detrend-order", "11"], "--detrend-order must be <= 10, got 11"),
+        (["analyze", "--detrend-order", "30"], "--detrend-order must be <= 10, got 30"),
+        (["recurrence", "--target", "the", "--detrend-order", "11"],
+         "--detrend-order must be <= 10"),
+        (["wavelet", "--n-scales", "1001"], "--n-scales must be <= 1000, got 1001"),
     ], ids=["q_step_zero", "unknown_format", "jobs_zero", "negative_surrogates",
             "q_grid_without_two", "q_grid_too_short", "half_fit_range",
             "negative_detrend_order", "analyze_negative_detrend_order", "n_scales_zero",
@@ -200,7 +205,9 @@ class TestParser:
             "analyze_fit_fmin_at_nyquist", "recurrence_fit_range_negative",
             "q_grid_too_fine", "analyze_q_grid_one_past_bound", "zipf_six_ranks",
             "zipf_ranks_reversed", "zipf_nine_ranks_from_one", "bins_per_decade_above_most",
-            "analyze_bins_per_decade_huge", "recurrence_bins_per_decade_above_most"])
+            "analyze_bins_per_decade_huge", "recurrence_bins_per_decade_above_most",
+            "detrend_order_above_most", "analyze_detrend_order_far_above_most",
+            "recurrence_detrend_order_above_most", "n_scales_above_most"])
     def test_bad_option_value_is_fatal_before_reading(self, argv, flag, tmp_path, capsys):
         # the input does not exist: the value must be rejected before any read
         out = tmp_path / "o"
@@ -242,9 +249,10 @@ DRAWN = {
     "q_min": [-4.0, 2.0, 2.5, *EXTREMES], "q_max": [4.0, 2.0, 1.5, *EXTREMES],
     "q_step": [0.25, 0.1, 0.0, -0.25, *EXTREMES],
     "scale_min": [20, 4, 3, 2], "scale_max": [25, 24, 21, 20],
-    "detrend_order": [2, 0, -1], "bins_per_decade": [20, 1, 0],
+    "detrend_order": [2, 0, -1, 10, 11], "bins_per_decade": [20, 1, 0],
     "fit_fmin": [0.01, 0.1, *EXTREMES], "fit_fmax": [0.1, 0.5, *EXTREMES],
-    "n_scales": [50, 1, 0], "seed": [0, -1], "surrogates": [1, 0, -1], "jobs": [2, 1, 0],
+    "n_scales": [50, 1, 0, 1000, 1001], "seed": [0, -1], "surrogates": [1, 0, -1],
+    "jobs": [2, 1, 0],
     "tail_start": [100.0, *EXTREMES], "min_sentences": [5000, 1, 0],
     "rank_min": [10, 1, 0], "rank_max": [1000, 10, 0],
     "slice_from": [1, 0, 2], "slice_to": [2, 1, 1024, 1025],

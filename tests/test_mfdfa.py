@@ -175,6 +175,17 @@ class TestFluctuationSurface:
             M.fluctuation_surface(np.random.default_rng(0).normal(size=400),
                                   scales=[20, 40], m=-1)
 
+    def test_order_above_most_rejected(self):
+        # the monomial basis loses F^2's digits above MAX_DETREND_ORDER = 10
+        prof = tf.profile(np.random.default_rng(0).normal(size=400))
+        assert M.MAX_DETREND_ORDER == 10
+        assert M.segment_variances(prof, 20, m=10)[0] == pytest.approx(
+            M.detrended_variance(prof, 1, 20, m=10), rel=1e-6)
+        with pytest.raises(ValueError, match="order 11 not in 0..10"):
+            M.segment_variances(prof, 20, m=11)
+        with pytest.raises(ValueError, match="order 11 not in 0..10"):
+            M.detrended_variance(prof, 1, 20, m=11)
+
 
 def polyfit_generalized_hurst(surf):
     """Reference: one np.polyfit(cov=True) per q over the full scale grid."""
