@@ -1,0 +1,34 @@
+import importlib.util
+from pathlib import Path
+
+TOOL = Path(__file__).resolve().parents[1] / "tools" / "diff_outputs.py"
+spec = importlib.util.spec_from_file_location("diff_outputs", TOOL)
+diff_outputs = importlib.util.module_from_spec(spec)
+spec.loader.exec_module(diff_outputs)
+
+
+def side(root, files, code=0, err=b"wrote <out>/a.csv\n"):
+    out = root / "out"
+    for name, content in files.items():
+        (out / name).parent.mkdir(parents=True, exist_ok=True)
+        (out / name).write_bytes(content)
+    return code, b"", err, out
+
+
+def test_identical_runs_have_no_difference(tmp_path):
+    old = side(tmp_path / "old", {"a.csv": b"1\n", "sub/b.svg": b"<svg/>"})
+    new = side(tmp_path / "new", {"a.csv": b"1\n", "sub/b.svg": b"<svg/>"})
+    assert diff_outputs.differences("run", old, new) == []
+
+
+def test_each_difference_is_named(tmp_path):
+    old = side(tmp_path / "old", {"a.csv": b"1\n", "gone.json": b"{}"})
+    new = side(tmp_path / "new", {"a.csv": b"2\n", "extra.json": b"{}"}, code=2,
+               err=b"error: x\n")
+    assert sorted(diff_outputs.differences("run", old, new)) == [
+        "run: a.csv differs", "run: exit code differs", "run: only in NEW: extra.json",
+        "run: only in OLD: gone.json", "run: stderr differs"]
+
+
+def test_a_run_that_wrote_nothing_has_no_files(tmp_path):
+    assert diff_outputs.files(tmp_path / "never_made") == {}

@@ -1,0 +1,131 @@
+"""Run the textfract CLI from two source trees on the same fixed inputs
+and report every way the runs differ.
+
+    python3 tools/diff_outputs.py OLD_SRC NEW_SRC
+
+OLD_SRC and NEW_SRC are ``src`` directories, each holding the
+``textfract`` package; one may be unpacked from an older commit with
+``git archive``. The inputs are written once to a temporary directory:
+the synthetic novel of ``tests/_novel.py``, a copy of it whose full
+stops turn in turn into ``...``, ``…``, ``....``, ``?`` and ``!`` (plus
+``snake_case 3.14 a...b``), an empty text, and a seeded float series as
+an ``index,value`` CSV. Every subcommand runs at least once on each
+side. For each run the exit code, stdout, stderr (with the output
+directory written as ``<out>``, and its lines sorted where ``--jobs``
+runs them in parallel), the list of output files and each file's bytes
+are compared. Each difference is printed, and the exit
+code is 1 if there is any, else 0.
+"""
+
+from __future__ import annotations
+
+import argparse
+import os
+import subprocess
+import sys
+import tempfile
+from pathlib import Path
+
+import numpy as np
+
+REPO = Path(__file__).resolve().parents[1]
+
+# one CLI call per entry; the text and CSV names are those of write_inputs
+RUNS = {
+    "analyze_j1": ["analyze", "novel.txt", "marks.txt", "--surrogates", "2"],
+    "analyze_j2": ["analyze", "novel.txt", "marks.txt", "--surrogates", "2", "--jobs", "2"],
+    "analyze_csv": ["analyze", "--series-csv", "noise.csv"],
+    "spectrum_de_chars": ["spectrum", "novel.txt", "marks.txt", "empty.txt",
+                          "--language", "de", "--unit", "chars"],
+    "spectrum_csv": ["spectrum", "--series-csv", "noise.csv"],
+    "mfdfa": ["mfdfa", "marks.txt"],
+    "wavelet": ["wavelet", "novel.txt"],
+    "wavelet_csv": ["wavelet", "--series-csv", "noise.csv", "--n-scales", "20"],
+    "surrogate_shuffle": ["surrogate", "novel.txt"],
+    "surrogate_phase": ["surrogate", "--series-csv", "noise.csv", "--kind", "phase",
+                        "--surrogates", "2", "--seed", "3"],
+    "zipf": ["zipf", "novel.txt", "marks.txt", "--include-terminators"],
+    "ccdf_pooled": ["ccdf", "novel.txt", "marks.txt", "--tail-start", "20"],
+    "ccdf_csv": ["ccdf", "--series-csv", "noise.csv", "--tail-start", "1"],
+    "recurrence_the": ["recurrence", "novel.txt", "--target", "the"],
+    "recurrence_stop": ["recurrence", "marks.txt", "--target", "."],
+    "slice": ["slice", "marks.txt", "--from", "100", "--to", "5000"],
+}
+
+
+def write_inputs(folder: Path, src: Path):
+    """The fixed inputs; ``src`` supplies the textfract that the novel's
+    generator imports."""
+    sys.path[:0] = [str(src.resolve()), str(REPO / "tests")]
+    from _novel import build_novel
+
+    text, _ = build_novel()
+    (folder / "novel.txt").write_text(text, encoding="utf-8")
+    marks = ["...", "…", "....", "?", "!"]
+    parts = text.split(".\n")
+    marked = "".join(p + marks[i % len(marks)] + "\n" for i, p in enumerate(parts[:-1]))
+    (folder / "marks.txt").write_text(marked + parts[-1] + "snake_case 3.14 a...b\n",
+                                      encoding="utf-8")
+    (folder / "empty.txt").write_bytes(b"")
+    values = np.random.default_rng(20261018).lognormal(2.0, 0.5, 2**14)
+    (folder / "noise.csv").write_text(
+        "index,value\n" + "".join(f"{i},{v!r}\n" for i, v in enumerate(values.tolist(), 1)),
+        encoding="utf-8")
+
+
+def run_side(src: Path, inputs: Path, outs: Path) -> dict:
+    """Run every entry of RUNS with ``src`` first on the path; returns
+    name -> (exit code, stdout, stderr, output directory)."""
+    env = {**os.environ, "PYTHONPATH": str(src.resolve())}
+    results = {}
+    for name, argv in RUNS.items():
+        out = outs / name
+        proc = subprocess.run([sys.executable, "-m", "textfract.cli", *argv, "--out", str(out)],
+                              cwd=inputs, env=env, capture_output=True)
+        err = proc.stderr.replace(os.fsencode(out), b"<out>").splitlines(keepends=True)
+        if "--jobs" in argv:  # parallel workers log in no fixed order
+            err.sort()
+        results[name] = (proc.returncode, proc.stdout, b"".join(err), out)
+    return results
+
+
+def files(out: Path) -> dict:
+    """Relative name -> path of each file a run wrote (none if no --out)."""
+    return {str(p.relative_to(out)): p for p in sorted(out.rglob("*")) if p.is_file()}
+
+
+def differences(name: str, old, new) -> list:
+    """One line per way run ``name`` differs between the two sides."""
+    lines = [f"{name}: {what} differs" for what, a, b in
+             zip(("exit code", "stdout", "stderr"), old[:3], new[:3]) if a != b]
+    old_files, new_files = files(old[3]), files(new[3])
+    lines += [f"{name}: only in OLD: {f}" for f in old_files.keys() - new_files.keys()]
+    lines += [f"{name}: only in NEW: {f}" for f in new_files.keys() - old_files.keys()]
+    lines += [f"{name}: {f} differs" for f in sorted(old_files.keys() & new_files.keys())
+              if old_files[f].read_bytes() != new_files[f].read_bytes()]
+    return lines
+
+
+def main(argv=None) -> int:
+    ap = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
+    ap.add_argument("old_src", type=Path)
+    ap.add_argument("new_src", type=Path)
+    args = ap.parse_args(argv)
+    with tempfile.TemporaryDirectory() as tmp:
+        tmp = Path(tmp)
+        inputs = tmp / "inputs"
+        inputs.mkdir()
+        write_inputs(inputs, args.new_src)
+        old = run_side(args.old_src, inputs, tmp / "old")
+        new = run_side(args.new_src, inputs, tmp / "new")
+        lines = [line for name in RUNS for line in differences(name, old[name], new[name])]
+        n_files = sum(len(files(old[name][3])) for name in RUNS)
+    for line in lines:
+        print(line)
+    print(f"{len(RUNS)} runs, {n_files} files on the OLD side: "
+          f"{len(lines) or 'no'} difference{'s' * (len(lines) != 1)}")
+    return 1 if lines else 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())
