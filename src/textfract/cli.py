@@ -280,11 +280,11 @@ def each_input(args, job):
     """Load each input and run ``job(name, loaded, args, em)`` on it in
     up to --jobs processes. A text loads as its series, or as its
     Document where the command has no --series-csv; the --series-csv
-    values are read into their Series here, before any job. Two texts with the same stem
-    are rejected before any read, since they would write the same files.
-    Returns the run's Emitter, the results of the inputs that did not
-    raise, in input order, and the status: 0, 2 or 1 when all, some or
-    none succeeded."""
+    values are read into their Series here, before any job. Two texts
+    with the same stem are rejected before any read, since they would
+    write the same files. Returns the run's Emitter, the results of the
+    inputs that did not raise, in input order, and the status: 0, 2 or 1
+    when all, some or none succeeded."""
     if csv_path := getattr(args, "series_csv", None):
         if args.paths:
             raise ValueError("give text paths or --series-csv, not both")
