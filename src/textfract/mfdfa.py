@@ -15,6 +15,7 @@ Conventions fixed here and reported with every result:
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 
 import numpy as np
@@ -120,6 +121,17 @@ def detrended_variance(p: Profile, nu: int, s: int, m: int = 2) -> float:
     return float(np.mean(resid**2))
 
 
+@functools.lru_cache(maxsize=_N_SCALES)
+def _trend_basis(s: int, m: int) -> np.ndarray:
+    """Orthonormal basis (s, m + 1) of the order-``m`` polynomials on
+    k = 1..s. Every MFDFA pass over one scale grid shares it, so it is
+    read-only; the cache holds one default grid."""
+    k = np.arange(1, s + 1, dtype=float)
+    q_mat, _ = np.linalg.qr(np.vander(k, m + 1))
+    q_mat.flags.writeable = False
+    return q_mat
+
+
 def segment_variances(p: Profile, s: int, m: int = 2) -> np.ndarray:
     """F^2(nu, s) for all 2*M_s segments at one scale, vectorized, in
     ``nu`` order: element ``nu - 1`` is ``detrended_variance(p, nu, s, m)``,
@@ -129,7 +141,8 @@ def segment_variances(p: Profile, s: int, m: int = 2) -> np.ndarray:
     in place. The mean lies in the span of the trend polynomial, so the
     residuals are unchanged; centring first keeps the profile's offset
     out of the projection, where it would cancel to the last digits. The
-    orthonormal basis of the design matrix is built once per scale.
+    orthonormal basis of the design matrix is cached per (s, m) across
+    passes.
     """
     L = p.values
     n = len(L)
@@ -140,8 +153,7 @@ def segment_variances(p: Profile, s: int, m: int = 2) -> np.ndarray:
         raise ValueError(f"polynomial order {m} not in 0..{MAX_DETREND_ORDER}")
     if s <= m + 1:
         raise ValueError(f"scale {s} too small for polynomial order {m}")
-    k = np.arange(1, s + 1, dtype=float)
-    q_mat, _ = np.linalg.qr(np.vander(k, m + 1))
+    q_mat = _trend_basis(s, m)
     f2 = np.empty(2 * ms)
     # the backward rows reversed, so row j - 1 is the j-th from the end
     blocks = (L[: ms * s].reshape(ms, s), L[n - ms * s :].reshape(ms, s)[::-1])
@@ -178,6 +190,7 @@ def fluctuation_surface(s_series, q_values=None, scales=None, m: int = 2) -> Flu
     has_negative_q = bool((q_values < 0).any())
     is_zero = q_values == 0
     q_nonzero = q_values[~is_zero]
+    half_q = q_nonzero / 2.0
     for j, s in enumerate(scales):
         f2 = segment_variances(prof, int(s), m)
         n_segments[j] = len(f2)
@@ -189,11 +202,14 @@ def fluctuation_surface(s_series, q_values=None, scales=None, m: int = 2) -> Flu
             )
         log_f2 = np.log(np.maximum(f2, np.finfo(float).tiny))
         F[is_zero, j] = np.exp(0.5 * log_f2.mean())
-        # log-sum-exp keeps large negative q finite on tiny variances
-        a = np.multiply.outer(q_nonzero / 2.0, log_f2)
-        amax = a.max(axis=1)
-        log_mean = amax + np.log(np.mean(np.exp(a - amax[:, None]), axis=1))
-        F[~is_zero, j] = np.exp(log_mean / q_nonzero)
+        # log-sum-exp keeps large negative q finite on tiny variances;
+        # rounding q/2 * x is monotone in x, so amax is each row's max
+        a = np.multiply.outer(half_q, log_f2)
+        amax = half_q * np.where(half_q > 0, log_f2.max(), log_f2.min())
+        with np.errstate(invalid="ignore"):  # inf - inf: F is NaN; the h(q) fit rejects it
+            a -= amax[:, None]
+        np.exp(a, out=a)
+        F[~is_zero, j] = np.exp((amax + np.log(a.mean(axis=1))) / q_nonzero)
     return FluctuationSurface(q_values=q_values, scales=scales, F=F, n_segments=n_segments)
 
 

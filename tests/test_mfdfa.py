@@ -92,6 +92,93 @@ class TestSegmentVariances:
                                            err_msg=f"s={s}, m={m}")
 
 
+def per_call_qr_segment_variances(p, s, m):
+    """Reference: the kernel as it was before the basis was cached, with
+    a fresh QR of the design matrix on every call."""
+    L = p.values
+    n = len(L)
+    ms = n // s
+    k = np.arange(1, s + 1, dtype=float)
+    q_mat, _ = np.linalg.qr(np.vander(k, m + 1))
+    f2 = np.empty(2 * ms)
+    blocks = (L[: ms * s].reshape(ms, s), L[n - ms * s :].reshape(ms, s)[::-1])
+    for out, block in zip((f2[:ms], f2[ms:]), blocks):
+        resid = block - block.mean(axis=1, keepdims=True)
+        resid -= (resid @ q_mat) @ q_mat.T
+        np.einsum("ij,ij->i", resid, resid, out=out)
+    f2 /= s
+    return f2
+
+
+def row_max_surface(x, q_values, scales, m=2):
+    """Reference: F_q(s) as it was before the q moments were taken in
+    place, with each row's max by ``a.max(axis=1)`` and new arrays for
+    ``a - amax`` and its exp."""
+    prof = tf.profile(x)
+    q_values = np.asarray(q_values, dtype=float)
+    F = np.empty((len(q_values), len(scales)))
+    is_zero = q_values == 0
+    q_nonzero = q_values[~is_zero]
+    for j, s in enumerate(scales):
+        f2 = per_call_qr_segment_variances(prof, int(s), m)
+        log_f2 = np.log(np.maximum(f2, np.finfo(float).tiny))
+        F[is_zero, j] = np.exp(0.5 * log_f2.mean())
+        a = np.multiply.outer(q_nonzero / 2.0, log_f2)
+        amax = a.max(axis=1)
+        log_mean = amax + np.log(np.mean(np.exp(a - amax[:, None]), axis=1))
+        F[~is_zero, j] = np.exp(log_mean / q_nonzero)
+    return F
+
+
+class TestCachedKernel:
+    """The cached trend basis and the in-place q moments give the same
+    bits as the kernel they replaced."""
+
+    SCALES = [12, 20, 37, 100, 513, 1600]
+
+    def test_segment_variances_match_per_call_qr(self):
+        prof = tf.profile(oracle_series("fgn"))
+        for m in range(M.MAX_DETREND_ORDER + 1):
+            for s in self.SCALES:
+                assert np.array_equal(M.segment_variances(prof, s, m),
+                                      per_call_qr_segment_variances(prof, s, m)), (s, m)
+
+    def test_segment_variances_match_after_eviction(self):
+        prof = tf.profile(oracle_series("trended"))
+        first = M.default_scales(ORACLE_N)
+        second = first + 1  # as many scales again, none of them in the first grid
+        assert len(second) == M._N_SCALES and not set(first) & set(second)
+        M._trend_basis.cache_clear()
+        for grid in (first, second, first):
+            misses = M._trend_basis.cache_info().misses
+            for s in grid:
+                assert np.array_equal(M.segment_variances(prof, int(s), 3),
+                                      per_call_qr_segment_variances(prof, int(s), 3)), s
+            assert M._trend_basis.cache_info().misses == misses + len(grid)
+
+    @pytest.mark.parametrize("q", [
+        M.default_q_values(),
+        M.default_q_values(0.5, 4.0, 0.5),
+        M.default_q_values(-6.0, -0.5, 0.5),
+        [-40.0, 0.0, 2.0],
+        [-40.0, -3.0, 5.0],
+    ], ids=["default", "positive", "negative", "large_negative_with_zero", "no_zero"])
+    @pytest.mark.parametrize("scale", [1.0, 1e-100], ids=["fgn", "tiny_variance"])
+    def test_surface_matches_row_max_loop(self, q, scale):
+        x = scale * tf.generate_fgn(0.75, 2048, 14).values
+        scales = M.default_scales(len(x))
+        for m in (1, 2, 4):
+            got = M.fluctuation_surface(x, q_values=q, scales=scales, m=m).F
+            assert np.array_equal(got, row_max_surface(x, q, scales, m)), m
+
+    def test_basis_cache_is_bounded_and_read_only(self):
+        assert M._trend_basis.cache_info().maxsize == M._N_SCALES
+        basis = M._trend_basis(40, 2)
+        assert basis.shape == (40, 3) and not basis.flags.writeable
+        with pytest.raises(ValueError, match="read-only"):
+            basis[0, 0] = 0.0
+
+
 class TestFluctuationSurface:
     def test_q2_is_classic_dfa(self):
         x = np.random.default_rng(2).normal(size=2000)
