@@ -60,7 +60,8 @@ def power_spectrum(s) -> PowerSpectrum:
     if n < 8:
         raise ValueError(f"series too short for a spectrum (need >= 8, got {n})")
     spec = np.fft.rfft(x)
-    power = np.abs(spec) ** 2
+    with np.errstate(over="ignore"):  # power overflows to inf; fit_beta rejects it
+        power = np.abs(spec) ** 2
     k = np.arange(1, n // 2 + 1)
     return PowerSpectrum(
         freqs=k / n,

@@ -325,6 +325,7 @@ class TestSeriesCsvInput:
              "--out", str(out)], capture_output=True, text=True, env=env, timeout=120)
         assert proc.returncode == 1
         assert "error: huge: cannot fit a line through non-finite values" in proc.stderr
+        assert "Warning" not in proc.stderr
         assert list(out.iterdir()) == []
 
 
