@@ -223,8 +223,8 @@ def spectrum_fit_range(args):
 
 def read_series_csv(path) -> np.ndarray:
     """Values of an ``index,value`` CSV below its header row. A row
-    whose second column is missing or not a finite number raises
-    ValueError naming the file and line."""
+    whose second column is missing or not a finite number, or a file
+    with no row below the header, raises ValueError naming the file."""
     values = []
     with open(path, newline="", encoding="utf-8") as fh:
         reader = csv.reader(fh)
@@ -238,6 +238,8 @@ def read_series_csv(path) -> np.ndarray:
                 raise ValueError(f"{path}, line {reader.line_num}: expected "
                                  f"index,value with a finite value, got {row!r}")
             values.append(value)
+    if not values:
+        raise ValueError(f"{path}: no rows below the header")
     return np.array(values)
 
 

@@ -328,6 +328,16 @@ class TestSeriesCsvInput:
         assert "Warning" not in proc.stderr
         assert list(out.iterdir()) == []
 
+    @pytest.mark.parametrize("cmd", ["analyze", "spectrum", "mfdfa", "wavelet", "surrogate",
+                                     "ccdf", "slice"])
+    def test_header_only_csv_is_fatal(self, cmd, tmp_path, capsys):
+        path = tmp_path / "h.csv"
+        path.write_text("index,value\n", encoding="utf-8")
+        out = tmp_path / "o"
+        assert run([cmd, "--series-csv", path, *REQUIRED.get(cmd, []), "--out", out]) == 1
+        assert f"fatal: {path}: no rows below the header" in capsys.readouterr().err
+        assert not out.exists()
+
 
 class TestSpectrumCommand:
     def test_series_csv_input(self, series_file, tmp_path):
