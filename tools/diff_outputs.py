@@ -35,10 +35,15 @@ RUNS = {
     "analyze_j1": ["analyze", "novel.txt", "marks.txt", "--surrogates", "2"],
     "analyze_j2": ["analyze", "novel.txt", "marks.txt", "--surrogates", "2", "--jobs", "2"],
     "analyze_csv": ["analyze", "--series-csv", "noise.csv"],
+    "analyze_csv_order1": ["analyze", "--series-csv", "noise.csv", "--surrogates", "3",
+                           "--detrend-order", "1", "--q-min", "-6", "--q-max", "6",
+                           "--q-step", "0.5"],
     "spectrum_de_chars": ["spectrum", "novel.txt", "marks.txt", "empty.txt",
                           "--language", "de", "--unit", "chars"],
     "spectrum_csv": ["spectrum", "--series-csv", "noise.csv"],
     "mfdfa": ["mfdfa", "marks.txt"],
+    "mfdfa_q_positive": ["mfdfa", "--series-csv", "noise.csv", "--detrend-order", "3",
+                         "--q-min", "0.5", "--q-max", "4", "--q-step", "0.5"],
     "wavelet": ["wavelet", "novel.txt"],
     "wavelet_csv": ["wavelet", "--series-csv", "noise.csv", "--n-scales", "20"],
     "surrogate_shuffle": ["surrogate", "novel.txt"],
