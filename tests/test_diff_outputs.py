@@ -26,8 +26,15 @@ def test_each_difference_is_named(tmp_path):
     new = side(tmp_path / "new", {"a.csv": b"2\n", "extra.json": b"{}"}, code=2,
                err=b"error: x\n")
     assert sorted(diff_outputs.differences("run", old, new)) == [
-        "run: a.csv differs", "run: exit code differs", "run: only in NEW: extra.json",
+        "run: a.csv differs (2 → 2 bytes)", "run: exit code differs", "run: only in NEW: extra.json",
         "run: only in OLD: gone.json", "run: stderr differs"]
+
+
+def test_a_differing_file_states_both_sizes(tmp_path):
+    old = side(tmp_path / "old", {"plot.svg": b"<svg>" + b" " * 1995 + b"</svg>"})
+    new = side(tmp_path / "new", {"plot.svg": b"<svg/>"})
+    assert diff_outputs.differences("run", old, new) == [
+        "run: plot.svg differs (2,006 → 6 bytes)"]
 
 
 def test_a_run_that_wrote_nothing_has_no_files(tmp_path):

@@ -13,8 +13,9 @@ an ``index,value`` CSV. Every subcommand runs at least once on each
 side. For each run the exit code, stdout, stderr (with the output
 directory written as ``<out>``, and its lines sorted where ``--jobs``
 runs them in parallel), the list of output files and each file's bytes
-are compared. Each difference is printed, and the exit
-code is 1 if there is any, else 0.
+are compared. Each difference is printed, a differing file with its
+size on each side as ``(OLD → NEW bytes)``, and the exit code is 1 if
+there is any, else 0.
 """
 
 from __future__ import annotations
@@ -106,8 +107,10 @@ def differences(name: str, old, new) -> list:
     old_files, new_files = files(old[3]), files(new[3])
     lines += [f"{name}: only in OLD: {f}" for f in old_files.keys() - new_files.keys()]
     lines += [f"{name}: only in NEW: {f}" for f in new_files.keys() - old_files.keys()]
-    lines += [f"{name}: {f} differs" for f in sorted(old_files.keys() & new_files.keys())
-              if old_files[f].read_bytes() != new_files[f].read_bytes()]
+    for f in sorted(old_files.keys() & new_files.keys()):
+        a, b = old_files[f].read_bytes(), new_files[f].read_bytes()
+        if a != b:
+            lines.append(f"{name}: {f} differs ({len(a):,} → {len(b):,} bytes)")
     return lines
 
 
