@@ -1,5 +1,6 @@
 import csv
 import io
+import math
 import types
 import xml.etree.ElementTree as ET
 
@@ -150,6 +151,50 @@ class TestSvg:
         m = np.random.default_rng(5).normal(size=(3, cols))
         assert self._cells(svgplot.heatmap(m)) == 3 * cols
 
+    @staticmethod
+    def _drawn(svg, k=0):
+        return svg.split('<polyline points="')[k + 1].split('"')[0].split(" ")
+
+    @pytest.mark.parametrize("n", [2, 30, 1080])
+    def test_two_points_per_column_draws_every_point(self, n):
+        # over three decades, n <= 1080 points lie more than half a pixel apart
+        xs = 10.0 ** np.linspace(0.0, 3.0, n)
+        ys = np.random.default_rng(n).exponential(size=n)
+        ax = svgplot._Axes(xs, ys, log=True)
+        assert np.unique(np.floor(ax.px(xs)), return_counts=True)[1].max() <= 2
+        points = [f"{float(ax.px(x)):.2f},{float(ax.py(y)):.2f}" for x, y in zip(xs, ys)]
+        assert self._drawn(svgplot.log_log_plot([(xs, ys, "")])) == points
+
+    @pytest.mark.parametrize("shape", ["rising", "ties", "zigzag"])
+    def test_each_column_keeps_its_ends_and_extremes(self, shape):
+        xs = np.arange(1.0, 20_001.0)
+        if shape == "zigzag":  # x goes there and back, so each column has two runs
+            xs = np.r_[xs, xs[::-1], xs]
+        ys = np.random.default_rng(8).exponential(size=len(xs)) * xs**-0.5
+        if shape == "ties":  # a few distinct heights, so most runs tie
+            ys = np.round(ys * 4.0) + 1.0
+        ax = svgplot._Axes(xs, ys, log=True)
+        px, py = ax.px(xs), ax.py(ys)
+        full = [f"{x:.2f},{y:.2f}" for x, y in zip(px.tolist(), py.tolist())]
+        drawn = self._drawn(svgplot.log_log_plot([(xs, ys, "")]))
+        assert len(drawn) < len(full)
+        it = iter(full)
+        assert all(p in it for p in drawn)  # a subsequence, in curve order
+        drawn = set(drawn)
+        col = np.floor(px)
+        for c in np.unique(col):
+            i = np.flatnonzero(col == c)
+            for j in (i[0], i[-1], i[np.argmin(py[i])], i[np.argmax(py[i])]):
+                assert full[j] in drawn
+
+    def test_long_curve_drawn_from_four_points_per_column(self):
+        n = 65_536
+        xs = np.arange(1, n + 1) / (2.0 * n)
+        ys = np.random.default_rng(n).exponential(size=n) * xs**-0.5
+        svg = svgplot.log_log_plot([(xs, ys, "S")], fit_lines=[(-0.5, 0.0, "fit")])
+        assert len(self._drawn(svg)) <= 4 * 541
+        assert len(self._drawn(svg, 1)) == 2
+
     def test_deterministic(self):
         args = ([( np.array([1.0, 2.0]), np.array([3.0, 4.0]), "x")],)
         kw = dict(title="t", xlabel="x", ylabel="y")
@@ -171,6 +216,23 @@ def writer_csv(header, rows):
 
 def element_text(v):
     return int(v) if isinstance(v, (int, np.integer)) else repr(float(v))
+
+
+def column_extremes(px, py):
+    """The indices a log-log line is drawn from, a point at a time: of
+    each run of consecutive points in one pixel column, floor(px), the
+    first, the last, the lowest and the highest (min and max return the
+    first of a tie), in curve order."""
+    runs = []
+    for i, x in enumerate(px):
+        if runs and math.floor(x) == math.floor(px[runs[-1][0]]):
+            runs[-1].append(i)
+        else:
+            runs.append([i])
+    keep = set()
+    for run in runs:
+        keep |= {run[0], run[-1], min(run, key=py.__getitem__), max(run, key=py.__getitem__)}
+    return sorted(keep)
 
 
 # one either side of each block edge, and more than two blocks
@@ -257,13 +319,14 @@ class TestBlockFormatting:
 
     @pytest.mark.parametrize("n", [4095, 4096, 4097, 65536])
     def test_log_log_polyline(self, n):
-        # n points drawn; a point at 0 is left off a log axis
+        # n points on the curve; a point at 0 is left off a log axis
         xs = np.arange(n + 1) / (2.0 * n)
         ys = np.random.default_rng(n).exponential(size=n + 1) * (xs + 0.01)**-0.5
         svg = svgplot.log_log_plot([(xs, ys, "S")])
         ax = svgplot._Axes(xs[1:], ys[1:], log=True)
-        points = " ".join(f"{float(ax.px(x)):.2f},{float(ax.py(y)):.2f}"
-                          for x, y in zip(xs[1:], ys[1:]))
+        px = [float(ax.px(x)) for x in xs[1:]]
+        py = [float(ax.py(y)) for y in ys[1:]]
+        points = " ".join(f"{px[i]:.2f},{py[i]:.2f}" for i in column_extremes(px, py))
         assert f'<polyline points="{points}" fill="none"' in svg
 
     @pytest.mark.parametrize("shape", [(3, 17), (50, 16384)])
