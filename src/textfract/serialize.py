@@ -69,8 +69,14 @@ def _reprs(column) -> list:
 
 
 def _lines(*text_columns) -> str:
-    """One comma-separated line per row of the text columns."""
-    return "".join([",".join(row) + "\n" for row in zip(*text_columns)])
+    """One comma-separated line per row of the text columns (lists of
+    equal length): the cells are slotted between a fixed pattern of
+    separators, then joined once."""
+    k = len(text_columns)
+    cells = ([","] * (2 * k - 1) + ["\n"]) * len(text_columns[0])
+    for j, column in enumerate(text_columns):
+        cells[2 * j::2 * k] = column
+    return "".join(cells)
 
 
 def _columns_csv(header, *columns) -> str:
@@ -120,5 +126,5 @@ def wavelet_csv(wm) -> str:
     blocks = ["scale,position,coefficient,boundary\n"]
     for s, coefs, edge in zip(wm.scales.tolist(), wm.coefficients, wm.boundary):
         blocks.append(_lines([repr(s)] * len(positions), positions,
-                             _reprs(coefs), _reprs(edge.astype(int))))
+                             _reprs(coefs), np.where(edge, "1", "0").tolist()))
     return "".join(blocks)
