@@ -109,9 +109,9 @@ def log_log_plot(curves, title="", xlabel="x", ylabel="y", fit_lines=()) -> str:
     in curve order: the M4 rule of Jugel et al. (VLDB 2014). So a
     column keeps its vertical extent and the points where the line
     enters and leaves it, and a curve with at most two points in every
-    column is drawn from all of them. A curve of any length is drawn
-    from at most 4 × 541 points; the CSV written beside it keeps them
-    all."""
+    column is drawn from all of them. A curve whose x never falls has
+    one run per column, so it is drawn from at most 4 × 541 points
+    however long it is; the CSV written beside it keeps them all."""
     all_x = np.concatenate([np.asarray(c[0], dtype=float) for c in curves])
     all_y = np.concatenate([np.asarray(c[1], dtype=float) for c in curves])
     keep = (all_x > 0) & (all_y > 0)
