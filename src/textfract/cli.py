@@ -330,8 +330,19 @@ def _run_job(job, name, source, args, em):
 # stages shared by the commands
 
 def spectrum_stage(values, args):
-    """Power spectrum and its 1/f^beta fit."""
-    ps = spectral.power_spectrum(values)
+    """Power spectrum and its 1/f^beta fit. A series that does not vary
+    beyond rounding, max|x - mean| <= n * eps * max|x| (the rule
+    ``_line_fit`` applies to x), raises: its power away from DC is
+    rounding noise, and a fit through it would read as a confident beta."""
+    ps = spectral.power_spectrum(values)  # first: it rejects a short series
+    top = float(np.abs(values).max())
+    e = np.frexp(top)[1]  # x / 2^e, exact and below 1, keeps the mean finite
+    unit = np.ldexp(values, -e)
+    spread = float(np.ldexp(np.abs(unit - unit.mean()).max(), e))
+    bound = len(values) * np.finfo(float).eps * top
+    if not spread > bound:
+        raise ValueError(f"series does not vary beyond rounding: max|x - mean| = "
+                         f"{spread:.4g} <= n * eps * max|x| = {bound:.4g}")
     return ps, spectral.fit_beta(ps, spectrum_fit_range(args), args.bins_per_decade)
 
 

@@ -13,6 +13,8 @@ __all__ = ["WaveletMap", "mother_wavelet", "wavelet_map", "SUPPORT_HALF_WIDTH"]
 
 # |psi(x)| < 1e-12 beyond this, so the discrete sum is truncated there.
 SUPPORT_HALF_WIDTH = 8.0
+# max |psi(x)| is 1.3801..., at x = sqrt(3 - sqrt(6))
+_PSI_MAX = 1.4
 
 
 @dataclass(frozen=True)
@@ -39,6 +41,14 @@ def default_scales(n: int, n_scales: int = 50) -> np.ndarray:
     return np.logspace(np.log10(4.0), np.log10(s_max), n_scales)
 
 
+def _padding(n: int, s: float):
+    """The kernel's half-length at scale ``s`` and the FFT length of its
+    correlation with n points: the next power of two >= n + len(kernel)
+    - 1, so that nothing wraps."""
+    offset = int(np.ceil(SUPPORT_HALF_WIDTH * s))
+    return offset, 1 << (n + 2 * offset - 1).bit_length()
+
+
 def wavelet_map(s_series, scales=None) -> WaveletMap:
     """T(s, k) = (1/sqrt(s)) * sum_j l(j) psi((j - k)/s) for every
     scale and every position k = 1..n, each scale's row computed as one
@@ -48,6 +58,10 @@ def wavelet_map(s_series, scales=None) -> WaveletMap:
     only keeps the correlation from wrapping); coefficients whose
     truncated support (|x| <= 8) crosses a series edge are flagged in
     ``boundary`` so plots can mask the cone of influence.
+
+    A series whose amplitude could overflow the correlation raises
+    ValueError. The map is linear in the series, so a rescaled series
+    gives the rescaled map.
     """
     x = as_values(s_series)
     n = len(x)
@@ -58,6 +72,14 @@ def wavelet_map(s_series, scales=None) -> WaveletMap:
         raise ValueError("scales must be positive")
     if n < 4 * scales.min():
         raise ValueError(f"series length {n} < 4 * min scale {scales.min()}")
+    # |rfft(x)| <= n * max|x| and |rfft(kernel)| <= nfft * _PSI_MAX; the
+    # inverse FFT sums at most nfft of their products before it divides
+    amp = float(np.abs(x).max())
+    limit = np.finfo(float).max / (n * _PSI_MAX * float(_padding(n, scales.max())[1]) ** 2)
+    if amp > limit:
+        raise ValueError(f"series amplitude max|x| = {amp:.4g} would overflow the wavelet "
+                         f"map's FFT at n = {n}, which holds up to {limit:.4g}; the map "
+                         "is linear in the series, so rescaling it is safe")
 
     k = np.arange(n)  # 0-based positions
     coeffs = np.empty((len(scales), n))
@@ -65,12 +87,10 @@ def wavelet_map(s_series, scales=None) -> WaveletMap:
     x_spectra = {}  # rfft of the series, once per padded length
     for i, s in enumerate(scales):
         half = SUPPORT_HALF_WIDTH * s
-        offset = int(np.ceil(half))
+        offset, nfft = _padding(n, s)
         d = np.arange(-offset, offset + 1, dtype=float)
         kernel = mother_wavelet(d / s)
-        # full correlation with the sampled wavelet by FFT, zero-padded to
-        # the next power of two >= n + len(kernel) - 1 so nothing wraps
-        nfft = 1 << (n + len(kernel) - 2).bit_length()
+        # full correlation with the sampled wavelet by FFT
         if nfft not in x_spectra:
             x_spectra[nfft] = np.fft.rfft(x, nfft)
         # a call, not `*`: numpy may write a `*` product into the rfft's

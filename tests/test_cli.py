@@ -310,22 +310,69 @@ class TestSeriesCsvInput:
     # In a child process, where numpy's overflow RuntimeWarning stays a
     # warning as in a real run; raised as an error it would stop the run
     # before any fit sees the infinities.
+    @staticmethod
+    def _child(*argv):
+        src = str(Path(tf.__file__).resolve().parents[1])
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+            filter(None, [src, os.environ.get("PYTHONPATH")])))
+        return subprocess.run([sys.executable, "-m", "textfract.cli", *map(str, argv)],
+                              capture_output=True, text=True, env=env, timeout=120)
+
     @pytest.mark.parametrize("cmd", ["spectrum", "analyze", "mfdfa"])
     def test_overflowing_series_writes_nothing(self, cmd, tmp_path):
         rng = np.random.default_rng(0)
         values = rng.choice([-1.0, 1.0], 512) * rng.uniform(0.5, 1.0, 512) * 1e300
         path = tmp_path / "huge.csv"
         path.write_text(serialize.series_csv(values, value_name="value"), encoding="utf-8")
-        src = str(Path(tf.__file__).resolve().parents[1])
-        env = dict(os.environ, PYTHONPATH=os.pathsep.join(
-            filter(None, [src, os.environ.get("PYTHONPATH")])))
         out = tmp_path / "o"
-        proc = subprocess.run(
-            [sys.executable, "-m", "textfract.cli", cmd, "--series-csv", str(path),
-             "--out", str(out)], capture_output=True, text=True, env=env, timeout=120)
+        proc = self._child(cmd, "--series-csv", path, "--out", out)
         assert proc.returncode == 1
         assert "error: huge: cannot fit a line through non-finite values" in proc.stderr
         assert "Warning" not in proc.stderr
+        assert list(out.iterdir()) == []
+
+    def test_wavelet_of_a_huge_series_writes_nothing(self, tmp_path):
+        # every value is finite, but the map's FFT would overflow to inf and NaN
+        path = tmp_path / "huge.csv"
+        values = tf.generate_fgn(0.75, 8192, 5).values * 2.0**1010
+        path.write_text(serialize.series_csv(values, value_name="value"), encoding="utf-8")
+        out = tmp_path / "o"
+        proc = self._child("wavelet", "--series-csv", path, "--out", out)
+        assert proc.returncode == 1
+        assert ("error: huge: series amplitude max|x| = 4.001e+304 would overflow the "
+                "wavelet map's FFT at n = 8192" in proc.stderr)
+        assert "Warning" not in proc.stderr
+        assert list(out.iterdir()) == []
+
+    def test_wavelet_of_a_large_series_is_the_scaled_map(self, tmp_path):
+        path = tmp_path / "large.csv"
+        values = tf.generate_fgn(0.75, 8192, 5).values
+        path.write_text(serialize.series_csv(values * 2.0**500, value_name="value"),
+                        encoding="utf-8")
+        out = tmp_path / "o"
+        proc = self._child("wavelet", "--series-csv", path, "--out", out)
+        assert proc.returncode == 0
+        assert "Warning" not in proc.stderr
+        rows = read_rows(out / "large__wavelet.csv")[1:]
+        want = tf.wavelet_map(values, scales=tf.wavelet.default_scales(8192)).coefficients
+        assert [float(r[2]) for r in rows] == (want * 2.0**500).ravel().tolist()
+
+    @pytest.mark.parametrize("cmd, wiggle, message", [
+        ("spectrum", 0, "series does not vary beyond rounding: max|x - mean| = 0 <= "),
+        ("spectrum", 1, "series does not vary beyond rounding: max|x - mean| = 4.441e-16 <= "),
+        ("analyze", 0, "series does not vary beyond rounding: max|x - mean| = 0 <= "),
+        ("mfdfa", 0, "segment 1 at scale 20 is exactly detrended (F^2 = 0)"),
+    ], ids=["spectrum", "spectrum_ulp_steps", "analyze", "mfdfa"])
+    def test_series_flat_to_rounding_is_rejected(self, cmd, wiggle, message, tmp_path,
+                                                 capsys):
+        # 5,000 rows of 3.0, or 3.0 and the next float up in turn
+        values = np.where(np.arange(5000) % 2 * wiggle, np.nextafter(3.0, 4.0), 3.0)
+        path = tmp_path / "flat.csv"
+        path.write_text(serialize.series_csv(values, value_name="value"), encoding="utf-8")
+        out = tmp_path / "o"
+        assert run([cmd, "--series-csv", path, "--out", out]) == 1
+        err = capsys.readouterr().err
+        assert f"error: flat: {message}" in err and "Warning" not in err
         assert list(out.iterdir()) == []
 
     @pytest.mark.parametrize("cmd", ["analyze", "spectrum", "mfdfa", "wavelet", "surrogate",

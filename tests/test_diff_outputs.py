@@ -39,3 +39,16 @@ def test_a_differing_file_states_both_sizes(tmp_path):
 
 def test_a_run_that_wrote_nothing_has_no_files(tmp_path):
     assert diff_outputs.files(tmp_path / "never_made") == {}
+
+
+def test_the_closing_line_totals_each_side(tmp_path):
+    old = {"one": side(tmp_path / "o1", {"a.csv": b"1\n", "sub/b.svg": b"<svg>" * 400}),
+           "two": side(tmp_path / "o2", {"c.json": b"{}"})}
+    new = {"one": side(tmp_path / "n1", {"a.csv": b"1\n", "sub/b.svg": b"<svg/>"}),
+           "two": side(tmp_path / "n2", {"c.json": b"{}", "d.json": b"[]"})}
+    assert diff_outputs.summary(old, new, 2) == (
+        "2 runs, 3 files on the OLD side: 2 differences; 2,004 → 12 bytes in all")
+    assert diff_outputs.summary(old, old, 0) == (
+        "2 runs, 3 files on the OLD side: no differences; 2,004 → 2,004 bytes in all")
+    assert diff_outputs.summary(old, old, 1).startswith(
+        "2 runs, 3 files on the OLD side: 1 difference;")

@@ -1,8 +1,11 @@
+import base64
 import csv
 import io
 import math
+import struct
 import types
 import xml.etree.ElementTree as ET
+import zlib
 
 import numpy as np
 import pytest
@@ -135,21 +138,26 @@ class TestSvg:
         wm = tf.wavelet_map(tf.generate_white_noise(600, 3))
         self._check(svgplot.heatmap(wm.coefficients, title="|T|"))
 
-    @staticmethod
-    def _cells(svg):
-        # every <rect> but the white background and the plot frame
-        return svg.count("<rect") - 2
-
     def test_heatmap_capped_at_pixel_columns(self):
         m = np.random.default_rng(4).normal(size=(50, 16384))
-        svg = self._check(svgplot.heatmap(m))
-        assert self._cells(svg) == 50 * len(range(0, 16384, 31))
-        assert self._cells(svg) <= 50 * 540
+        pixels = heatmap_pixels(self._check(svgplot.heatmap(m)))
+        assert pixels.shape == (50, len(range(0, 16384, 31)), 3) == (50, 529, 3)
 
     @pytest.mark.parametrize("cols", [1, 17, 540])
     def test_heatmap_draws_every_column_that_fits(self, cols):
         m = np.random.default_rng(5).normal(size=(3, cols))
-        assert self._cells(svgplot.heatmap(m)) == 3 * cols
+        assert heatmap_pixels(svgplot.heatmap(m)).shape == (3, cols, 3)
+
+    def test_heatmap_bytes_repeat(self):
+        m = np.random.default_rng(6).normal(size=(7, 900))
+        assert svgplot.heatmap(m, title="|T|") == svgplot.heatmap(m.copy(), title="|T|")
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_heatmap_of_non_finite_values_raises(self, bad):
+        m = np.ones((3, 17))
+        m[1, 5] = bad
+        with pytest.raises(ValueError, match="heatmap of non-finite values"):
+            svgplot.heatmap(m)
 
     @staticmethod
     def _drawn(svg, k=0):
@@ -239,6 +247,38 @@ def column_extremes(px, py):
 LENGTHS = [0, 1, 4095, 4096, 4097, 10_001]
 SPECIAL = [-0.0, 0.0, 5e-324, -5e-324, 1.7976931348623157e308,
            -1.7976931348623157e308, 1.0, -3.0, 2.0**53, 1e16, 0.1, 1 / 3]
+
+
+SVG_NS, XLINK_NS = "{http://www.w3.org/2000/svg}", "{http://www.w3.org/1999/xlink}"
+
+
+def heatmap_pixels(svg):
+    """The (rows, cols, 3) pixels of a heatmap's one embedded PNG, decoded
+    with base64, struct and zlib alone; checks its layout on the way:
+    over the plot area, 8-bit RGB, filter 0 on every row, one IDAT."""
+    (image,) = ET.fromstring(svg).iter(SVG_NS + "image")
+    assert {k: image.get(k) for k in ("x", "y", "width", "height", "preserveAspectRatio")} \
+        == {"x": "50", "y": "50", "width": "540", "height": "340",
+            "preserveAspectRatio": "none"}
+    scheme, data = image.get(XLINK_NS + "href").split(",")
+    assert scheme == "data:image/png;base64"
+    png = base64.b64decode(data, validate=True)
+    assert png[:8] == b"\x89PNG\r\n\x1a\n"
+    chunks, pos = [], 8
+    while pos < len(png):
+        (length,) = struct.unpack(">I", png[pos:pos + 4])
+        kind, body = png[pos + 4:pos + 8], png[pos + 8:pos + 8 + length]
+        assert struct.unpack(">I", png[pos + 8 + length:pos + 12 + length]) \
+            == (zlib.crc32(kind + body),)
+        chunks.append((kind, body))
+        pos += 12 + length
+    assert [kind for kind, _ in chunks] == [b"IHDR", b"IDAT", b"IEND"]
+    width, height, *layout = struct.unpack(">IIBBBBB", chunks[0][1])
+    assert layout == [8, 2, 0, 0, 0]  # 8-bit RGB, deflate, no interlace
+    raw = np.frombuffer(zlib.decompress(chunks[1][1]), dtype=np.uint8)
+    raw = raw.reshape(height, 1 + 3 * width)
+    assert (raw[:, 0] == 0).all()
+    return raw[:, 1:].reshape(height, width, 3)
 
 
 @st.composite
@@ -335,15 +375,16 @@ class TestBlockFormatting:
         m = np.abs(matrix)[:, ::-(-shape[1] // 540)]
         lo, hi = float(m.min()), float(m.max())
         rows, cols = m.shape
-        cw, ch = 540 / cols, 340 / rows
-        parts = svgplot._header("")
+        want = np.empty((rows, cols, 3), dtype=int)
         for i in range(rows):
-            y = 440 - 50 - (i + 1) * ch
             for j in range(cols):
                 t = (m[i, j] - lo) / (hi - lo)
-                r, g, b = int(255 * t), int(64 * (1 - abs(2 * t - 1))), int(255 * (1 - t))
-                parts.append(f'<rect x="{50 + j * cw:.2f}" y="{y:.2f}" '
-                             f'width="{cw + 0.5:.2f}" height="{ch + 0.5:.2f}" '
-                             f'fill="rgb({r},{g},{b})"/>')
-        parts += svgplot._frame("position", "scale") + ["</svg>"]
-        assert svgplot.heatmap(matrix) == "\n".join(parts) + "\n"
+                # matrix row 0, the smallest scale, is the bottom image row
+                want[rows - 1 - i, j] = (int(255 * t), int(64 * (1 - abs(2 * t - 1))),
+                                         int(255 * (1 - t)))
+        svg = svgplot.heatmap(matrix)
+        np.testing.assert_array_equal(heatmap_pixels(svg), want)
+        lines = svg.split("\n")
+        assert lines[3].startswith("<image ") and lines[-1] == ""
+        assert lines[:3] + lines[4:-1] == (svgplot._header("")
+                                            + svgplot._frame("position", "scale") + ["</svg>"])

@@ -128,3 +128,23 @@ class TestWaveletMap:
             tf.wavelet_map(x, scales=[-1.0])
         with pytest.raises(ValueError):
             tf.wavelet_map(x, scales=[50.0])
+
+    @pytest.mark.parametrize("x", [np.ones(600), (-1.0) ** np.arange(600),
+                                   np.random.default_rng(16).normal(size=600)],
+                             ids=["ones", "alternating", "noise"])
+    def test_every_accepted_amplitude_gives_the_scaled_map(self, x):
+        # the largest 2^k the amplitude bound lets in: its map is finite and
+        # exactly 2^k times the unscaled one (overflow would warn, which fails)
+        lo, hi = 0, 1000
+        with pytest.raises(ValueError, match=r"series amplitude max\|x\| = .* would overflow"):
+            tf.wavelet_map(x * 2.0**hi)
+        while hi - lo > 1:
+            mid = (lo + hi) // 2
+            try:
+                tf.wavelet_map(x * 2.0**mid)
+                lo = mid
+            except ValueError:
+                hi = mid
+        assert lo > 950
+        want = tf.wavelet_map(x).coefficients * 2.0**lo
+        np.testing.assert_array_equal(tf.wavelet_map(x * 2.0**lo).coefficients, want)

@@ -14,8 +14,10 @@ side. For each run the exit code, stdout, stderr (with the output
 directory written as ``<out>``, and its lines sorted where ``--jobs``
 runs them in parallel), the list of output files and each file's bytes
 are compared. Each difference is printed, a differing file with its
-size on each side as ``(OLD → NEW bytes)``, and the exit code is 1 if
-there is any, else 0.
+size on each side as ``(OLD → NEW bytes)``, then a closing line with
+the total bytes of all output files on each side, so an output-size
+change reads as one net figure. The exit code is 1 if there is any
+difference, else 0.
 """
 
 from __future__ import annotations
@@ -114,6 +116,16 @@ def differences(name: str, old, new) -> list:
     return lines
 
 
+def summary(old: dict, new: dict, n_differences: int) -> str:
+    """The closing line: the runs, the OLD side's file count, the number
+    of differences and the bytes of all output files on each side."""
+    sizes = [[p.stat().st_size for result in side.values() for p in files(result[3]).values()]
+             for side in (old, new)]
+    return (f"{len(old)} runs, {len(sizes[0])} files on the OLD side: "
+            f"{n_differences or 'no'} difference{'s' * (n_differences != 1)}; "
+            f"{sum(sizes[0]):,} → {sum(sizes[1]):,} bytes in all")
+
+
 def main(argv=None) -> int:
     ap = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     ap.add_argument("old_src", type=Path)
@@ -127,11 +139,9 @@ def main(argv=None) -> int:
         old = run_side(args.old_src, inputs, tmp / "old")
         new = run_side(args.new_src, inputs, tmp / "new")
         lines = [line for name in RUNS for line in differences(name, old[name], new[name])]
-        n_files = sum(len(files(old[name][3])) for name in RUNS)
-    for line in lines:
+        closing = summary(old, new, len(lines))
+    for line in lines + [closing]:
         print(line)
-    print(f"{len(RUNS)} runs, {n_files} files on the OLD side: "
-          f"{len(lines) or 'no'} difference{'s' * (len(lines) != 1)}")
     return 1 if lines else 0
 
 
