@@ -48,11 +48,10 @@ def main():
     print(f"  shuffled baseline: {spec_sh.delta_alpha:.3f}")
 
     table = tf.rank_frequency(doc, include_terminators=True)
-    ranks = np.array([e[0] for e in table.entries], dtype=float)
-    counts = np.array([e[2] for e in table.entries], dtype=float)
-    sel = (ranks >= 10) & (ranks <= 1000)
-    if sel.sum() >= 10:
-        slope, _ = np.polyfit(np.log10(ranks[sel]), np.log10(counts[sel]), 1)
+    counts = table.counts[9:1000]  # ranks 10 to 1000
+    if len(counts) >= 10:
+        ranks = np.arange(10, 10 + len(counts))
+        slope, _ = np.polyfit(np.log10(ranks), np.log10(counts), 1)
         print(f"Zipf slope (ranks 10-1000) = {slope:.3f}")
 
     try:

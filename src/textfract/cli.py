@@ -329,12 +329,11 @@ def _run_job(job, name, source, args, em):
 # --------------------------------------------------------------------------
 # stages shared by the commands
 
-def spectrum_stage(values, args):
-    """Power spectrum and its 1/f^beta fit. A series that does not vary
-    beyond rounding, max|x - mean| <= n * eps * max|x| (the rule
-    ``_line_fit`` applies to x), raises: its power away from DC is
-    rounding noise, and a fit through it would read as a confident beta."""
-    ps = spectral.power_spectrum(values)  # first: it rejects a short series
+def _reject_flat(values):
+    """Raise for a series that does not vary beyond rounding,
+    max|x - mean| <= n * eps * max|x| (the rule ``_line_fit`` applies to
+    x): its power away from DC and its detrended variances are rounding
+    noise, and a fit through them would read as a confident exponent."""
     top = float(np.abs(values).max())
     e = np.frexp(top)[1]  # x / 2^e, exact and below 1, keeps the mean finite
     unit = np.ldexp(values, -e)
@@ -343,6 +342,13 @@ def spectrum_stage(values, args):
     if not spread > bound:
         raise ValueError(f"series does not vary beyond rounding: max|x - mean| = "
                          f"{spread:.4g} <= n * eps * max|x| = {bound:.4g}")
+
+
+def spectrum_stage(values, args):
+    """Power spectrum and its 1/f^beta fit, of a series that varies
+    beyond rounding."""
+    ps = spectral.power_spectrum(values)  # first: it rejects a short series
+    _reject_flat(values)
     return ps, spectral.fit_beta(ps, spectrum_fit_range(args), args.bins_per_decade)
 
 
@@ -441,6 +447,7 @@ def spectrum_job(name, s, args, em):
 
 
 def mfdfa_job(name, s, args, em):
+    _reject_flat(s.values)
     surf, gh, spec = mfdfa_stage(s.values, args)
     H = mfdfa.hurst_exponent(gh)  # raises before any file is written
     em.write(f"{name}__fq", "csv", serialize.surface_csv(surf))
@@ -483,8 +490,8 @@ def surrogate_job(name, s, args, em):
 def zipf_job(name, doc, args, em):
     table = corpus.rank_frequency(doc, include_terminators=args.include_terminators)
     em.write(f"{name}__zipf", "csv", serialize.rank_frequency_csv(table))
-    ranks = np.array([e[0] for e in table.entries], dtype=float)
-    counts = np.array([e[2] for e in table.entries], dtype=float)
+    counts = table.counts.astype(float)
+    ranks = np.arange(1.0, len(counts) + 1)
     sel = (ranks >= args.rank_min) & (ranks <= args.rank_max)
     fit = None
     if sel.sum() >= _MIN_ZIPF_RANKS:
@@ -492,7 +499,7 @@ def zipf_job(name, doc, args, em):
         fit = {"slope": float(slope), "intercept": float(intercept),
                "rank_range": [args.rank_min, args.rank_max]}
     em.write(f"{name}__zipf", "json", serialize.to_json({
-        "n_types": len(table.entries),
+        "n_types": len(counts),
         "include_terminators": args.include_terminators,
         "fit": fit,
     }))
@@ -563,7 +570,7 @@ def analyze_corpus(results, args, em):
 def ccdf_corpus(results, args, em):
     """The CCDF and tail fit of one input's values, or of all pooled."""
     names, pooled = zip(*results)
-    c = distfit.ccdf(pooled)
+    c = distfit.ccdf(np.concatenate(pooled))
     name = names[0] if len(names) == 1 else "pooled"
     em.write(f"{name}__ccdf", "svg", svgplot.log_log_plot(  # first: it can raise
         [(c.lengths, c.F, name)], title="CCDF", xlabel="length", ylabel="F"))

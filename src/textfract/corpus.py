@@ -91,9 +91,13 @@ class SegmentationReport:
     trailing_tokens_dropped: int
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class RankFrequencyTable:
-    entries: list  # (rank, surface, count), rank 1 = most frequent
+    """A Zipf table as two columns, most frequent first: ``surfaces[i]``
+    has rank i + 1 and occurs ``counts[i]`` times."""
+
+    surfaces: tuple  # str surfaces
+    counts: np.ndarray  # int counts, non-increasing
 
 
 class AbbreviationLexicon:
@@ -285,8 +289,8 @@ def rank_frequency(doc: Document, include_terminators: bool = False) -> RankFreq
     ranked = Counter(keys).most_common()
     if not ranked:
         raise ValueError("no words to rank")
-    return RankFrequencyTable(
-        entries=[(rank, key, count) for rank, (key, count) in enumerate(ranked, 1)])
+    surfaces, counts = zip(*ranked)
+    return RankFrequencyTable(surfaces=surfaces, counts=np.array(counts, dtype=int))
 
 
 def slice_series(series: Series, start: int, stop: int) -> Series:

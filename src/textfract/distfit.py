@@ -31,16 +31,12 @@ class TailFit:
     n_points: int
 
 
-def ccdf(samples) -> CCDF:
-    """Survival function of one series or a pooled list of series."""
-    if isinstance(samples, (list, tuple)):
-        arrays = [as_values(s) for s in samples]
-        values = np.concatenate(arrays) if arrays else np.array([])
-    else:
-        values = as_values(samples)
+def ccdf(s) -> CCDF:
+    """Survival function of one series; pool several by concatenating
+    their values first."""
+    values = np.sort(as_values(s))
     if len(values) == 0:
         raise ValueError("no samples")
-    values = np.sort(values)
     n = len(values)
     lengths, first_idx = np.unique(values, return_index=True)
     # Pr(l >= length) = fraction of samples at or after the first occurrence

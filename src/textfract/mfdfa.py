@@ -28,7 +28,6 @@ __all__ = [
     "SingularitySpectrum",
     "default_q_values",
     "default_scales",
-    "detrended_variance",
     "segment_variances",
     "fluctuation_surface",
     "fit_generalized_hurst",
@@ -94,33 +93,6 @@ def default_scales(n: int, s_min: int = 20, s_max: int | None = None) -> np.ndar
     )
 
 
-def detrended_variance(p: Profile, nu: int, s: int, m: int = 2) -> float:
-    """Mean squared residual of segment ``nu`` (1-based) at scale ``s``
-    about its least-squares polynomial of order ``m``.
-
-    Segments 1..M_s count from the start of the profile, M_s+1..2*M_s
-    from the end.
-    """
-    L = p.values
-    n = len(L)
-    ms = n // s
-    if not 0 <= m <= MAX_DETREND_ORDER:
-        raise ValueError(f"polynomial order {m} not in 0..{MAX_DETREND_ORDER}")
-    if s <= m + 1:
-        raise ValueError(f"scale {s} too small for polynomial order {m}")
-    if not (1 <= nu <= 2 * ms):
-        raise ValueError(f"segment index {nu} out of range 1..{2 * ms} at scale {s}")
-    if nu <= ms:
-        seg = L[(nu - 1) * s : nu * s]
-    else:
-        j = nu - ms
-        seg = L[n - j * s : n - (j - 1) * s]
-    k = np.arange(1, s + 1, dtype=float)
-    coeffs = np.polyfit(k, seg, m)
-    resid = seg - np.polyval(coeffs, k)
-    return float(np.mean(resid**2))
-
-
 @functools.lru_cache(maxsize=_N_SCALES)
 def _trend_basis(s: int, m: int) -> np.ndarray:
     """Orthonormal basis (s, m + 1) of the order-``m`` polynomials on
@@ -134,8 +106,10 @@ def _trend_basis(s: int, m: int) -> np.ndarray:
 
 def segment_variances(p: Profile, s: int, m: int = 2) -> np.ndarray:
     """F^2(nu, s) for all 2*M_s segments at one scale, vectorized, in
-    ``nu`` order: element ``nu - 1`` is ``detrended_variance(p, nu, s, m)``,
-    so the backward segments count from the end of the profile.
+    ``nu`` order: element ``nu - 1`` is the mean squared residual of
+    segment ``nu`` about its least-squares polynomial of order ``m``.
+    Segments 1..M_s count from the start of the profile, M_s+1..2*M_s
+    from the end.
 
     Each segment is centred on its own mean before its fit is subtracted
     in place. The mean lies in the span of the trend polynomial, so the

@@ -116,7 +116,8 @@ def ccdf_csv(c) -> str:
 
 
 def rank_frequency_csv(table) -> str:
-    return table_csv(table.entries, ["rank", "surface", "count"])
+    rows = zip(range(1, len(table.surfaces) + 1), table.surfaces, table.counts.tolist())
+    return table_csv(rows, ["rank", "surface", "count"])
 
 
 def wavelet_csv(wm) -> str:

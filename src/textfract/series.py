@@ -59,10 +59,10 @@ class Profile:
 
 
 def as_values(s) -> np.ndarray:
-    """Accept a Series, array, or sequence and return a float ndarray."""
-    if isinstance(s, Series):
-        return s.values
-    return np.asarray(s, dtype=float)
+    """The values of a Series, or of an array or sequence made into one,
+    so that every series entering the library meets ``Series``'s rule:
+    one-dimensional and finite, else ValueError."""
+    return (s if isinstance(s, Series) else Series(s)).values
 
 
 def _line_fit(x, y, w=None):

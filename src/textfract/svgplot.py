@@ -13,8 +13,6 @@ from html import escape  # xml.sax.saxutils would import urllib.request and ssl
 
 import numpy as np
 
-from .serialize import _BLOCK
-
 __all__ = ["log_log_plot", "scatter_plot", "heatmap"]
 
 _W, _H = 640, 440
@@ -94,10 +92,7 @@ def _polyline(ax, xs, ys, color, dashed=False):
     if len(px):
         keep = _column_extremes(px, py)
         px, py = px[keep], py[keep]
-    pts = " ".join(
-        " ".join(map("{:.2f},{:.2f}".format, px[i:i + _BLOCK].tolist(),
-                     py[i:i + _BLOCK].tolist()))
-        for i in range(0, len(px), _BLOCK))
+    pts = " ".join(map("{:.2f},{:.2f}".format, px.tolist(), py.tolist()))
     dash = ' stroke-dasharray="6,4"' if dashed else ""
     return f'<polyline points="{pts}" fill="none" stroke="{color}"{dash}/>'
 

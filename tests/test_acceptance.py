@@ -120,13 +120,13 @@ def test_criterion_6_segmentation_and_zipf(novel):
     assert report.n_sentences >= 5000
 
     table = tf.rank_frequency(doc, include_terminators=True)
-    ranks = np.array([e[0] for e in table.entries], dtype=float)
-    counts = np.array([e[2] for e in table.entries], dtype=float)
+    counts = table.counts.astype(float)
+    ranks = np.arange(1.0, len(counts) + 1)
     sel = (ranks >= 10) & (ranks <= 1000)
     slope, intercept = np.polyfit(np.log10(ranks[sel]), np.log10(counts[sel]), 1)
     assert slope == pytest.approx(-1.0, abs=0.15)
 
-    i_dot = next(i for i, e in enumerate(table.entries) if e[1] == "⟨.⟩")
+    i_dot = table.surfaces.index("⟨.⟩")
     predicted = 10 ** (slope * np.log10(ranks[i_dot]) + intercept)
     ratio = counts[i_dot] / predicted
     assert 1 / 3 <= ratio <= 3  # inside the Zipf band, qualitatively

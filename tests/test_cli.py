@@ -361,8 +361,9 @@ class TestSeriesCsvInput:
         ("spectrum", 0, "series does not vary beyond rounding: max|x - mean| = 0 <= "),
         ("spectrum", 1, "series does not vary beyond rounding: max|x - mean| = 4.441e-16 <= "),
         ("analyze", 0, "series does not vary beyond rounding: max|x - mean| = 0 <= "),
-        ("mfdfa", 0, "segment 1 at scale 20 is exactly detrended (F^2 = 0)"),
-    ], ids=["spectrum", "spectrum_ulp_steps", "analyze", "mfdfa"])
+        ("mfdfa", 0, "series does not vary beyond rounding: max|x - mean| = 0 <= "),
+        ("mfdfa", 1, "series does not vary beyond rounding: max|x - mean| = 4.441e-16 <= "),
+    ], ids=["spectrum", "spectrum_ulp_steps", "analyze", "mfdfa", "mfdfa_ulp_steps"])
     def test_series_flat_to_rounding_is_rejected(self, cmd, wiggle, message, tmp_path,
                                                  capsys):
         # 5,000 rows of 3.0, or 3.0 and the next float up in turn
@@ -485,6 +486,15 @@ class TestZipfCommand:
         rows = read_rows(out / "tale__zipf.csv")
         counts = [int(r[2]) for r in rows[1:]]
         assert counts == sorted(counts, reverse=True)
+        # rank i + 1 is the table's position i, in the CSV and in the fit
+        table = tf.rank_frequency(tf.tokenize(text_file.read_bytes()))
+        assert rows[1:] == [[str(i + 1), w, str(c)]
+                            for i, (w, c) in enumerate(zip(table.surfaces, counts))]
+        slope, intercept = np.polyfit(np.log10(np.arange(5, 41)),
+                                      np.log10(table.counts[4:40]), 1)
+        assert meta["n_types"] == len(table.surfaces)
+        assert meta["fit"]["slope"] == pytest.approx(slope, rel=1e-9)
+        assert meta["fit"]["intercept"] == pytest.approx(intercept, rel=1e-9)
 
     # a flag the command would not read is a usage error, which exits 1
     @pytest.mark.parametrize("cmd, flag", [
@@ -535,6 +545,20 @@ class TestCcdfCommand:
                 in capsys.readouterr().err)
         meta = json.loads((out / "close__ccdf_fit.json").read_text())
         assert "tail_fit" not in meta and meta["n_samples"] == 1020
+
+    def test_pooled_ccdf_is_the_ccdf_of_the_concatenated_series(self, tmp_path):
+        paths = [tmp_path / "a.txt", tmp_path / "b.txt"]
+        for path, seed in zip(paths, (1, 2)):
+            path.write_text(make_text(700 + 200 * seed, seed), encoding="utf-8")
+        out = tmp_path / "out"
+        assert run(["ccdf", *paths, "--min-sentences", "1", "--out", out]) == 0
+        lengths = [tf.sentence_length_series(
+            tf.segment_sentences(tf.tokenize(p.read_bytes()))[0]).values for p in paths]
+        assert ((out / "pooled__ccdf.csv").read_text(encoding="utf-8")
+                == serialize.ccdf_csv(tf.ccdf(np.concatenate(lengths))))
+        meta = json.loads((out / "pooled__ccdf_fit.json").read_text())
+        assert meta["n_samples"] == len(lengths[0]) + len(lengths[1]) == 2000
+        assert meta["members"] == ["a", "b"]
 
     def test_no_positive_value_writes_nothing(self, tmp_path, capsys):
         path = tmp_path / "neg.csv"

@@ -295,30 +295,32 @@ class TestRankFrequency:
     def test_simple_counts(self):
         doc = tf.tokenize("the cat the")
         table = tf.rank_frequency(doc)
-        assert table.entries == [(1, "the", 2), (2, "cat", 1)]
+        assert table.surfaces == ("the", "cat")
+        assert table.counts.dtype.kind == "i" and table.counts.tolist() == [2, 1]
 
     def test_pooled_terminators(self):
         doc = tf.tokenize("a. b!")
         table = tf.rank_frequency(doc, include_terminators=True)
-        assert table.entries[0] == (1, "⟨.⟩", 2)
+        assert (table.surfaces[0], table.counts[0]) == ("⟨.⟩", 2)
 
     def test_counts_sum_to_token_count(self):
         doc = tf.tokenize("Red fish, blue fish. Old fish? New fish!")
         table = tf.rank_frequency(doc, include_terminators=True)
         n_counted = int(np.isin(doc.kinds, (WORD, TERMINATOR)).sum())
-        assert sum(c for _, _, c in table.entries) == n_counted
+        assert table.counts.sum() == n_counted
 
     def test_ties_by_first_occurrence(self):
         doc = tf.tokenize("zeta alpha zeta alpha")
         table = tf.rank_frequency(doc)
-        assert [e[1] for e in table.entries] == ["zeta", "alpha"]
+        assert table.surfaces == ("zeta", "alpha")
 
     def test_counts_non_increasing_ranks_contiguous(self):
         doc = tf.tokenize("a a a b b c d d d d")
         table = tf.rank_frequency(doc)
-        counts = [c for _, _, c in table.entries]
+        counts = table.counts.tolist()
         assert counts == sorted(counts, reverse=True)
-        assert [r for r, _, _ in table.entries] == list(range(1, len(counts) + 1))
+        # rank = position + 1: one count per surface, every surface distinct
+        assert len(counts) == len(table.surfaces) == len(set(table.surfaces))
 
     def test_empty_document_rejected(self):
         with pytest.raises(ValueError):
@@ -364,8 +366,8 @@ class TestNovelScale:
     def test_zipf_midrank_slope(self, novel):
         text, _ = novel
         table = tf.rank_frequency(tf.tokenize(text), include_terminators=True)
-        ranks = np.array([e[0] for e in table.entries], dtype=float)
-        counts = np.array([e[2] for e in table.entries], dtype=float)
+        counts = table.counts.astype(float)
+        ranks = np.arange(1.0, len(counts) + 1)
         sel = (ranks >= 10) & (ranks <= 1000)
         slope, _ = np.polyfit(np.log10(ranks[sel]), np.log10(counts[sel]), 1)
         assert slope == pytest.approx(-1.0, abs=0.15)

@@ -26,16 +26,6 @@ class TestCcdf:
         assert np.all(np.diff(c.F) < 0)
         assert c.F[-1] > 0
 
-    def test_pooling_equals_concatenation(self):
-        rng = np.random.default_rng(1)
-        a = rng.integers(1, 30, 200).astype(float)
-        b = rng.integers(1, 30, 300).astype(float)
-        pooled = tf.ccdf([a, b])
-        merged = tf.ccdf(np.concatenate([a, b]))
-        np.testing.assert_array_equal(pooled.lengths, merged.lengths)
-        np.testing.assert_array_equal(pooled.F, merged.F)
-        assert pooled.n_samples == 500
-
     def test_duplicates_do_not_change_shape(self):
         x = np.array([2.0, 5.0, 9.0])
         c1 = tf.ccdf(x)

@@ -19,48 +19,69 @@ def brute_force_lsq_variance(segment, m):
     return float(np.mean(resid**2))
 
 
+def detrended_variance(p, nu, s, m=2):
+    """Reference: the scalar kernel, one np.polyfit per segment. The mean
+    squared residual of segment ``nu`` (1-based) at scale ``s`` about its
+    least-squares polynomial of order ``m``; segments 1..M_s count from
+    the start of the profile, M_s+1..2*M_s from the end."""
+    L = p.values
+    n = len(L)
+    ms = n // s
+    assert m + 1 < s and 1 <= nu <= 2 * ms
+    if nu <= ms:
+        seg = L[(nu - 1) * s : nu * s]
+    else:
+        j = nu - ms
+        seg = L[n - j * s : n - (j - 1) * s]
+    k = np.arange(1, s + 1, dtype=float)
+    resid = seg - np.polyval(np.polyfit(k, seg, m), k)
+    return float(np.mean(resid**2))
+
+
 class TestDetrendedVariance:
     def test_quadratic_segment_annihilated(self):
         # profile whose first segment is exactly quadratic
         k = np.arange(1, 101, dtype=float)
-        prof = tf.profile(np.random.default_rng(0).normal(size=100))
         quad = M.Profile(values=0.5 * k**2 - 3 * k + 1, mean_removed=0.0)
-        assert M.detrended_variance(quad, 1, 50, m=2) < 1e-16 * 1e4
-        assert prof is not None
+        assert detrended_variance(quad, 1, 50, m=2) < 1e-16 * 1e4
+        assert M.segment_variances(quad, 50, m=2)[0] < 1e-16 * 1e4
 
     def test_order_zero_is_plain_variance(self):
         seg = np.zeros(10)
         seg[1] = 1.0
         prof = M.Profile(values=seg, mean_removed=0.0)
         expected = np.mean((seg - seg.mean()) ** 2)
-        assert M.detrended_variance(prof, 1, 10, m=0) == pytest.approx(expected)
+        assert detrended_variance(prof, 1, 10, m=0) == pytest.approx(expected)
+        assert M.segment_variances(prof, 10, m=0)[0] == pytest.approx(expected)
 
     def test_matches_normal_equations_oracle(self):
         rng = np.random.default_rng(7)
         prof = tf.profile(rng.normal(size=400))
         for nu, s, m in [(1, 50, 2), (3, 50, 2), (2, 100, 1), (5, 40, 3)]:
-            got = M.detrended_variance(prof, nu, s, m)
             ms = len(prof.values) // s
             if nu <= ms:
                 seg = prof.values[(nu - 1) * s : nu * s]
             else:
                 j = nu - ms
                 seg = prof.values[len(prof.values) - j * s :][:s]
-            assert got == pytest.approx(brute_force_lsq_variance(seg, m), rel=1e-10)
+            want = brute_force_lsq_variance(seg, m)
+            assert detrended_variance(prof, nu, s, m) == pytest.approx(want, rel=1e-10)
+            assert M.segment_variances(prof, s, m)[nu - 1] == pytest.approx(want, rel=1e-10)
 
     def test_backward_segments_count_from_end(self):
         prof = tf.profile(np.arange(10.0) ** 1.5)
         n, s = len(prof.values), 3
         ms = n // s
         # last backward segment must cover the final s points
-        got = M.detrended_variance(prof, ms + 1, s, m=0)
         seg = prof.values[n - s :]
-        assert got == pytest.approx(np.mean((seg - seg.mean()) ** 2))
+        want = np.mean((seg - seg.mean()) ** 2)
+        assert detrended_variance(prof, ms + 1, s, m=0) == pytest.approx(want)
+        assert M.segment_variances(prof, s, m=0)[ms] == pytest.approx(want)
 
     def test_degenerate_scale_rejected(self):
         prof = tf.profile(np.random.default_rng(1).normal(size=50))
-        with pytest.raises(ValueError):
-            M.detrended_variance(prof, 1, 3, m=2)
+        with pytest.raises(ValueError, match="scale 3 too small for polynomial order 2"):
+            M.segment_variances(prof, 3, m=2)
 
 
 ORACLE_N = 2**14
@@ -86,7 +107,7 @@ class TestSegmentVariances:
         for s in M.default_scales(ORACLE_N)[::4]:
             for m in range(4):
                 got = M.segment_variances(prof, int(s), m)
-                want = [M.detrended_variance(prof, nu, int(s), m)
+                want = [detrended_variance(prof, nu, int(s), m)
                         for nu in range(1, len(got) + 1)]
                 np.testing.assert_allclose(got, want, rtol=1e-10, atol=0,
                                            err_msg=f"s={s}, m={m}")
@@ -267,11 +288,9 @@ class TestFluctuationSurface:
         prof = tf.profile(np.random.default_rng(0).normal(size=400))
         assert M.MAX_DETREND_ORDER == 10
         assert M.segment_variances(prof, 20, m=10)[0] == pytest.approx(
-            M.detrended_variance(prof, 1, 20, m=10), rel=1e-6)
+            detrended_variance(prof, 1, 20, m=10), rel=1e-6)
         with pytest.raises(ValueError, match="order 11 not in 0..10"):
             M.segment_variances(prof, 20, m=11)
-        with pytest.raises(ValueError, match="order 11 not in 0..10"):
-            M.detrended_variance(prof, 1, 20, m=11)
 
 
 def polyfit_generalized_hurst(surf):

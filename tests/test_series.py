@@ -1,3 +1,4 @@
+import functools
 from fractions import Fraction
 
 import numpy as np
@@ -5,6 +6,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import textfract as tf
+import textfract.mfdfa as mfdfa
 from textfract.series import (
     Series,
     _line_fit,
@@ -249,6 +251,54 @@ class TestSeriesType:
     def test_provenance_carried(self):
         s = tf.generate_white_noise(100, 4)
         assert s.provenance["seed"] == 4
+
+
+# every library function that takes a series, as a call on the series alone
+SERIES_FUNCTIONS = {
+    "power_spectrum": tf.power_spectrum,
+    "fluctuation_surface": tf.fluctuation_surface,
+    "mfdfa": mfdfa.mfdfa,
+    "wavelet_map": tf.wavelet_map,
+    "profile": tf.profile,
+    "ccdf": tf.ccdf,
+    "shuffle_surrogate": functools.partial(tf.shuffle_surrogate, seed=3),
+    "phase_randomized_surrogate": functools.partial(tf.phase_randomized_surrogate, seed=3),
+}
+
+
+def result_arrays(result):
+    """Every array and number a result holds, in field order, for an
+    exact comparison; a tuple of results is flattened."""
+    if isinstance(result, tuple):
+        return [a for r in result for a in result_arrays(r)]
+    return [np.asarray(v) for v in vars(result).values() if not isinstance(v, dict)]
+
+
+class TestLibraryBoundary:
+    """Every function takes one 1-D finite series: a Series, an array or
+    a sequence, checked by the one rule of ``Series``."""
+
+    values = np.random.default_rng(8).normal(size=256)
+
+    @pytest.mark.parametrize("fn", SERIES_FUNCTIONS.values(), ids=SERIES_FUNCTIONS)
+    def test_non_finite_value_raises(self, fn):
+        x = self.values.copy()
+        x[100] = np.nan
+        with pytest.raises(ValueError, match="series contains non-finite values"):
+            fn(x)
+
+    @pytest.mark.parametrize("fn", SERIES_FUNCTIONS.values(), ids=SERIES_FUNCTIONS)
+    def test_two_dimensional_array_raises(self, fn):
+        with pytest.raises(ValueError, match="series must be one-dimensional"):
+            fn(self.values.reshape(2, -1))
+
+    @pytest.mark.parametrize("fn", SERIES_FUNCTIONS.values(), ids=SERIES_FUNCTIONS)
+    def test_list_is_the_array(self, fn):
+        got = result_arrays(fn(self.values.tolist()))
+        want = result_arrays(fn(self.values))
+        assert len(got) == len(want) >= 1
+        for a, b in zip(got, want):
+            np.testing.assert_array_equal(a, b)
 
 
 def exact_line_fit(x, y, w):

@@ -53,6 +53,7 @@ RUNS = {
     "surrogate_phase": ["surrogate", "--series-csv", "noise.csv", "--kind", "phase",
                         "--surrogates", "2", "--seed", "3"],
     "zipf": ["zipf", "novel.txt", "marks.txt", "--include-terminators"],
+    "zipf_words": ["zipf", "novel.txt", "--rank-min", "1", "--rank-max", "50"],
     "ccdf_pooled": ["ccdf", "novel.txt", "marks.txt", "--tail-start", "20"],
     "ccdf_csv": ["ccdf", "--series-csv", "noise.csv", "--tail-start", "1"],
     "recurrence_the": ["recurrence", "novel.txt", "--target", "the"],
