@@ -329,26 +329,11 @@ def _run_job(job, name, source, args, em):
 # --------------------------------------------------------------------------
 # stages shared by the commands
 
-def _reject_flat(values):
-    """Raise for a series that does not vary beyond rounding,
-    max|x - mean| <= n * eps * max|x| (the rule ``_line_fit`` applies to
-    x): its power away from DC and its detrended variances are rounding
-    noise, and a fit through them would read as a confident exponent."""
-    top = float(np.abs(values).max())
-    e = np.frexp(top)[1]  # x / 2^e, exact and below 1, keeps the mean finite
-    unit = np.ldexp(values, -e)
-    spread = float(np.ldexp(np.abs(unit - unit.mean()).max(), e))
-    bound = len(values) * np.finfo(float).eps * top
-    if not spread > bound:
-        raise ValueError(f"series does not vary beyond rounding: max|x - mean| = "
-                         f"{spread:.4g} <= n * eps * max|x| = {bound:.4g}")
-
-
 def spectrum_stage(values, args):
     """Power spectrum and its 1/f^beta fit, of a series that varies
     beyond rounding."""
     ps = spectral.power_spectrum(values)  # first: it rejects a short series
-    _reject_flat(values)
+    series._reject_flat(values)
     return ps, spectral.fit_beta(ps, spectrum_fit_range(args), args.bins_per_decade)
 
 
@@ -447,7 +432,6 @@ def spectrum_job(name, s, args, em):
 
 
 def mfdfa_job(name, s, args, em):
-    _reject_flat(s.values)
     surf, gh, spec = mfdfa_stage(s.values, args)
     H = mfdfa.hurst_exponent(gh)  # raises before any file is written
     em.write(f"{name}__fq", "csv", serialize.surface_csv(surf))

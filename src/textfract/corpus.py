@@ -12,11 +12,11 @@ Segmentation is deterministic: same bytes + same lexicon = same spans.
 from __future__ import annotations
 
 import hashlib
-import re
 import unicodedata
 from collections import Counter
 from dataclasses import dataclass
 from importlib import resources
+from itertools import chain
 
 import numpy as np
 
@@ -44,11 +44,25 @@ OTHER = 2
 # the pseudo-word into which all sentence-ending marks pool
 TERMINATOR_SURFACE = "⟨.⟩"
 
-# A maximal letter/digit run joined by internal apostrophes or hyphens,
-# or any other non-space character alone. "..." is made "…" first: words
-# hold no ".", so each run of dots splits three at a time from its left.
-_TOKEN_RE = re.compile(r"[^\W_]+(?:['’‘-][^\W_]+)*|\S")
+# Character classes of the token scan. A token is a maximal run of
+# letters and digits (str.isalnum) joined by single internal apostrophes
+# or hyphens, or any other non-space character (not str.isspace) alone.
+# "..." is made "…" first: words hold no ".", so each run of dots splits
+# three at a time from its left.
+_OTHER, _SPACE, _ALNUM, _JOINER, _TERMINATOR = range(5)
+_JOINERS = frozenset("'’‘-")
 _TERMINATORS = frozenset("….?!")
+
+
+def _class_of(ch: str) -> int:
+    if ch.isalnum():
+        return _ALNUM
+    if ch.isspace():
+        return _SPACE
+    return _JOINER if ch in _JOINERS else _TERMINATOR if ch in _TERMINATORS else _OTHER
+
+
+_ASCII_CLASS = np.array([_class_of(chr(c)) for c in range(128)], dtype=np.uint8)
 
 _OPENERS = {"(": ")", "[": "]", "{": "}", "“": "”", "«": "»"}
 _CLOSERS = {v: k for k, v in _OPENERS.items()}
@@ -56,14 +70,22 @@ _CLOSERS = {v: k for k, v in _OPENERS.items()}
 
 @dataclass(frozen=True, eq=False)
 class Document:
-    """A tokenized text as two parallel columns: ``tokens[i]`` is the
-    surface of token i and ``kinds[i]`` its kind code (WORD,
-    TERMINATOR or OTHER). Documents compare and hash by identity."""
+    """A tokenized text as parallel columns over its normalized ``text``:
+    token i is ``text[starts[i]:ends[i]]`` and ``kinds[i]`` its kind code
+    (WORD, TERMINATOR or OTHER). Documents compare and hash by identity."""
 
     title: str
-    tokens: tuple  # str surfaces
+    text: str  # NFC, with each "..." made "…"
+    starts: np.ndarray  # int offsets into text
+    ends: np.ndarray
     kinds: np.ndarray  # int8 kind codes
     source_hash: str
+
+    @property
+    def tokens(self) -> tuple:
+        """The surface of every token, built on each call."""
+        text = self.text
+        return tuple(text[a:b] for a, b in zip(self.starts.tolist(), self.ends.tolist()))
 
 
 @dataclass(frozen=True, eq=False)
@@ -129,6 +151,36 @@ class AbbreviationLexicon:
             return cls.from_file(file)
 
 
+# the codec that turns code points of each width back into text
+_CODECS = {1: "ascii", 4: "utf-32-le"}
+_BLOCK = 1 << 16  # characters of text a word list is built from at once
+
+
+def _code_points(text: str) -> np.ndarray:
+    """The code points of ``text``, read-only: one byte each for an ASCII
+    text, else four."""
+    # Four bytes each would make a 3 MB buffer of a 756k-character ASCII
+    # novel; once freed, it raises glibc malloc's mmap threshold, and
+    # `wavelet`'s 36 MB CSV that follows then peaked 2 MB higher.
+    if text.isascii():
+        return np.frombuffer(text.encode("ascii"), dtype=np.uint8)
+    return np.frombuffer(text.encode("utf-32-le"), dtype=np.uint32)
+
+
+def _char_classes(text: str) -> np.ndarray:
+    """The class code of each character of ``text``, as uint8: ASCII from
+    a fixed table, each distinct higher code point classed once."""
+    cp = _code_points(text)
+    if not len(cp) or cp.max() < 128:
+        return _ASCII_CLASS[cp]
+    table = np.zeros(int(cp.max()) + 1, dtype=np.uint8)
+    table[cp] = 1  # mark the code points present
+    for c in (np.flatnonzero(table[128:]) + 128).tolist():
+        table[c] = _class_of(chr(c))
+    table[:128] = _ASCII_CLASS
+    return table[cp]
+
+
 def tokenize(raw, title: str = "") -> Document:
     """Split raw text (bytes or str) into Word / Terminator / Other
     tokens after NFC normalization. Bytes that are not UTF-8 raise with
@@ -138,16 +190,53 @@ def tokenize(raw, title: str = "") -> Document:
         text = raw.decode("utf-8")
     except UnicodeDecodeError as exc:
         raise ValueError(f"input is not valid utf-8 at byte {exc.start}") from exc
-    surfaces = _TOKEN_RE.findall(unicodedata.normalize("NFC", text).replace("...", "…"))
-    # [^\W_] is str.isalnum, so only a word starts with a letter or digit
-    kinds = [TERMINATOR if s in _TERMINATORS else WORD if s[0].isalnum() else OTHER
-             for s in surfaces]
-    return Document(
-        title=title,
-        tokens=tuple(surfaces),
-        kinds=np.array(kinds, dtype=np.int8),
-        source_hash=hashlib.sha256(raw).hexdigest(),
-    )
+    text = unicodedata.normalize("NFC", text).replace("...", "…")
+    cls = _char_classes(text)
+    # word characters, padded with a non-word at each end: letters and
+    # digits, and each joiner with one of them on both sides
+    word = np.zeros(len(cls) + 2, dtype=bool)
+    np.equal(cls, _ALNUM, out=word[1:-1])
+    word[2:-2] |= (cls[1:-1] == _JOINER) & word[1:-3] & word[3:-1]
+    # a token starts at any non-space character that does not continue a word
+    starts = np.flatnonzero((cls != _SPACE) & ~(word[1:-1] & word[:-2]))
+    first = cls[starts]
+    is_word = first == _ALNUM
+    ends = starts + 1
+    ends[is_word] = np.flatnonzero(word[1:-1] & ~word[2:]) + 1  # each word run's end
+    kinds = np.where(first == _TERMINATOR, TERMINATOR, OTHER).astype(np.int8)
+    kinds[is_word] = WORD
+    return Document(title=title, text=text, starts=starts, ends=ends, kinds=kinds,
+                    source_hash=hashlib.sha256(raw).hexdigest())
+
+
+def _word_text(doc: Document) -> str:
+    """``doc.text`` with each character outside a word made a space."""
+    is_word = doc.kinds == WORD
+    edges = np.zeros(len(doc.text) + 1, dtype=np.int8)
+    edges[doc.starts[is_word]] = 1
+    edges[doc.ends[is_word]] = -1  # no word starts where another ends
+    cp = _code_points(doc.text).copy()
+    cp[np.cumsum(edges[:-1], dtype=np.int8) == 0] = ord(" ")
+    return cp.tobytes().decode(_CODECS[cp.itemsize])
+
+
+def _folded_words(text: str, start: int = 0, stop: int | None = None):
+    """The case-folded words of a ``_word_text`` from ``start`` to
+    ``stop`` (each an end or a space), in order. Blocks of about
+    ``_BLOCK`` characters, cut at a space, are lowered whole and split
+    at whitespace, so only one block's words are held at once. With a
+    space on each side of every word, str.lower's final-sigma rule sees
+    the context it sees when lowering the word alone."""
+    stop = len(text) if stop is None else stop
+
+    def blocks(a):
+        while a < stop:
+            b = text.find(" ", min(a + _BLOCK, stop), stop)
+            b = stop if b < 0 else b
+            yield text[a:b].lower().split()
+            a = b
+
+    return chain.from_iterable(blocks(start))
 
 
 def _is_initial(word: str) -> bool:
@@ -168,7 +257,7 @@ def segment_sentences(doc: Document, lexicon: AbbreviationLexicon | None = None)
     The lexicon defaults to the bundled English one.
     """
     lexicon = lexicon if lexicon is not None else AbbreviationLexicon.for_language("en")
-    tokens, kinds = doc.tokens, doc.kinds
+    text, starts, ends, kinds = doc.text, doc.starts, doc.ends, doc.kinds
     is_word = kinds == WORD
     # words and terminators in token order: the word after a mark, if
     # any, is the next entry here, unless a terminator comes first
@@ -178,16 +267,18 @@ def segment_sentences(doc: Document, lexicon: AbbreviationLexicon | None = None)
         j = np.searchsorted(stops, i, side="right")
         if j == len(stops) or not is_word[stops[j]]:
             return False
-        return tokens[stops[j]][0].isupper()
+        return text[starts[stops[j]]].isupper()
 
     cuts = [0]  # span boundaries: each span runs from one cut to the next
     lexicon_hits = initial_hits = bracket_suppr = ellipsis_cont = 0
     depth = 0
     quote_open = False  # straight double quotes toggle
 
+    # every token that is not a word is one character
     nonword = np.flatnonzero(~is_word)
-    for i, kind in zip(nonword.tolist(), kinds[nonword].tolist()):
-        surface = tokens[i]
+    for i, kind, start in zip(nonword.tolist(), kinds[nonword].tolist(),
+                              starts[nonword].tolist()):
+        surface = text[start]
         if kind == OTHER:
             if surface in _OPENERS:
                 depth += 1
@@ -198,10 +289,11 @@ def segment_sentences(doc: Document, lexicon: AbbreviationLexicon | None = None)
             continue
 
         if surface == "." and i > 0 and is_word[i - 1]:
-            if tokens[i - 1] in lexicon:
+            before = text[starts[i - 1]:ends[i - 1]]
+            if before in lexicon:
                 lexicon_hits += 1
                 continue
-            if _is_initial(tokens[i - 1]):
+            if _is_initial(before):
                 initial_hits += 1
                 continue
         if surface == "…" and not next_word_capitalized(i):
@@ -212,9 +304,9 @@ def segment_sentences(doc: Document, lexicon: AbbreviationLexicon | None = None)
             continue
         cuts.append(i + 1)
 
-    trailing = len(tokens) - cuts[-1]
+    trailing = len(kinds) - cuts[-1]
     cuts = np.asarray(cuts)
-    word_chars = np.fromiter(map(len, tokens), dtype=int, count=len(tokens)) * is_word
+    word_chars = (ends - starts) * is_word
     words = np.diff(_running_total(is_word)[cuts])
     chars = np.diff(_running_total(word_chars)[cuts])
     kept = words > 0
@@ -256,13 +348,12 @@ def word_recurrence_series(doc: Document, target: str) -> Series:
     pooled_terminators = target in (".", TERMINATOR_SURFACE)
     is_word = doc.kinds == WORD
     if pooled_terminators:
-        hit = doc.kinds == TERMINATOR
+        # a mark sits at the number of words before it
+        indices = _running_total(is_word)[:-1][doc.kinds == TERMINATOR]
     else:
         want = target.lower()
-        hit = is_word & np.fromiter((s == want for s in map(str.lower, doc.tokens)),
-                                    dtype=bool, count=len(doc.tokens))
-    # an occurrence sits at the number of words before it
-    indices = _running_total(is_word)[:-1][hit]
+        words = _folded_words(_word_text(doc))
+        indices = [i for i, w in enumerate(words) if w == want]
     if len(indices) < 2:
         raise ValueError(
             f"target {target!r} occurs {len(indices)} time(s); need >= 2"
@@ -280,13 +371,18 @@ def rank_frequency(doc: Document, include_terminators: bool = False) -> RankFreq
     """Zipf table: case-folded words ranked by count, descending, ties
     broken by first occurrence. With ``include_terminators`` all
     sentence-ending marks pool into one pseudo-word, ``TERMINATOR_SURFACE``."""
-    keys = (
-        TERMINATOR_SURFACE if kind == TERMINATOR else surface.lower()
-        for surface, kind in zip(doc.tokens, doc.kinds.tolist())
-        if kind == WORD or (kind == TERMINATOR and include_terminators)
-    )
+    text = _word_text(doc)
+    marks = doc.kinds == TERMINATOR
+    counts = Counter()  # keys in first-occurrence order
+    cut = 0
+    if include_terminators and marks.any():
+        # the pooled marks first occur at the first mark, a space in text
+        cut = int(doc.starts[np.argmax(marks)])
+        counts.update(_folded_words(text, 0, cut))
+        counts[TERMINATOR_SURFACE] = int(np.count_nonzero(marks))
+    counts.update(_folded_words(text, cut))
     # most_common sorts stably, so equal counts keep first-occurrence order
-    ranked = Counter(keys).most_common()
+    ranked = counts.most_common()
     if not ranked:
         raise ValueError("no words to rank")
     surfaces, counts = zip(*ranked)

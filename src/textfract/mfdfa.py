@@ -20,7 +20,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .series import Profile, _line_fit, as_values, profile
+from .series import Profile, _line_fit, _reject_flat, as_values, profile
 
 __all__ = [
     "FluctuationSurface",
@@ -145,7 +145,8 @@ def fluctuation_surface(s_series, q_values=None, scales=None, m: int = 2) -> Flu
     For q != 0, F_q(s) = { mean over segments of [F^2]^(q/2) }^(1/q);
     q = 0 takes the logarithmic limit exp{ mean(ln F^2) / 2 }.
     Negative q diverges on any exactly-detrended segment, so a zero
-    variance raises rather than returning infinities.
+    variance raises rather than returning infinities, and so does a series
+    that does not vary beyond rounding, before any scale is tried.
     """
     x = as_values(s_series)
     if q_values is None:
@@ -158,6 +159,7 @@ def fluctuation_surface(s_series, q_values=None, scales=None, m: int = 2) -> Flu
         raise ValueError(
             f"series length {len(x)} < 4 * max scale {scales.max()}; shrink the scale grid"
         )
+    _reject_flat(x)
     prof = profile(x)
     F = np.empty((len(q_values), len(scales)))
     n_segments = np.empty(len(scales), dtype=int)

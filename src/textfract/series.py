@@ -65,6 +65,21 @@ def as_values(s) -> np.ndarray:
     return (s if isinstance(s, Series) else Series(s)).values
 
 
+def _reject_flat(values):
+    """Raise for a series that does not vary beyond rounding,
+    max|x - mean| <= n * eps * max|x| (the rule ``_line_fit`` applies to
+    x): its power away from DC and its detrended variances are rounding
+    noise, and a fit through them would read as a confident exponent."""
+    top = float(np.abs(values).max())
+    e = np.frexp(top)[1]  # x / 2^e, exact and below 1, keeps the mean finite
+    unit = np.ldexp(values, -e)
+    spread = float(np.ldexp(np.abs(unit - unit.mean()).max(), e))
+    bound = len(values) * np.finfo(float).eps * top
+    if not spread > bound:
+        raise ValueError(f"series does not vary beyond rounding: max|x - mean| = "
+                         f"{spread:.4g} <= n * eps * max|x| = {bound:.4g}")
+
+
 def _line_fit(x, y, w=None):
     """Least-squares line y = slope * x + intercept, weighted by ``w``
     (default equal), one fit per row of a 2-D ``y``. Returns the slope, the

@@ -1,6 +1,7 @@
 import re
 import sys
 import unicodedata
+from collections import Counter
 from pathlib import Path
 
 import numpy as np
@@ -8,7 +9,8 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 import textfract as tf
-from textfract.corpus import OTHER, TERMINATOR, WORD, AbbreviationLexicon
+from textfract import corpus
+from textfract.corpus import OTHER, TERMINATOR, TERMINATOR_SURFACE, WORD, AbbreviationLexicon
 from seg_fixtures import CASES
 
 # pieces of random texts that exercise every segmentation rule
@@ -17,11 +19,13 @@ SOUP = ["Alma", "Bert", "Oslo", "the", "cat", "ran", "Mr", "A", "J",
 
 # pieces of drawn texts for the tokenizer: every mark the scan or the
 # kinds tell apart, digits, combining marks (e + U+0301 composes under NFC),
-# a zero-width space, ligatures and letters of several scripts
+# a zero-width space, rarer spaces, ligatures, letters of several scripts
+# (Σ lowers to ς at the end of a word), and a letter and a symbol outside
+# the BMP
 TOKEN_PIECES = ["...", ".", "…", "?", "!", "'", "’", "‘", "-", "_", "\u0301", "\u0308",
                 "7", "٣", "²", "(", ")", "[", "]", "«", "»", '"', "“", "”", ",",
-                " ", "\n", "\t", "\u00a0", "\u200b", "a", "Q", "e", "é", "ж", "Ω",
-                "中", "ǅ", "ﬁ", "ｆ"]
+                " ", "\n", "\t", "\u00a0", "\u200b", "\x1c", "\u2028", "\u3000",
+                "a", "Q", "e", "é", "ж", "Ω", "Σ", "中", "ǅ", "ﬁ", "ｆ", "𝐀", "😀"]
 
 # The reference tokenizer: one regex match per token, its kind read from
 # the named group that matched. tokenize must agree with it exactly.
@@ -127,6 +131,12 @@ class TestTokenize:
         # must accept the same code points
         every = "".join(map(chr, range(sys.maxunicode + 1)))
         assert set(re.findall(r"[^\W_]", every)) == set(filter(str.isalnum, every))
+
+    def test_space_class_is_isspace(self):
+        # the reference splits at \s, the scan at str.isspace: the two must
+        # accept the same code points
+        every = "".join(map(chr, range(sys.maxunicode + 1)))
+        assert set(re.findall(r"\s", every)) == set(filter(str.isspace, every))
 
 
 class TestSegmentation:
@@ -246,7 +256,49 @@ class TestSliceSeries:
                 tf.slice_series(s, lo, hi)
 
 
+def oracle_keys(text, include_terminators=False):
+    """The reference's word surfaces, case-folded, in text order; with
+    ``include_terminators``, each sentence-ending mark as the pooled key."""
+    surfaces, kinds = oracle_tokenize(text)
+    return [w.lower() if k == WORD else TERMINATOR_SURFACE for w, k in zip(surfaces, kinds)
+            if k == WORD or (include_terminators and k == TERMINATOR)]
+
+
+def each_block_size(test):
+    """Runs ``test`` with the corpus word lists built from whole texts,
+    then from blocks of about two characters."""
+    for block in (corpus._BLOCK, 2):
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(corpus, "_BLOCK", block)
+            test()
+
+
+def drawn_texts(pieces=TOKEN_PIECES):
+    """Texts of 20 to 60 pieces, each followed by a space or not."""
+    return st.lists(st.tuples(st.sampled_from(pieces), st.sampled_from(["", " "])),
+                    min_size=20, max_size=60).map(lambda p: "".join(map("".join, p)))
+
+
 class TestWordRecurrence:
+    @settings(max_examples=200)
+    @given(st.data())
+    def test_gaps_match_oracle_on_drawn_text(self, data):
+        # the target, in either case, is one more piece of the drawn text
+        target = data.draw(st.sampled_from(["a", "é", "ж", "7", "ﬁ", "𝐀", "a-a", "q’e"]))
+        text = data.draw(drawn_texts(TOKEN_PIECES + [target, target.upper()]))
+        positions = [i for i, w in enumerate(oracle_keys(text)) if w == target.lower()]
+        doc = tf.tokenize(text)
+
+        def test():
+            if len(positions) < 2:
+                with pytest.raises(ValueError, match=f"occurs {len(positions)} time"):
+                    tf.word_recurrence_series(doc, target)
+            else:
+                got = tf.word_recurrence_series(doc, target).values
+                assert got.tolist() == np.diff(positions).tolist()
+
+        each_block_size(test)
+
     def test_simple_gap(self):
         doc = tf.tokenize("the cat the")
         assert tf.word_recurrence_series(doc, "the").values.tolist() == [2]
@@ -292,6 +344,24 @@ class TestWordRecurrence:
 
 
 class TestRankFrequency:
+    @settings(max_examples=200)
+    @given(drawn_texts(), st.booleans())
+    def test_table_matches_oracle_on_drawn_text(self, text, include_terminators):
+        # Counter keeps first-occurrence order, and the sort is stable
+        expected = sorted(Counter(oracle_keys(text, include_terminators)).items(),
+                          key=lambda kv: -kv[1])
+        doc = tf.tokenize(text)
+
+        def test():
+            if not expected:
+                with pytest.raises(ValueError, match="no words to rank"):
+                    tf.rank_frequency(doc, include_terminators)
+            else:
+                table = tf.rank_frequency(doc, include_terminators)
+                assert list(zip(table.surfaces, table.counts.tolist())) == expected
+
+        each_block_size(test)
+
     def test_simple_counts(self):
         doc = tf.tokenize("the cat the")
         table = tf.rank_frequency(doc)

@@ -266,8 +266,23 @@ class TestFluctuationSurface:
         np.testing.assert_allclose(tiny.F, 1e-100 * base.F, rtol=1e-9)
 
     def test_zero_variance_segment_rejected_for_negative_q(self):
-        with pytest.raises(ValueError, match="scale"):
-            M.fluctuation_surface(np.zeros(2000), q_values=[-2.0], scales=[20, 40, 80])
+        # mean exactly 0, so the profile is exactly 0 over the leading zeros
+        x = np.zeros(2000)
+        x[-200:] = np.tile([1.0, -1.0], 100)
+        with pytest.raises(ValueError, match="segment 1 at scale 20 is exactly detrended"):
+            M.fluctuation_surface(x, q_values=[-2.0], scales=[20, 40, 80])
+
+    @pytest.mark.parametrize("run", [M.fluctuation_surface, M.mfdfa])
+    @pytest.mark.parametrize("x", [
+        np.zeros(5000),
+        np.full(5000, 3.0),
+        # 3.0 and the next float up in turn: F^2 is rounding noise, which
+        # a fit would read as H = 0.0008
+        np.where(np.arange(5000) % 2, np.nextafter(3.0, 4.0), 3.0),
+    ], ids=["zeros", "constant", "ulp_steps"])
+    def test_series_flat_to_rounding_rejected(self, run, x):
+        with pytest.raises(ValueError, match="series does not vary beyond rounding"):
+            run(x)
 
     def test_series_too_short_for_scales(self):
         with pytest.raises(ValueError):

@@ -8,8 +8,9 @@ OLD_SRC and NEW_SRC are ``src`` directories, each holding the
 ``git archive``. The inputs are written once to a temporary directory:
 the synthetic novel of ``tests/_novel.py``, a copy of it whose full
 stops turn in turn into ``...``, ``…``, ``....``, ``?`` and ``!`` (plus
-``snake_case 3.14 a...b``), an empty text, and a seeded float series as
-an ``index,value`` CSV. Every subcommand runs at least once on each
+``snake_case 3.14 a...b``), a copy whose sentences in turn gain
+non-ASCII text (see ``unicode_text``), an empty text, and a seeded float
+series as an ``index,value`` CSV. Every subcommand runs at least once on each
 side. For each run the exit code, stdout, stderr (with the output
 directory written as ``<out>``, and its lines sorted where ``--jobs``
 runs them in parallel), the list of output files and each file's bytes
@@ -59,7 +60,28 @@ RUNS = {
     "recurrence_the": ["recurrence", "novel.txt", "--target", "the"],
     "recurrence_stop": ["recurrence", "marks.txt", "--target", "."],
     "slice": ["slice", "marks.txt", "--from", "100", "--to", "5000"],
+    "spectrum_unicode_chars": ["spectrum", "unicode.txt", "--unit", "chars"],
+    "zipf_unicode": ["zipf", "unicode.txt", "--include-terminators"],
+    "recurrence_unicode": ["recurrence", "unicode.txt", "--target", "Café"],
 }
+
+
+def unicode_text(text: str) -> str:
+    """The novel with one change per sentence, in turn: the sentence in
+    curly quotes, two words joined by ``’``, a bracketed clause, an NFD
+    accented word, a word with a letter outside the BMP, and an opening
+    ``Dr.`` and initials. The novel itself is pure ASCII."""
+    edits = [
+        lambda words: ["“" + words[0], *words[1:-1], words[-1] + "”"],
+        lambda words: [words[0] + "’" + words[1], *words[2:]] if len(words) > 2 else words,
+        lambda words: [words[0], "(so", "it", "went,", "café)", *words[1:]],
+        lambda words: [*words[:-1], "cafe\u0301", "nai\u0308ve", words[-1]],
+        lambda words: [words[0], "x𝐀y", *words[1:]],
+        lambda words: ["Dr.", "J.", "R.", "Banook", "and", words[0].lower(), *words[1:]],
+    ]
+    lines = text.splitlines()
+    return "".join(" ".join(edits[i % len(edits)](line.split(" "))) + "\n"
+                   for i, line in enumerate(lines))
 
 
 def write_inputs(folder: Path, src: Path):
@@ -75,6 +97,7 @@ def write_inputs(folder: Path, src: Path):
     marked = "".join(p + marks[i % len(marks)] + "\n" for i, p in enumerate(parts[:-1]))
     (folder / "marks.txt").write_text(marked + parts[-1] + "snake_case 3.14 a...b\n",
                                       encoding="utf-8")
+    (folder / "unicode.txt").write_text(unicode_text(text), encoding="utf-8")
     (folder / "empty.txt").write_bytes(b"")
     values = np.random.default_rng(20261018).lognormal(2.0, 0.5, 2**14)
     (folder / "noise.csv").write_text(
