@@ -368,8 +368,8 @@ def analyze_job(name, s, args, em):
     values = s.values
     ps, fit = spectrum_stage(values, args)
     _surf, gh, spec = mfdfa_stage(values, args)
-    H = mfdfa.hurst_exponent(gh)
-    idx2 = int(np.nonzero(np.isclose(gh.q_values, 2.0))[0][0])
+    i2 = int(np.nonzero(np.isclose(gh.q_values, 2.0))[0][0])  # check_args keeps q = 2
+    H = float(gh.h[i2])
 
     surrogate_rows = []
     for k in range(args.surrogates):
@@ -400,7 +400,7 @@ def analyze_job(name, s, args, em):
         "sigma_beta": fit.sigma_beta,
         "spectrum_fit_range": list(fit.fit_range),
         "H": H,
-        "sigma_H": float(gh.h_stderr[idx2]),
+        "sigma_H": float(gh.h_stderr[i2]),
         "beta_from_H": mfdfa.beta_from_hurst(H),
         "delta_alpha": spec.delta_alpha,
         "alpha_at_peak": spec.alpha_at_peak,
@@ -522,7 +522,7 @@ def slice_job(name, s, args, em):  # a text's lengths always pass these checks
         raise ValueError("sentence lengths must be >= 1")
     part = corpus.slice_series(s, args.slice_from, args.slice_to)
     out_name = f"{name}__slice_{args.slice_from}_{args.slice_to}"
-    em.write(out_name, "csv", serialize.series_csv(part.values.astype(int)))
+    em.write(out_name, "csv", serialize.series_csv([int(v) for v in part.values.tolist()]))
     em.write(out_name, "json", serialize.to_json(
         {"provenance": part.provenance, "j_max": len(part)}))
 

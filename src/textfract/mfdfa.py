@@ -20,7 +20,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .series import Profile, _line_fit, _reject_flat, as_values, profile
+from .series import Profile, _line_fit, _reject_amplitude, _reject_flat, as_values, profile
 
 __all__ = [
     "FluctuationSurface",
@@ -145,20 +145,16 @@ def fluctuation_surface(s_series, q_values=None, scales=None, m: int = 2) -> Flu
     For q != 0, F_q(s) = { mean over segments of [F^2]^(q/2) }^(1/q);
     q = 0 takes the logarithmic limit exp{ mean(ln F^2) / 2 }.
     Negative q diverges on any exactly-detrended segment, so a zero
-    variance raises rather than returning infinities, and so does a series
-    that does not vary beyond rounding, before any scale is tried.
+    variance then raises, as does any subnormal one and, before any scale
+    is tried, a series out of amplitude range or flat to rounding.
     """
     x = as_values(s_series)
-    if q_values is None:
-        q_values = default_q_values()
-    q_values = np.asarray(q_values, dtype=float)
-    if scales is None:
-        scales = default_scales(len(x))
-    scales = np.asarray(scales, dtype=int)
+    q_values = np.asarray(default_q_values() if q_values is None else q_values, dtype=float)
+    scales = np.asarray(default_scales(len(x)) if scales is None else scales, dtype=int)
     if len(x) < 4 * scales.max():
-        raise ValueError(
-            f"series length {len(x)} < 4 * max scale {scales.max()}; shrink the scale grid"
-        )
+        raise ValueError(f"series length {len(x)} < 4 * max scale {scales.max()}; "
+                         "shrink the scale grid")
+    _reject_amplitude(x, 2)
     _reject_flat(x)
     prof = profile(x)
     F = np.empty((len(q_values), len(scales)))
@@ -167,23 +163,24 @@ def fluctuation_surface(s_series, q_values=None, scales=None, m: int = 2) -> Flu
     is_zero = q_values == 0
     q_nonzero = q_values[~is_zero]
     half_q = q_nonzero / 2.0
+    tiny = np.finfo(float).tiny
     for j, s in enumerate(scales):
         f2 = segment_variances(prof, int(s), m)
         n_segments[j] = len(f2)
         if has_negative_q and (f2 == 0).any():
             nu = int(np.nonzero(f2 == 0)[0][0]) + 1
-            raise ValueError(
-                f"segment {nu} at scale {s} is exactly detrended (F^2 = 0); "
-                "negative q moments diverge"
-            )
-        log_f2 = np.log(np.maximum(f2, np.finfo(float).tiny))
+            raise ValueError(f"segment {nu} at scale {s} is exactly detrended (F^2 = 0); "
+                             "negative q moments diverge")
+        if ((0 < f2) & (f2 < tiny)).any():  # below what the amplitude rule foresees
+            raise ValueError(f"F^2 at scale {s} is below the smallest normal float; "
+                             "the exponents do not depend on scale, so rescale the series")
+        log_f2 = np.log(np.maximum(f2, tiny))
         F[is_zero, j] = np.exp(0.5 * log_f2.mean())
         # log-sum-exp keeps large negative q finite on tiny variances;
         # rounding q/2 * x is monotone in x, so amax is each row's max
         a = np.multiply.outer(half_q, log_f2)
         amax = half_q * np.where(half_q > 0, log_f2.max(), log_f2.min())
-        with np.errstate(invalid="ignore"):  # inf - inf: F is NaN; the h(q) fit rejects it
-            a -= amax[:, None]
+        a -= amax[:, None]
         np.exp(a, out=a)
         F[~is_zero, j] = np.exp((amax + np.log(a.mean(axis=1))) / q_nonzero)
     return FluctuationSurface(q_values=q_values, scales=scales, F=F, n_segments=n_segments)

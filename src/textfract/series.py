@@ -69,15 +69,34 @@ def _reject_flat(values):
     """Raise for a series that does not vary beyond rounding,
     max|x - mean| <= n * eps * max|x| (the rule ``_line_fit`` applies to
     x): its power away from DC and its detrended variances are rounding
-    noise, and a fit through them would read as a confident exponent."""
-    top = float(np.abs(values).max())
-    e = np.frexp(top)[1]  # x / 2^e, exact and below 1, keeps the mean finite
-    unit = np.ldexp(values, -e)
-    spread = float(np.ldexp(np.abs(unit - unit.mean()).max(), e))
-    bound = len(values) * np.finfo(float).eps * top
+    noise, and a fit through them would read as a confident exponent.
+    The series has passed ``_reject_amplitude``, so its mean is finite."""
+    spread = float(np.abs(values - values.mean()).max())
+    bound = len(values) * np.finfo(float).eps * float(np.abs(values).max())
     if not spread > bound:
         raise ValueError(f"series does not vary beyond rounding: max|x - mean| = "
                          f"{spread:.4g} <= n * eps * max|x| = {bound:.4g}")
+
+
+def _reject_amplitude(values, degree: int, length=None):
+    """Raise for a series whose amplitude a = max|x| float64 cannot carry
+    through a stage of degree d in x (2: spectrum, F^2; 1: wavelet map,
+    phase surrogate) whose longest transform has length m (default n).
+    Such a stage's sums stay below 2 m^3 a^d: |X_k|^2 <= (n a)^2; the
+    profile is at most n a, a residual 2 n a, a sum of s <= n/4 squares
+    n^3 a^2; an inverse FFT sums m products of |rfft(x)| <= n a with a
+    phase, or with the wavelet kernel's |rfft| <= m max|psi| = 1.38 m. So
+    hi = (finfo.max / (2 m^3))^(1/d). A series that varies beyond rounding
+    differs from its mean by eps * a or more, whose d-th power is normal
+    for a >= lo = finfo.tiny^(1/d) / eps. An all-zero series passes: every
+    stage is exact on it."""
+    fi, amp = np.finfo(float), float(np.abs(values).max())
+    lo = fi.tiny ** (1 / degree) / fi.eps
+    hi = (fi.max / (2.0 * (length or len(values)) ** 3)) ** (1 / degree)
+    if amp and not lo <= amp <= hi:
+        raise ValueError(f"series amplitude max|x| = {amp:.4g} is outside [{lo:.4g}, "
+                         f"{hi:.4g}] at n = {len(values)}; the exponents do not depend "
+                         "on scale, so rescale the series")
 
 
 def _line_fit(x, y, w=None):
@@ -153,6 +172,7 @@ def phase_randomized_surrogate(s, seed: int) -> Series:
     n = len(x)
     if n < 4:
         raise ValueError("series too short for phase randomization (need >= 4 points)")
+    _reject_amplitude(x, 1)
     return Series(_random_phases(np.fft.rfft(x), n, seed),
                   provenance={"kind": "phase_randomized", "seed": int(seed)})
 

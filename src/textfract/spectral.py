@@ -6,7 +6,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .series import _line_fit, as_values
+from .series import _line_fit, _reject_amplitude, as_values
 
 __all__ = [
     "PowerSpectrum",
@@ -59,16 +59,10 @@ def power_spectrum(s) -> PowerSpectrum:
     n = len(x)
     if n < 8:
         raise ValueError(f"series too short for a spectrum (need >= 8, got {n})")
-    spec = np.fft.rfft(x)
-    with np.errstate(over="ignore"):  # power overflows to inf; fit_beta rejects it
-        power = np.abs(spec) ** 2
-    k = np.arange(1, n // 2 + 1)
-    return PowerSpectrum(
-        freqs=k / n,
-        power=power[1 : n // 2 + 1],
-        n_samples=n,
-        dc_power=float(power[0]),
-    )
+    _reject_amplitude(x, 2)
+    power = np.abs(np.fft.rfft(x)) ** 2
+    return PowerSpectrum(freqs=np.arange(1, n // 2 + 1) / n, power=power[1 : n // 2 + 1],
+                         n_samples=n, dc_power=float(power[0]))
 
 
 def _log_bin(freqs, power, bins_per_decade: int):

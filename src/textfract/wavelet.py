@@ -7,14 +7,12 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .series import as_values
+from .series import _reject_amplitude, as_values
 
 __all__ = ["WaveletMap", "mother_wavelet", "wavelet_map", "SUPPORT_HALF_WIDTH"]
 
 # |psi(x)| < 1e-12 beyond this, so the discrete sum is truncated there.
 SUPPORT_HALF_WIDTH = 8.0
-# max |psi(x)| is 1.3801..., at x = sqrt(3 - sqrt(6))
-_PSI_MAX = 1.4
 
 
 @dataclass(frozen=True)
@@ -59,27 +57,18 @@ def wavelet_map(s_series, scales=None) -> WaveletMap:
     truncated support (|x| <= 8) crosses a series edge are flagged in
     ``boundary`` so plots can mask the cone of influence.
 
-    A series whose amplitude could overflow the correlation raises
-    ValueError. The map is linear in the series, so a rescaled series
-    gives the rescaled map.
+    A series whose amplitude float64 cannot carry through the correlation
+    raises ValueError. The map is linear in the series, so a rescaled
+    series gives the rescaled map.
     """
     x = as_values(s_series)
     n = len(x)
-    if scales is None:
-        scales = default_scales(n)
-    scales = np.asarray(scales, dtype=float)
+    scales = np.asarray(default_scales(n) if scales is None else scales, dtype=float)
     if np.any(scales <= 0):
         raise ValueError("scales must be positive")
     if n < 4 * scales.min():
         raise ValueError(f"series length {n} < 4 * min scale {scales.min()}")
-    # |rfft(x)| <= n * max|x| and |rfft(kernel)| <= nfft * _PSI_MAX; the
-    # inverse FFT sums at most nfft of their products before it divides
-    amp = float(np.abs(x).max())
-    limit = np.finfo(float).max / (n * _PSI_MAX * float(_padding(n, scales.max())[1]) ** 2)
-    if amp > limit:
-        raise ValueError(f"series amplitude max|x| = {amp:.4g} would overflow the wavelet "
-                         f"map's FFT at n = {n}, which holds up to {limit:.4g}; the map "
-                         "is linear in the series, so rescaling it is safe")
+    _reject_amplitude(x, 1, _padding(n, scales.max())[1])
 
     k = np.arange(n)  # 0-based positions
     coeffs = np.empty((len(scales), n))

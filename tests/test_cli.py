@@ -10,6 +10,7 @@ import subprocess
 import sys
 import tempfile
 import types
+import warnings
 import xml.etree.ElementTree as ET
 from pathlib import Path
 
@@ -65,6 +66,9 @@ def series_file(tmp_path):
 def run(argv):
     return cli.main([str(a) for a in argv])
 
+
+# the close of the amplitude rule's error
+RESCALE = "the exponents do not depend on scale, so rescale the series"
 
 # the options each command needs before anything else can be checked
 REQUIRED = {"recurrence": ["--target", "the"], "slice": ["--from", "1", "--to", "2"]}
@@ -289,6 +293,78 @@ def test_main_never_raises(argv):
         assert run(argv + inputs + ["--out", tmp / "o"]) in (0, 1, 2)
 
 
+# the seven commands that read --series-csv, with the options each is run
+# with; 10 wavelet scales span the default range, so the longest FFT is the same
+SERIES_COMMANDS = {"analyze": [], "spectrum": [], "mfdfa": [], "wavelet": ["--n-scales", "10"],
+                   "surrogate": ["--kind", "phase"], "ccdf": [], "slice": REQUIRED["slice"]}
+
+
+@st.composite
+def scaled_series(draw):
+    """(x, k): fGn, the binomial cascade, a constant, integers or runs of
+    constant integers, times any 2^k that keeps every value finite."""
+    kind = draw(st.sampled_from(["fgn", "cascade", "constant", "integers", "runs"]))
+    n, seed = draw(st.sampled_from([256, 1000, 2048])), draw(st.integers(0, 99))
+    rng = np.random.default_rng(seed)
+    if kind == "fgn":
+        x = tf.generate_fgn(draw(st.floats(0.2, 0.9)), n, seed).values
+    elif kind == "cascade":
+        x = tf.generate_binomial_cascade(draw(st.floats(0.01, 0.5)),
+                                         draw(st.integers(8, 13))).values
+    elif kind == "constant":
+        x = np.full(n, draw(st.floats(0.5, 100.0)))
+    elif kind == "integers":
+        x = rng.integers(1, 60, n).astype(float)
+    else:
+        x = np.repeat(rng.integers(1, 60, n // 8), 8).astype(float)
+    # |k| uniform up to 1100, or up to 550; max|x| * 2^k stays below 2^1024
+    k = draw(st.sampled_from(range(1101)) | st.sampled_from(range(551)))
+    k = -k if draw(st.booleans()) else k
+    return x, min(k, 1023 - int(np.frexp(np.abs(x).max())[1]))
+
+
+def exponents(out):
+    """(beta or None, h(q) or None) from the files a run wrote to ``out``."""
+    fits = [json.loads(p.read_text()) for p in out.glob("*__spectrum_fit.json")]
+    fits += [json.loads(p.read_text()) for p in out.glob("*__report.json")]
+    hurst = [np.array([float(r[1]) for r in read_rows(p)[1:]]) for p in out.glob("*__hurst.csv")]
+    return (fits[0]["beta"] if fits else None), (hurst[0] if hurst else None)
+
+
+@settings(max_examples=50)
+@given(drawn=scaled_series())
+@example(drawn=(tf.generate_fgn(0.75, 1000, 5).values, -1074))
+@example(drawn=(tf.generate_fgn(0.75, 1000, 5).values, 1021))
+# in range, but values down to 2^-86 of the largest put F^2 below normal
+@example(drawn=(tf.generate_binomial_cascade(0.01, 13).values, -458))
+def test_any_amplitude_gives_a_named_outcome_or_the_unscaled_exponents(drawn):
+    # every series command exits 0, 1 or 2, warns of nothing and writes no
+    # inf or nan; an exponent written equals the unscaled series' own
+    x, k = drawn
+    with tempfile.TemporaryDirectory() as tmp:
+        tmp = Path(tmp)
+        path = tmp / "s.csv"
+        path.write_text(serialize.series_csv(np.ldexp(x, k), value_name="value"),
+                        encoding="utf-8")
+        for cmd, options in SERIES_COMMANDS.items():
+            out, err = tmp / cmd, io.StringIO()
+            with warnings.catch_warnings(record=True) as caught, \
+                    contextlib.redirect_stderr(err):
+                warnings.simplefilter("always")
+                code = run([cmd, "--series-csv", path, *options, "--out", out])
+            assert code in (0, 1, 2) and caught == [], (cmd, caught)
+            assert "Traceback" not in err.getvalue() and "Warning" not in err.getvalue()
+            for f in [*out.glob("*.csv"), *out.glob("*.json")]:
+                assert not re.search(r"\b(inf|nan|Infinity|NaN)\b", f.read_text()), f
+            beta, h = exponents(out)
+            if code == 0 and beta is not None:
+                want = tf.fit_beta(tf.power_spectrum(x)).beta
+                assert beta == pytest.approx(want, abs=1e-12), cmd
+            if code == 0 and h is not None:
+                _, gh, _ = tf.mfdfa.mfdfa(x)
+                np.testing.assert_allclose(h, gh.h, rtol=0, atol=1e-12, err_msg=cmd)
+
+
 class TestSeriesCsvInput:
     @pytest.mark.parametrize("row", ["3", "3,nan", "3,inf", "3,abc"],
                              ids=["one_column", "nan", "inf", "non_numeric"])
@@ -327,7 +403,8 @@ class TestSeriesCsvInput:
         out = tmp_path / "o"
         proc = self._child(cmd, "--series-csv", path, "--out", out)
         assert proc.returncode == 1
-        assert "error: huge: cannot fit a line through non-finite values" in proc.stderr
+        assert ("error: huge: series amplitude max|x| = 9.998e+299 is outside "
+                "[6.718e-139, 8.183e+149] at n = 512; " + RESCALE) in proc.stderr
         assert "Warning" not in proc.stderr
         assert list(out.iterdir()) == []
 
@@ -339,8 +416,42 @@ class TestSeriesCsvInput:
         out = tmp_path / "o"
         proc = self._child("wavelet", "--series-csv", path, "--out", out)
         assert proc.returncode == 1
-        assert ("error: huge: series amplitude max|x| = 4.001e+304 would overflow the "
-                "wavelet map's FFT at n = 8192" in proc.stderr)
+        assert ("error: huge: series amplitude max|x| = 4.001e+304 is outside "
+                "[1.002e-292, 2.555e+294] at n = 8192; " + RESCALE) in proc.stderr
+        assert "Warning" not in proc.stderr
+        assert list(out.iterdir()) == []
+
+    # fGn (H = 0.75, n = 8,192, seed 5) times 2^k. Before the amplitude rule,
+    # analyze exited 0 with H = 0.058 and 9.9e-29 at 2^-515 and 2^-520, found
+    # a false exactly-detrended segment at 2^-540 and 2^-546, and could not fit
+    # through non-finite values at 2^504 and 2^1010; the phase surrogate
+    # printed numpy's overflow warnings at 2^1010; and wavelet and the phase
+    # surrogate exited 0 at 2^-1070, 1.1% and 2.4% off.
+    OUT_OF_RANGE = [
+        ("analyze", -515, "[6.718e-139, 1.279e+148]"),
+        ("analyze", -520, "[6.718e-139, 1.279e+148]"),
+        ("analyze", -540, "[6.718e-139, 1.279e+148]"),
+        ("analyze", -546, "[6.718e-139, 1.279e+148]"),
+        ("analyze", 504, "[6.718e-139, 1.279e+148]"),
+        ("analyze", 1010, "[6.718e-139, 1.279e+148]"),
+        ("surrogate", 1010, "[1.002e-292, 1.635e+296]"),
+        ("wavelet", -1070, "[1.002e-292, 2.555e+294]"),
+        ("surrogate", -1070, "[1.002e-292, 1.635e+296]"),
+    ]
+
+    @pytest.mark.parametrize("cmd, k, bounds", OUT_OF_RANGE,
+                             ids=[f"{cmd}_2^{k}" for cmd, k, _ in OUT_OF_RANGE])
+    def test_series_out_of_amplitude_range_writes_nothing(self, cmd, k, bounds, tmp_path):
+        values = tf.generate_fgn(0.75, 8192, 5).values * 2.0**k
+        path = tmp_path / "fgn.csv"
+        path.write_text(serialize.series_csv(values, value_name="value"), encoding="utf-8")
+        out = tmp_path / "o"
+        kind = ["--kind", "phase"] if cmd == "surrogate" else []
+        proc = self._child(cmd, "--series-csv", path, *kind, "--out", out)
+        assert proc.returncode == 1
+        amp = float(np.abs(values).max())
+        assert (f"error: fgn: series amplitude max|x| = {amp:.4g} is outside {bounds} "
+                f"at n = 8192; {RESCALE}") in proc.stderr
         assert "Warning" not in proc.stderr
         assert list(out.iterdir()) == []
 
@@ -622,6 +733,17 @@ class TestSliceCommand:
         meta = json.loads((out / "tale__slice_3_40.json").read_text())
         assert meta["j_max"] == 38
         assert set(meta["provenance"]) == {"source", "segmentation", "unit", "slice"}
+
+    def test_lengths_past_int64_are_written_whole(self, tmp_path):
+        # 2^63 and up do not fit int64: a cast would write -2^63, with a warning
+        values = [3.0, 2.0**63, 2.0**70, 1e300]
+        path = tmp_path / "lengths.csv"
+        path.write_text(serialize.series_csv(values), encoding="utf-8")
+        out = tmp_path / "out"
+        assert run(["slice", "--series-csv", path, "--out", out,
+                    "--from", "1", "--to", "4"]) == 0
+        rows = read_rows(out / "lengths__slice_1_4.csv")
+        assert [int(r[1]) for r in rows[1:]] == [3, 2**63, 2**70, int(1e300)]
 
     def test_non_integral_lengths_rejected(self, tmp_path, capsys):
         path = tmp_path / "lengths.csv"

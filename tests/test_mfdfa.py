@@ -272,6 +272,14 @@ class TestFluctuationSurface:
         with pytest.raises(ValueError, match="segment 1 at scale 20 is exactly detrended"):
             M.fluctuation_surface(x, q_values=[-2.0], scales=[20, 40, 80])
 
+    def test_subnormal_variance_rejected(self):
+        # values down to 2^-86 of the largest: max|x| is in range at 2^-458,
+        # but the smallest F^2 are subnormal, which put h(q) off by 0.94
+        x = np.ldexp(tf.generate_binomial_cascade(0.01, 13).values, -458)
+        with pytest.raises(ValueError, match=r"F\^2 at scale \d+ is below the smallest "
+                                             "normal float; the exponents do not depend"):
+            M.fluctuation_surface(x)
+
     @pytest.mark.parametrize("run", [M.fluctuation_surface, M.mfdfa])
     @pytest.mark.parametrize("x", [
         np.zeros(5000),

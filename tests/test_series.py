@@ -1,4 +1,5 @@
 import functools
+import re
 from fractions import Fraction
 
 import numpy as np
@@ -10,6 +11,7 @@ import textfract.mfdfa as mfdfa
 from textfract.series import (
     Series,
     _line_fit,
+    _reject_amplitude,
     cascade_alpha_width,
     cascade_generalized_hurst,
 )
@@ -299,6 +301,46 @@ class TestLibraryBoundary:
         assert len(got) == len(want) >= 1
         for a, b in zip(got, want):
             np.testing.assert_array_equal(a, b)
+
+
+class TestAmplitudeRule:
+    """One rule for the amplitudes float64 carries: lo = tiny^(1/d) / eps and
+    hi = (max / (2 m^3))^(1/d), at degree d and longest transform m."""
+
+    @pytest.mark.parametrize("degree, n, length", [(2, 8192, None), (1, 8192, None),
+                                                   (1, 600, 2048), (2, 8, None)])
+    def test_bounds_are_inclusive_and_exact(self, degree, n, length):
+        fi = np.finfo(float)
+        lo = fi.tiny ** (1 / degree) / fi.eps
+        hi = (fi.max / (2.0 * (length or n) ** 3)) ** (1 / degree)
+        for amp in (lo, hi):
+            _reject_amplitude(np.full(n, -amp), degree, length)
+        for amp in (np.nextafter(lo, 0), np.nextafter(hi, np.inf)):
+            with pytest.raises(ValueError, match=re.escape(
+                    f"max|x| = {amp:.4g} is outside [{lo:.4g}, {hi:.4g}] at n = {n}; ")):
+                _reject_amplitude(np.full(n, amp), degree, length)
+
+    def test_zeros_pass(self):
+        _reject_amplitude(np.zeros(64), 2)
+        _reject_amplitude(np.zeros(64), 1)
+
+    # each stage that computes on a series, with its degree in x
+    STAGES = {"power_spectrum": (tf.power_spectrum, 2),
+              "fluctuation_surface": (tf.fluctuation_surface, 2),
+              "wavelet_map": (lambda x: tf.wavelet_map(x).coefficients, 1),
+              "phase_surrogate": (lambda x: tf.phase_randomized_surrogate(x, 0).values, 1)}
+
+    @pytest.mark.parametrize("k", [-1070, -520, 504, 1010])
+    @pytest.mark.parametrize("name", STAGES)
+    def test_every_stage_applies_it(self, name, k):
+        stage, degree = self.STAGES[name]
+        x = tf.generate_fgn(0.75, 2048, 5).values
+        if degree == 1 and abs(k) < 1000:  # in range, and linear: the output scales
+            np.testing.assert_array_equal(stage(x * 2.0**k), stage(x) * 2.0**k)
+        else:
+            with pytest.raises(ValueError, match=r"series amplitude max\|x\| = .* is "
+                                                 r"outside .*; the exponents do not depend"):
+                stage(x * 2.0**k)
 
 
 def exact_line_fit(x, y, w):

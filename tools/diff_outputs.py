@@ -9,16 +9,17 @@ OLD_SRC and NEW_SRC are ``src`` directories, each holding the
 the synthetic novel of ``tests/_novel.py``, a copy of it whose full
 stops turn in turn into ``...``, ``…``, ``....``, ``?`` and ``!`` (plus
 ``snake_case 3.14 a...b``), a copy whose sentences in turn gain
-non-ASCII text (see ``unicode_text``), an empty text, and a seeded float
-series as an ``index,value`` CSV. Every subcommand runs at least once on each
-side. For each run the exit code, stdout, stderr (with the output
-directory written as ``<out>``, and its lines sorted where ``--jobs``
-runs them in parallel), the list of output files and each file's bytes
-are compared. Each difference is printed, a differing file with its
-size on each side as ``(OLD → NEW bytes)``, then a closing line with
-the total bytes of all output files on each side, so an output-size
-change reads as one net figure. The exit code is 1 if there is any
-difference, else 0.
+non-ASCII text (see ``unicode_text``), an empty text, a seeded float
+series as an ``index,value`` CSV, and fGn times 2^-520 and 2^1010, two
+amplitudes that float64 cannot carry through the spectrum and MFDFA.
+Every subcommand runs at least once on each side. For each run the exit
+code, stdout, stderr (with the output directory written as ``<out>``,
+and its lines sorted where ``--jobs`` runs them in parallel), the list
+of output files and each file's bytes are compared. Each difference is
+printed, a differing file with its size on each side as ``(OLD → NEW
+bytes)``, then a closing line with the total bytes of all output files
+on each side, so an output-size change reads as one net figure. The exit
+code is 1 if there is any difference, else 0.
 """
 
 from __future__ import annotations
@@ -63,6 +64,12 @@ RUNS = {
     "spectrum_unicode_chars": ["spectrum", "unicode.txt", "--unit", "chars"],
     "zipf_unicode": ["zipf", "unicode.txt", "--include-terminators"],
     "recurrence_unicode": ["recurrence", "unicode.txt", "--target", "Café"],
+    "analyze_tiny": ["analyze", "--series-csv", "tiny.csv"],
+    "analyze_huge": ["analyze", "--series-csv", "huge.csv"],
+    "wavelet_tiny": ["wavelet", "--series-csv", "tiny.csv", "--n-scales", "20"],
+    "wavelet_huge": ["wavelet", "--series-csv", "huge.csv", "--n-scales", "20"],
+    "surrogate_phase_tiny": ["surrogate", "--series-csv", "tiny.csv", "--kind", "phase"],
+    "surrogate_phase_huge": ["surrogate", "--series-csv", "huge.csv", "--kind", "phase"],
 }
 
 
@@ -89,6 +96,7 @@ def write_inputs(folder: Path, src: Path):
     generator imports."""
     sys.path[:0] = [str(src.resolve()), str(REPO / "tests")]
     from _novel import build_novel
+    from textfract import generate_fgn
 
     text, _ = build_novel()
     (folder / "novel.txt").write_text(text, encoding="utf-8")
@@ -99,10 +107,11 @@ def write_inputs(folder: Path, src: Path):
                                       encoding="utf-8")
     (folder / "unicode.txt").write_text(unicode_text(text), encoding="utf-8")
     (folder / "empty.txt").write_bytes(b"")
-    values = np.random.default_rng(20261018).lognormal(2.0, 0.5, 2**14)
-    (folder / "noise.csv").write_text(
-        "index,value\n" + "".join(f"{i},{v!r}\n" for i, v in enumerate(values.tolist(), 1)),
-        encoding="utf-8")
+    fgn = generate_fgn(0.75, 8192, 5).values
+    for name, values in [("noise", np.random.default_rng(20261018).lognormal(2.0, 0.5, 2**14)),
+                         ("tiny", fgn * 2.0**-520), ("huge", fgn * 2.0**1010)]:
+        (folder / f"{name}.csv").write_text("index,value\n" + "".join(
+            f"{i},{v!r}\n" for i, v in enumerate(values.tolist(), 1)), encoding="utf-8")
 
 
 def run_side(src: Path, inputs: Path, outs: Path) -> dict:
