@@ -183,6 +183,11 @@ def check_args(args):
         n_q = int(round((args.q_max - args.q_min) / args.q_step)) + 1
         if n_q > _MAX_Q_POINTS:
             raise ValueError(f"{grid} gives {n_q} points; at most {_MAX_Q_POINTS}")
+        # with q = 2 among at most _MAX_Q_POINTS, this step bound keeps |q|
+        # within 2 + 400 * MAX_Q_STEP = 2.7e156, far below mfdfa.MAX_ABS_Q
+        if args.q_step > mfdfa.MAX_Q_STEP:
+            raise ValueError(f"{grid} overflows float64 in MFDFA; the step must be "
+                             f"<= {mfdfa.MAX_Q_STEP:.4g}")
         q = mfdfa.default_q_values(args.q_min, args.q_max, args.q_step)
         if not np.isclose(q, 2.0).any():
             raise ValueError(f"{grid} misses q = 2, which H needs")

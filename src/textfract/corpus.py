@@ -63,6 +63,9 @@ def _class_of(ch: str) -> int:
 
 
 _ASCII_CLASS = np.array([_class_of(chr(c)) for c in range(128)], dtype=np.uint8)
+# a token's kind by the class of its first character: a word starts with a
+# letter or digit, and a joiner alone is other punctuation
+_KIND_OF_CLASS = np.array([OTHER, OTHER, WORD, OTHER, TERMINATOR], dtype=np.int8)
 
 _OPENERS = {"(": ")", "[": "]", "{": "}", "“": "”", "«": "»"}
 _CLOSERS = {v: k for k, v in _OPENERS.items()}
@@ -76,7 +79,7 @@ class Document:
 
     title: str
     text: str  # NFC, with each "..." made "…"
-    starts: np.ndarray  # int offsets into text
+    starts: np.ndarray  # int32 offsets into text
     ends: np.ndarray
     kinds: np.ndarray  # int8 kind codes
     source_hash: str
@@ -153,15 +156,34 @@ class AbbreviationLexicon:
 
 # the codec that turns code points of each width back into text
 _CODECS = {1: "ascii", 4: "utf-32-le"}
-_BLOCK = 1 << 16  # characters of text a word list is built from at once
+_BLOCK = 1 << 16  # characters of text scanned, or lowered into words, at once
+_MAX_CHARS = int(np.iinfo(np.int32).max)  # the longest text int32 offsets can index
+
+
+def _cuts(text: str, start: int = 0, stop: int | None = None):
+    """The bounds (a, b) of the blocks that cover ``text[start:stop]`` in
+    order, at least one: each holds ``_BLOCK`` characters or more, up to
+    the next space (the next block's first character) or ``stop``. A
+    block with no space after its first ``_BLOCK`` characters runs to
+    ``stop``."""
+    stop = len(text) if stop is None else stop
+    while True:
+        b = text.find(" ", min(start + _BLOCK, stop), stop)
+        b = stop if b < 0 else b
+        yield start, b
+        if b == stop:
+            return
+        start = b
 
 
 def _code_points(text: str) -> np.ndarray:
     """The code points of ``text``, read-only: one byte each for an ASCII
     text, else four."""
-    # Four bytes each would make a 3 MB buffer of a 756k-character ASCII
-    # novel; once freed, it raises glibc malloc's mmap threshold, and
-    # `wavelet`'s 36 MB CSV that follows then peaked 2 MB higher.
+    # One byte each keeps the buffer of an ASCII block of ``_BLOCK``
+    # characters at 64 kB, below glibc malloc's 128 kB mmap threshold;
+    # four would make it 256 kB. A freed mmap buffer raises that threshold:
+    # after the 3 MB buffer of a whole 756k-character novel, `wavelet`'s
+    # 36 MB CSV that follows peaked 2 MB higher.
     if text.isascii():
         return np.frombuffer(text.encode("ascii"), dtype=np.uint8)
     return np.frombuffer(text.encode("utf-32-le"), dtype=np.uint32)
@@ -181,30 +203,53 @@ def _char_classes(text: str) -> np.ndarray:
     return table[cp]
 
 
+def _scan(block: str, offset: int):
+    """The starts and ends (int32, ``offset`` added) and kinds of the
+    tokens of ``block``, a text that no token crosses into or out of."""
+    cls = _char_classes(block)
+    n = len(cls)
+    # word characters, padded with a non-word at each end: letters and
+    # digits, and each joiner with one of them on both sides
+    word = np.zeros(n + 2, dtype=bool)
+    np.equal(cls, _ALNUM, out=word[1:-1])
+    scratch = np.equal(cls, _JOINER)
+    joined = scratch[1:-1]
+    joined &= word[1:-3]
+    joined &= word[3:-1]
+    word[2:-2] |= joined
+    # a token starts at any non-space character that does not continue a
+    # word; every character that continues one is a non-space
+    start = np.not_equal(cls, _SPACE)
+    start ^= np.logical_and(word[1:-1], word[:-2], out=scratch)
+    starts = np.flatnonzero(start).astype(np.int32)
+    kinds = _KIND_OF_CLASS[cls[starts]]
+    ends = starts + 1
+    np.logical_not(word[2:], out=scratch)
+    scratch &= word[1:-1]  # the last character of each word
+    ends[kinds == WORD] = np.flatnonzero(scratch) + 1
+    starts += offset
+    ends += offset
+    return starts, ends, kinds
+
+
 def tokenize(raw, title: str = "") -> Document:
     """Split raw text (bytes or str) into Word / Terminator / Other
     tokens after NFC normalization. Bytes that are not UTF-8 raise with
-    the byte offset."""
+    the byte offset, and so does a text of 2^31 characters or more, whose
+    offsets int32 cannot hold. The text is scanned one block of about
+    ``_BLOCK`` characters at a time, cut at a space, which no token
+    crosses and which no joiner needs as a neighbour."""
     raw = raw.encode("utf-8") if isinstance(raw, str) else raw
     try:
         text = raw.decode("utf-8")
     except UnicodeDecodeError as exc:
         raise ValueError(f"input is not valid utf-8 at byte {exc.start}") from exc
     text = unicodedata.normalize("NFC", text).replace("...", "…")
-    cls = _char_classes(text)
-    # word characters, padded with a non-word at each end: letters and
-    # digits, and each joiner with one of them on both sides
-    word = np.zeros(len(cls) + 2, dtype=bool)
-    np.equal(cls, _ALNUM, out=word[1:-1])
-    word[2:-2] |= (cls[1:-1] == _JOINER) & word[1:-3] & word[3:-1]
-    # a token starts at any non-space character that does not continue a word
-    starts = np.flatnonzero((cls != _SPACE) & ~(word[1:-1] & word[:-2]))
-    first = cls[starts]
-    is_word = first == _ALNUM
-    ends = starts + 1
-    ends[is_word] = np.flatnonzero(word[1:-1] & ~word[2:]) + 1  # each word run's end
-    kinds = np.where(first == _TERMINATOR, TERMINATOR, OTHER).astype(np.int8)
-    kinds[is_word] = WORD
+    if len(text) > _MAX_CHARS:
+        raise ValueError(f"text has {len(text):,} characters; token offsets are int32, "
+                         f"so at most {_MAX_CHARS:,}")
+    blocks = [_scan(text[a:b], a) for a, b in _cuts(text)]
+    starts, ends, kinds = (np.concatenate(column) for column in zip(*blocks))
     return Document(title=title, text=text, starts=starts, ends=ends, kinds=kinds,
                     source_hash=hashlib.sha256(raw).hexdigest())
 
@@ -227,16 +272,7 @@ def _folded_words(text: str, start: int = 0, stop: int | None = None):
     at whitespace, so only one block's words are held at once. With a
     space on each side of every word, str.lower's final-sigma rule sees
     the context it sees when lowering the word alone."""
-    stop = len(text) if stop is None else stop
-
-    def blocks(a):
-        while a < stop:
-            b = text.find(" ", min(a + _BLOCK, stop), stop)
-            b = stop if b < 0 else b
-            yield text[a:b].lower().split()
-            a = b
-
-    return chain.from_iterable(blocks(start))
+    return chain.from_iterable(text[a:b].lower().split() for a, b in _cuts(text, start, stop))
 
 
 def _is_initial(word: str) -> bool:
@@ -244,8 +280,12 @@ def _is_initial(word: str) -> bool:
 
 
 def _running_total(values) -> np.ndarray:
-    """Prefix sums with a leading 0: entry i totals values[:i]."""
-    return np.concatenate(([0], np.cumsum(values)))
+    """Prefix sums with a leading 0, as int32: entry i totals values[:i].
+    Every total here counts tokens or characters of one text, which
+    ``tokenize`` holds below 2^31."""
+    total = np.zeros(len(values) + 1, dtype=np.int32)
+    np.cumsum(values, dtype=np.int32, out=total[1:])
+    return total
 
 
 def segment_sentences(doc: Document, lexicon: AbbreviationLexicon | None = None):
@@ -261,7 +301,7 @@ def segment_sentences(doc: Document, lexicon: AbbreviationLexicon | None = None)
     is_word = kinds == WORD
     # words and terminators in token order: the word after a mark, if
     # any, is the next entry here, unless a terminator comes first
-    stops = np.flatnonzero(kinds != OTHER)
+    stops = np.flatnonzero(kinds != OTHER).astype(np.int32)
 
     def next_word_capitalized(i: int) -> bool:
         j = np.searchsorted(stops, i, side="right")
@@ -306,7 +346,7 @@ def segment_sentences(doc: Document, lexicon: AbbreviationLexicon | None = None)
 
     trailing = len(kinds) - cuts[-1]
     cuts = np.asarray(cuts)
-    word_chars = (ends - starts) * is_word
+    word_chars = (ends - starts) * is_word  # int32, as the columns are
     words = np.diff(_running_total(is_word)[cuts])
     chars = np.diff(_running_total(word_chars)[cuts])
     kept = words > 0

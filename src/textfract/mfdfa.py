@@ -42,6 +42,14 @@ MIN_FIT_SCALES = 6  # fewest scales an h(q) fit accepts
 # the monomial basis on k = 1..s loses F^2's digits as the order grows:
 # relative errors of 9e-11 at order 10, 3e-7 at 15 and 2e-3 at 20 on fGn
 MAX_DETREND_ORDER = 10
+# The q grid's float64 range, with a factor of 2 to spare for rounding.
+# fluctuation_surface weighs q/2 * (ln F^2 - its extreme), and ln F^2 of a
+# normal F^2 spans at most ln(max / tiny) = 1417, so |q| <= MAX_ABS_Q;
+# singularity_spectrum's np.gradient(h, q) multiplies two steps of q,
+# about 2 step^2, so the step <= MAX_Q_STEP.
+_FI = np.finfo(float)
+MAX_ABS_Q = float(_FI.max / (np.log(_FI.max) - np.log(_FI.tiny)))
+MAX_Q_STEP = float(np.sqrt(_FI.max) / 2)
 
 
 @dataclass(frozen=True)
@@ -154,6 +162,9 @@ def fluctuation_surface(s_series, q_values=None, scales=None, m: int = 2) -> Flu
     if len(x) < 4 * scales.max():
         raise ValueError(f"series length {len(x)} < 4 * max scale {scales.max()}; "
                          "shrink the scale grid")
+    if np.abs(q_values).max() > MAX_ABS_Q:
+        raise ValueError(f"|q| up to {np.abs(q_values).max():.4g} overflows float64; "
+                         f"at most {MAX_ABS_Q:.4g}")
     _reject_amplitude(x, 2)
     _reject_flat(x)
     prof = profile(x)
@@ -212,6 +223,8 @@ def singularity_spectrum(gh: GeneralizedHurst) -> SingularitySpectrum:
     dq = np.diff(q)
     if not np.allclose(dq, dq[0]):
         raise ValueError("q grid must be uniform")
+    if abs(dq[0]) > MAX_Q_STEP:
+        raise ValueError(f"q step {abs(dq[0]):.4g} overflows float64; at most {MAX_Q_STEP:.4g}")
     h_prime = np.gradient(gh.h, q)
     alphas = gh.h + q * h_prime
     f_values = q * (alphas - gh.h) + 1.0

@@ -19,7 +19,7 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 import textfract as tf
-from textfract import cli, serialize
+from textfract import cli, mfdfa, serialize
 
 
 VOCAB = [
@@ -193,6 +193,10 @@ class TestParser:
         (["recurrence", "--target", "the", "--detrend-order", "11"],
          "--detrend-order must be <= 10"),
         (["wavelet", "--n-scales", "1001"], "--n-scales must be <= 1000, got 1001"),
+        (["mfdfa", "--q-min", "2", "--q-step", repr(math.nextafter(mfdfa.MAX_Q_STEP, math.inf)),
+          "--q-max", repr(2 + 400 * mfdfa.MAX_Q_STEP)],
+         "--q-min/--q-max/--q-step: 2.0 to 2.681561585988519e+156 in steps of "
+         "6.703903964971299e+153 overflows float64 in MFDFA; the step must be <= 6.704e+153"),
     ], ids=["q_step_zero", "unknown_format", "jobs_zero", "negative_surrogates",
             "q_grid_without_two", "q_grid_too_short", "half_fit_range",
             "negative_detrend_order", "analyze_negative_detrend_order", "n_scales_zero",
@@ -211,7 +215,8 @@ class TestParser:
             "zipf_ranks_reversed", "zipf_nine_ranks_from_one", "bins_per_decade_above_most",
             "analyze_bins_per_decade_huge", "recurrence_bins_per_decade_above_most",
             "detrend_order_above_most", "analyze_detrend_order_far_above_most",
-            "recurrence_detrend_order_above_most", "n_scales_above_most"])
+            "recurrence_detrend_order_above_most", "n_scales_above_most",
+            "q_step_one_float_past_bound"])
     def test_bad_option_value_is_fatal_before_reading(self, argv, flag, tmp_path, capsys):
         # the input does not exist: the value must be rejected before any read
         out = tmp_path / "o"
@@ -407,6 +412,36 @@ class TestSeriesCsvInput:
                 "[6.718e-139, 8.183e+149] at n = 512; " + RESCALE) in proc.stderr
         assert "Warning" not in proc.stderr
         assert list(out.iterdir()) == []
+
+    def test_q_grid_beyond_float64_is_fatal(self, tmp_path):
+        # before the bound, this grid printed numpy's overflow warnings from
+        # np.gradient, exited 0 and wrote f(alpha) = 1.0 at every q
+        path = tmp_path / "fgn.csv"
+        path.write_text(serialize.series_csv(tf.generate_fgn(0.75, 8192, 5).values,
+                                             value_name="value"), encoding="utf-8")
+        out = tmp_path / "o"
+        proc = self._child("mfdfa", "--series-csv", path, "--q-min", "2", "--q-step", "1e305",
+                           "--q-max", "4e307", "--out", out)
+        assert proc.returncode == 1
+        assert proc.stderr == ("fatal: --q-min/--q-max/--q-step: 2.0 to 4e+307 in steps of "
+                               "1e+305 overflows float64 in MFDFA; the step must be "
+                               "<= 6.704e+153\n")
+        assert not out.exists()
+
+    def test_largest_accepted_q_grid_runs_without_warning(self, tmp_path):
+        # 401 points from q = 2 at the largest step: |q| reaches 2.7e156
+        path = tmp_path / "fgn.csv"
+        path.write_text(serialize.series_csv(tf.generate_fgn(0.75, 8192, 5).values,
+                                             value_name="value"), encoding="utf-8")
+        out = tmp_path / "o"
+        step = mfdfa.MAX_Q_STEP
+        proc = self._child("mfdfa", "--series-csv", path, "--q-min", "2", "--q-step", repr(step),
+                           "--q-max", repr(2 + 400 * step), "--out", out)
+        assert proc.returncode == 0
+        assert "Warning" not in proc.stderr
+        rows = read_rows(out / "fgn__singularity.csv")[1:]
+        assert len(rows) == 401
+        assert all(math.isfinite(float(v)) for row in rows for v in row)
 
     def test_wavelet_of_a_huge_series_writes_nothing(self, tmp_path):
         # every value is finite, but the map's FFT would overflow to inf and NaN

@@ -53,6 +53,16 @@ def assert_matches_oracle(text):
     assert doc.tokens == surfaces
     assert doc.kinds.tolist() == kinds
     assert doc.kinds.dtype == np.int8
+    assert doc.starts.dtype == doc.ends.dtype == np.int32
+
+
+def each_block_size(test):
+    """Runs ``test`` with the corpus blocks (of the token scan and of the
+    word lists) at ``_BLOCK`` as it is, then at about two characters."""
+    for block in (corpus._BLOCK, 2):
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(corpus, "_BLOCK", block)
+            test()
 
 
 def words_of(doc):
@@ -118,13 +128,29 @@ class TestTokenize:
         "…...", "?...!", "x_y 3.14 ’tis rock-’n’-roll", "e\u0301...E\u0301",
     ])
     def test_matches_oracle(self, text):
-        assert_matches_oracle(text)
+        each_block_size(lambda: assert_matches_oracle(text))
 
     @settings(max_examples=300)
     @given(st.lists(st.sampled_from(TOKEN_PIECES), max_size=40).map("".join))
     @example("Wait.... What?! ’Twas «ﬁne»...")
     def test_matches_oracle_on_drawn_text(self, text):
+        each_block_size(lambda: assert_matches_oracle(text))
+
+    def test_text_without_a_space_is_one_block(self, monkeypatch):
+        # newlines are spaces to the scan, but blocks are cut only at " "
+        monkeypatch.setattr(corpus, "_BLOCK", 2)
+        text = "He\nleft.\nShe\nstayed,\nwell-known…\n"
+        assert list(corpus._cuts(text)) == [(0, len(text))]
         assert_matches_oracle(text)
+
+    def test_offsets_past_int32_are_rejected(self, monkeypatch):
+        # the bound is 2^31 - 1 characters; patched, so no 2 GiB text is made
+        assert corpus._MAX_CHARS == 2**31 - 1
+        monkeypatch.setattr(corpus, "_MAX_CHARS", 8)
+        assert tf.tokenize("Cafe\u0301 ok.").tokens == ("Café", "ok", ".")  # 8 after NFC
+        with pytest.raises(ValueError, match="^text has 9 characters; token offsets are "
+                                             "int32, so at most 8$"):
+            tf.tokenize("He left.!")
 
     def test_word_class_is_isalnum(self):
         # the scan takes words by [^\W_], the kinds by str.isalnum: the two
@@ -143,9 +169,11 @@ class TestSegmentation:
     @pytest.mark.parametrize("text,expected", CASES,
                              ids=[c[0][:30] for c in CASES])
     def test_hand_labeled_fixture(self, text, expected):
-        doc = tf.tokenize(text)
-        sentences, _ = tf.segment_sentences(doc)
-        assert sentences.words.tolist() == expected
+        def test():
+            sentences, _ = tf.segment_sentences(tf.tokenize(text))
+            assert sentences.words.tolist() == expected
+
+        each_block_size(test)
 
     def test_plain_declaratives_count(self):
         n = 40
@@ -262,15 +290,6 @@ def oracle_keys(text, include_terminators=False):
     surfaces, kinds = oracle_tokenize(text)
     return [w.lower() if k == WORD else TERMINATOR_SURFACE for w, k in zip(surfaces, kinds)
             if k == WORD or (include_terminators and k == TERMINATOR)]
-
-
-def each_block_size(test):
-    """Runs ``test`` with the corpus word lists built from whole texts,
-    then from blocks of about two characters."""
-    for block in (corpus._BLOCK, 2):
-        with pytest.MonkeyPatch.context() as mp:
-            mp.setattr(corpus, "_BLOCK", block)
-            test()
 
 
 def drawn_texts(pieces=TOKEN_PIECES):

@@ -280,6 +280,16 @@ class TestFluctuationSurface:
                                              "normal float; the exponents do not depend"):
             M.fluctuation_surface(x)
 
+    def test_q_within_float64_bound(self):
+        # past the bound q/2 * (ln F^2 - its extreme) can overflow; at it,
+        # every F is finite
+        x = tf.generate_fgn(0.75, 2000, 3).values
+        q = [-M.MAX_ABS_Q, 2.0, M.MAX_ABS_Q]
+        assert np.isfinite(M.fluctuation_surface(x, q_values=q).F).all()
+        with pytest.raises(ValueError, match=r"^\|q\| up to 2\.535e\+305 overflows float64; "
+                                             r"at most 1\.268e\+305$"):
+            M.fluctuation_surface(x, q_values=[2.0, 2 * M.MAX_ABS_Q])
+
     @pytest.mark.parametrize("run", [M.fluctuation_surface, M.mfdfa])
     @pytest.mark.parametrize("x", [
         np.zeros(5000),
@@ -400,6 +410,21 @@ class TestSingularitySpectrum:
         c = tf.generate_binomial_cascade(0.3, 16)
         _, _, spec = M.mfdfa(c, fit_range=(20, len(c.values) // 40))
         assert abs(spec.delta_alpha - np.log2(0.7 / 0.3)) < 0.1
+
+    def test_step_within_float64_bound(self):
+        # np.gradient multiplies two steps of q: past the bound it overflowed
+        # with numpy warnings and gave f = 1 at every q
+        def spectrum(step):
+            q = 2.0 + step * np.arange(5)
+            return M.singularity_spectrum(M.GeneralizedHurst(
+                q_values=q, h=np.linspace(1, 0.5, 5), h_stderr=np.zeros(5),
+                fit_scale_range=(20, 100)))
+
+        spec = spectrum(M.MAX_Q_STEP)
+        assert np.isfinite(spec.alphas).all() and np.isfinite(spec.f_values).all()
+        with pytest.raises(ValueError, match=r"^q step 1\.341e\+154 overflows float64; "
+                                             r"at most 6\.704e\+153$"):
+            spectrum(2 * M.MAX_Q_STEP)
 
     def test_nonuniform_grid_rejected(self):
         gh = M.GeneralizedHurst(q_values=np.array([-2.0, -1.0, 0.0, 1.5, 2.0]),

@@ -9,9 +9,11 @@ OLD_SRC and NEW_SRC are ``src`` directories, each holding the
 the synthetic novel of ``tests/_novel.py``, a copy of it whose full
 stops turn in turn into ``...``, ``…``, ``....``, ``?`` and ``!`` (plus
 ``snake_case 3.14 a...b``), a copy whose sentences in turn gain
-non-ASCII text (see ``unicode_text``), an empty text, a seeded float
-series as an ``index,value`` CSV, and fGn times 2^-520 and 2^1010, two
-amplitudes that float64 cannot carry through the spectrum and MFDFA.
+non-ASCII text (see ``unicode_text``), a copy whose every space is a
+newline (so the tokenizer finds no space to cut a block at), an empty
+text, a seeded float series as an ``index,value`` CSV, and fGn times
+2^-520 and 2^1010, two amplitudes that float64 cannot carry through the
+spectrum and MFDFA.
 Every subcommand runs at least once on each side. For each run the exit
 code, stdout, stderr (with the output directory written as ``<out>``,
 and its lines sorted where ``--jobs`` runs them in parallel), the list
@@ -64,6 +66,8 @@ RUNS = {
     "spectrum_unicode_chars": ["spectrum", "unicode.txt", "--unit", "chars"],
     "zipf_unicode": ["zipf", "unicode.txt", "--include-terminators"],
     "recurrence_unicode": ["recurrence", "unicode.txt", "--target", "Café"],
+    "analyze_newlines": ["analyze", "newlines.txt"],
+    "zipf_newlines": ["zipf", "newlines.txt", "--include-terminators"],
     "analyze_tiny": ["analyze", "--series-csv", "tiny.csv"],
     "analyze_huge": ["analyze", "--series-csv", "huge.csv"],
     "wavelet_tiny": ["wavelet", "--series-csv", "tiny.csv", "--n-scales", "20"],
@@ -106,6 +110,7 @@ def write_inputs(folder: Path, src: Path):
     (folder / "marks.txt").write_text(marked + parts[-1] + "snake_case 3.14 a...b\n",
                                       encoding="utf-8")
     (folder / "unicode.txt").write_text(unicode_text(text), encoding="utf-8")
+    (folder / "newlines.txt").write_text(text.replace(" ", "\n"), encoding="utf-8")
     (folder / "empty.txt").write_bytes(b"")
     fgn = generate_fgn(0.75, 8192, 5).values
     for name, values in [("noise", np.random.default_rng(20261018).lognormal(2.0, 0.5, 2**14)),
