@@ -67,8 +67,9 @@ _ASCII_CLASS = np.array([_class_of(chr(c)) for c in range(128)], dtype=np.uint8)
 # letter or digit, and a joiner alone is other punctuation
 _KIND_OF_CLASS = np.array([OTHER, OTHER, WORD, OTHER, TERMINATOR], dtype=np.int8)
 
-_OPENERS = {"(": ")", "[": "]", "{": "}", "“": "”", "«": "»"}
-_CLOSERS = {v: k for k, v in _OPENERS.items()}
+# brackets, as segment_sentences counts them: any closer closes any opener
+_OPENERS = list("([{“«")
+_CLOSERS = list(")]}”»")
 
 
 @dataclass(frozen=True, eq=False)
@@ -275,10 +276,6 @@ def _folded_words(text: str, start: int = 0, stop: int | None = None):
     return chain.from_iterable(text[a:b].lower().split() for a, b in _cuts(text, start, stop))
 
 
-def _is_initial(word: str) -> bool:
-    return len(word) == 1 and word.isalpha() and word.isupper()
-
-
 def _running_total(values) -> np.ndarray:
     """Prefix sums with a leading 0, as int32: entry i totals values[:i].
     Every total here counts tokens or characters of one text, which
@@ -291,61 +288,57 @@ def _running_total(values) -> np.ndarray:
 def segment_sentences(doc: Document, lexicon: AbbreviationLexicon | None = None):
     """Split a tokenized document into sentence spans.
 
-    Returns (spans, report). A terminator closes the current span
-    unless one of the exception rules fires; spans without any word are
-    skipped, and so is an unterminated tail (both counted in the report).
-    The lexicon defaults to the bundled English one.
+    Returns (spans, report). A terminator closes the current span unless
+    the first of these exception rules to fire, in this order, holds it:
+    a "." after a lexicon word, a "." after a single-capital initial, a
+    "…", and a mark inside an open bracket or quote; the last two only
+    when the next word is not capitalized. The next word is the next
+    word or terminator, if it is a word. Any closer closes any opener,
+    and a closer with none open is ignored; straight double quotes
+    toggle. Spans without any word are skipped, and so is an
+    unterminated tail (both counted in the report). The lexicon defaults
+    to the bundled English one.
     """
     lexicon = lexicon if lexicon is not None else AbbreviationLexicon.for_language("en")
     text, starts, ends, kinds = doc.text, doc.starts, doc.ends, doc.kinds
     is_word = kinds == WORD
-    # words and terminators in token order: the word after a mark, if
-    # any, is the next entry here, unless a terminator comes first
-    stops = np.flatnonzero(kinds != OTHER).astype(np.int32)
-
-    def next_word_capitalized(i: int) -> bool:
-        j = np.searchsorted(stops, i, side="right")
-        if j == len(stops) or not is_word[stops[j]]:
-            return False
-        return text[starts[stops[j]]].isupper()
-
-    cuts = [0]  # span boundaries: each span runs from one cut to the next
-    lexicon_hits = initial_hits = bracket_suppr = ellipsis_cont = 0
-    depth = 0
-    quote_open = False  # straight double quotes toggle
-
     # every token that is not a word is one character
     nonword = np.flatnonzero(~is_word)
-    for i, kind, start in zip(nonword.tolist(), kinds[nonword].tolist(),
-                              starts[nonword].tolist()):
-        surface = text[start]
-        if kind == OTHER:
-            if surface in _OPENERS:
-                depth += 1
-            elif surface in _CLOSERS:
-                depth = max(0, depth - 1)
-            elif surface == '"':
-                quote_open = not quote_open
-            continue
+    surfaces = np.array([text[a] for a in starts[nonword].tolist()], dtype="U1")
+    # the bracket depth is the walk of openers minus closers, clamped at 0
+    walk = np.cumsum(np.isin(surfaces, _OPENERS).astype(np.int32)
+                     - np.isin(surfaces, _CLOSERS))
+    depth = walk - np.minimum.accumulate(np.minimum(walk, 0))
+    inside = (depth > 0) | (np.cumsum(surfaces == '"') % 2 == 1)
 
-        if surface == "." and i > 0 and is_word[i - 1]:
-            before = text[starts[i - 1]:ends[i - 1]]
-            if before in lexicon:
-                lexicon_hits += 1
-                continue
-            if _is_initial(before):
-                initial_hits += 1
-                continue
-        if surface == "…" and not next_word_capitalized(i):
-            ellipsis_cont += 1
-            continue
-        if (depth > 0 or quote_open) and not next_word_capitalized(i):
-            bracket_suppr += 1
-            continue
-        cuts.append(i + 1)
+    is_mark = kinds[nonword] == TERMINATOR
+    marks, surfaces, inside = nonword[is_mark], surfaces[is_mark], inside[is_mark]
+    # the lexicon and initial rules read the word before a full stop; an
+    # initial is one upper-case letter
+    stop = (surfaces == ".") & (marks > 0) & is_word[marks - 1]
+    first, last = starts[marks[stop] - 1], ends[marks[stop] - 1]
+    lexicon_hit, initial_hit, capitalized = np.zeros((3, len(marks)), dtype=bool)
+    lexicon_hit[stop] = np.fromiter((text[a:b] in lexicon for a, b in
+                                     zip(first.tolist(), last.tolist())), bool, len(first))
+    initial_hit[stop] = last - first == 1
+    initial_hit &= ~lexicon_hit
+    initial_hit[initial_hit] = [text[a].isalpha() and text[a].isupper()
+                                for a in starts[marks[initial_hit] - 1].tolist()]
+    # the ellipsis and bracket rules hold a mark unless a capital follows
+    held = ~(lexicon_hit | initial_hit) & ((surfaces == "…") | inside)
+    # words and terminators in order, int32 as the keys are: with keys of
+    # another dtype, searchsorted would cast the whole array
+    stops = np.flatnonzero(kinds != OTHER).astype(np.int32)
+    after = np.searchsorted(stops, marks[held].astype(np.int32), side="right")
+    # a mark with no word or terminator after it reads itself: no capital
+    after = np.minimum(after, len(stops) - 1)
+    capitalized[held] = [text[a].isupper() for a in starts[stops[after]].tolist()]
+    ellipsis = held & ~capitalized & (surfaces == "…")
+    bracket = held & ~capitalized & ~ellipsis
+    # span boundaries: each span runs from one cut to the next
+    cuts = np.concatenate(([0], marks[~(lexicon_hit | initial_hit | ellipsis | bracket)] + 1))
 
-    trailing = len(kinds) - cuts[-1]
-    cuts = np.asarray(cuts)
+    trailing = len(kinds) - int(cuts[-1])
     word_chars = (ends - starts) * is_word  # int32, as the columns are
     words = np.diff(_running_total(is_word)[cuts])
     chars = np.diff(_running_total(word_chars)[cuts])
@@ -353,10 +346,10 @@ def segment_sentences(doc: Document, lexicon: AbbreviationLexicon | None = None)
     spans = SentenceSpans(cuts[:-1][kept], cuts[1:][kept], words[kept], chars[kept])
     report = SegmentationReport(
         n_sentences=len(spans),
-        lexicon_hits=lexicon_hits,
-        initial_hits=initial_hits,
-        bracket_suppressions=bracket_suppr,
-        ellipsis_continuations=ellipsis_cont,
+        lexicon_hits=int(lexicon_hit.sum()),
+        initial_hits=int(initial_hit.sum()),
+        bracket_suppressions=int(bracket.sum()),
+        ellipsis_continuations=int(ellipsis.sum()),
         empty_spans_skipped=int((~kept).sum()),
         trailing_tokens_dropped=trailing,
     )

@@ -37,6 +37,14 @@ CASES = [
     # but a capitalized continuation inside brackets starts a new
     # sentence; the second bracketed stop (lowercase follow-on) does not
     ("He said (I am sure. He repeated it.) and left.", [5, 5]),
+    # a closer with no bracket open is ignored, and any closer closes any
+    # opener; a mark inside guillemets or straight quotes needs a capital
+    # after it to end a sentence, and an unclosed quote holds the tail
+    ("He sat) down. Then (she left. he) stayed. Done.", [3, 5, 1]),
+    ("It was [so (very. odd]) indeed. Yes.", [6, 1]),
+    ("A «quiet. calm» night fell. Morning came.", [5, 2]),
+    ("She said \"wait. no. Stop.\" and went. He stayed.", [4, 3, 2]),
+    ("He hummed \"la la. la. Then silence. It was over.", [5, 2]),
     # ellipsis: ends a sentence only before a capitalized word
     ("He waited... Nothing happened.", [2, 2]),
     ("He waited... and waited. She left.", [4, 2]),

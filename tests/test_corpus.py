@@ -65,8 +65,99 @@ def each_block_size(test):
             test()
 
 
+def drawn_texts(pieces=TOKEN_PIECES):
+    """Texts of 20 to 60 pieces, each followed by a space or not."""
+    return st.lists(st.tuples(st.sampled_from(pieces), st.sampled_from(["", " "])),
+                    min_size=20, max_size=60).map(lambda p: "".join(map("".join, p)))
+
+
 def words_of(doc):
     return [s for s, k in zip(doc.tokens, doc.kinds) if k == WORD]
+
+
+# The reference segmenter: the rules of segment_sentences as one pass over
+# the tokens, each state change and rule in the order the docstring gives.
+# segment_sentences must agree with it exactly.
+REF_OPENERS, REF_CLOSERS = "([{“«", ")]}”»"
+
+
+def reference_segment(doc, lexicon):
+    text, starts, ends, kinds = doc.text, doc.starts, doc.ends, doc.kinds
+    is_word = kinds == WORD
+    # words and terminators in token order: the word after a mark, if
+    # any, is the next entry here, unless a terminator comes first
+    stops = np.flatnonzero(kinds != OTHER)
+
+    def next_word_capitalized(i: int) -> bool:
+        j = np.searchsorted(stops, i, side="right")
+        if j == len(stops) or not is_word[stops[j]]:
+            return False
+        return text[starts[stops[j]]].isupper()
+
+    cuts = [0]  # span boundaries: each span runs from one cut to the next
+    lexicon_hits = initial_hits = bracket_suppr = ellipsis_cont = 0
+    depth = 0
+    quote_open = False  # straight double quotes toggle
+
+    # every token that is not a word is one character
+    nonword = np.flatnonzero(~is_word)
+    for i, kind, start in zip(nonword.tolist(), kinds[nonword].tolist(),
+                              starts[nonword].tolist()):
+        surface = text[start]
+        if kind == OTHER:
+            if surface in REF_OPENERS:
+                depth += 1
+            elif surface in REF_CLOSERS:
+                depth = max(0, depth - 1)
+            elif surface == '"':
+                quote_open = not quote_open
+            continue
+
+        if surface == "." and i > 0 and is_word[i - 1]:
+            before = text[starts[i - 1]:ends[i - 1]]
+            if before in lexicon:
+                lexicon_hits += 1
+                continue
+            if len(before) == 1 and before.isalpha() and before.isupper():
+                initial_hits += 1
+                continue
+        if surface == "…" and not next_word_capitalized(i):
+            ellipsis_cont += 1
+            continue
+        if (depth > 0 or quote_open) and not next_word_capitalized(i):
+            bracket_suppr += 1
+            continue
+        cuts.append(i + 1)
+
+    trailing = len(kinds) - cuts[-1]
+    cuts = np.asarray(cuts)
+    words = np.diff(np.concatenate(([0], np.cumsum(is_word)))[cuts])
+    chars = np.diff(np.concatenate(([0], np.cumsum((ends - starts) * is_word)))[cuts])
+    kept = words > 0
+    spans = corpus.SentenceSpans(cuts[:-1][kept], cuts[1:][kept], words[kept], chars[kept])
+    report = corpus.SegmentationReport(
+        n_sentences=len(spans),
+        lexicon_hits=lexicon_hits,
+        initial_hits=initial_hits,
+        bracket_suppressions=bracket_suppr,
+        ellipsis_continuations=ellipsis_cont,
+        empty_spans_skipped=int((~kept).sum()),
+        trailing_tokens_dropped=trailing,
+    )
+    return spans, report
+
+
+REF_LEXICONS = {tag: AbbreviationLexicon.for_language(tag) for tag in ("en", "de", "xx")}
+
+
+def assert_matches_reference(text, tag):
+    doc = tf.tokenize(text)
+    lexicon = REF_LEXICONS[tag]
+    spans, report = tf.segment_sentences(doc, lexicon)
+    want_spans, want_report = reference_segment(doc, lexicon)
+    for column in ("starts", "ends", "words", "chars"):
+        assert getattr(spans, column).tolist() == getattr(want_spans, column).tolist(), column
+    assert report == want_report
 
 
 class TestTokenize:
@@ -230,6 +321,19 @@ class TestSegmentation:
         tail_words = sum(is_word[n - report.trailing_tokens_dropped:])
         assert sents.words.sum() + tail_words == sum(is_word)
 
+    @settings(max_examples=300)
+    @given(st.one_of(st.lists(st.sampled_from(SOUP), max_size=60).map(" ".join),
+                     drawn_texts(TOKEN_PIECES + SOUP)),
+           st.sampled_from(sorted(REF_LEXICONS)))
+    @example('He sat) down. Then (she "left… he]) stayed?! «Mr. A. no» Done…', "en")
+    def test_matches_reference_on_drawn_text(self, text, tag):
+        assert_matches_reference(text, tag)
+
+    def test_fixtures_match_reference(self):
+        for text, _ in CASES:
+            for tag in REF_LEXICONS:
+                assert_matches_reference(text, tag)
+
 
 class TestSentenceLengthSeries:
     def _sents(self, text):
@@ -290,12 +394,6 @@ def oracle_keys(text, include_terminators=False):
     surfaces, kinds = oracle_tokenize(text)
     return [w.lower() if k == WORD else TERMINATOR_SURFACE for w, k in zip(surfaces, kinds)
             if k == WORD or (include_terminators and k == TERMINATOR)]
-
-
-def drawn_texts(pieces=TOKEN_PIECES):
-    """Texts of 20 to 60 pieces, each followed by a space or not."""
-    return st.lists(st.tuples(st.sampled_from(pieces), st.sampled_from(["", " "])),
-                    min_size=20, max_size=60).map(lambda p: "".join(map("".join, p)))
 
 
 class TestWordRecurrence:
@@ -448,6 +546,10 @@ class TestNovelScale:
         slv = tf.sentence_length_series(sents)
         assert report.n_sentences == len(lengths)
         np.testing.assert_array_equal(slv.values, lengths)
+
+    @pytest.mark.parametrize("tag", sorted(REF_LEXICONS))
+    def test_segmentation_matches_reference(self, novel, tag):
+        assert_matches_reference(novel[0], tag)
 
     def test_tokens_match_oracle(self, novel):
         assert_matches_oracle(novel[0])

@@ -80,8 +80,10 @@ RUNS = {
 def unicode_text(text: str) -> str:
     """The novel with one change per sentence, in turn: the sentence in
     curly quotes, two words joined by ``’``, a bracketed clause, an NFD
-    accented word, a word with a letter outside the BMP, and an opening
-    ``Dr.`` and initials. The novel itself is pure ASCII."""
+    accented word, a word with a letter outside the BMP, an opening
+    ``Dr.`` and initials, and a stray ``)`` followed by a clause in
+    straight ``"`` quotes and one in brackets, each holding a full stop
+    with a lowercase word after it. The novel itself is pure ASCII."""
     edits = [
         lambda words: ["“" + words[0], *words[1:-1], words[-1] + "”"],
         lambda words: [words[0] + "’" + words[1], *words[2:]] if len(words) > 2 else words,
@@ -89,6 +91,7 @@ def unicode_text(text: str) -> str:
         lambda words: [*words[:-1], "cafe\u0301", "nai\u0308ve", words[-1]],
         lambda words: [words[0], "x𝐀y", *words[1:]],
         lambda words: ["Dr.", "J.", "R.", "Banook", "and", words[0].lower(), *words[1:]],
+        lambda words: [words[0], ")", '"so.', "it", 'went"', "(and.", "then)", *words[1:]],
     ]
     lines = text.splitlines()
     return "".join(" ".join(edits[i % len(edits)](line.split(" "))) + "\n"
