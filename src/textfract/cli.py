@@ -8,7 +8,8 @@ wavelet, recurrence, surrogate, slice).
 Every command runs one way: the runner loads each input and hands it
 to the command's job, which analyses and writes it; analyze and ccdf
 then run a corpus step over what their jobs returned. An input that
-cannot be read or analysed is skipped with ``error: <name>: ...``.
+cannot be read or analysed, or whose worker process dies, is skipped
+with ``error: <name>: ...``.
 The seven commands that read a sentence-length series (all but zipf and
 recurrence) take the segmentation flags --unit, --lexicon, --language
 and --min-sentences, or ``--series-csv`` to read one series instead of
@@ -23,9 +24,12 @@ from __future__ import annotations
 
 import argparse
 import concurrent.futures
+import contextlib
 import csv
+import itertools
 import math
 import sys
+from concurrent.futures import BrokenExecutor
 from dataclasses import asdict
 from pathlib import Path
 
@@ -311,8 +315,7 @@ def each_input(args, job):
     tasks = [(job, name, source, args, em) for name, source in inputs]
     workers = min(getattr(args, "jobs", 1), len(tasks))
     if workers > 1:
-        with concurrent.futures.ProcessPoolExecutor(max_workers=workers) as ex:
-            outcomes = list(ex.map(_run_job, *zip(*tasks)))
+        outcomes = _run_pooled(tasks, workers)
     else:
         outcomes = [_run_job(*task) for task in tasks]
     for (name, _), (ok, result) in zip(inputs, outcomes):
@@ -320,6 +323,32 @@ def each_input(args, job):
             log(f"error: {name}: {result}")
     results = [result for ok, result in outcomes if ok]
     return em, results, 0 if len(results) == len(tasks) else 2 if results else 1
+
+
+def _run_pooled(tasks, workers):
+    """The outcomes of ``tasks`` run in a pool of ``workers`` processes.
+    A worker that dies breaks the pool, so each task that did not
+    complete then runs again alone, in a fresh pool of one; a task whose
+    worker dies again fails. The parent never runs a task itself."""
+    futures = []
+    with concurrent.futures.ProcessPoolExecutor(max_workers=workers) as ex:
+        with contextlib.suppress(BrokenExecutor):  # broke before all were submitted
+            for task in tasks:
+                futures.append(ex.submit(_run_job, *task))
+    outcomes = []
+    for task, future in itertools.zip_longest(tasks, futures):
+        died = future is None or isinstance(future.exception(), BrokenExecutor)
+        outcomes.append(_run_alone(task) if died else future.result())
+    return outcomes
+
+
+def _run_alone(task):
+    """The outcome of ``task`` in a pool of its own, failed if its worker dies."""
+    with concurrent.futures.ProcessPoolExecutor(max_workers=1) as ex:
+        try:
+            return ex.submit(_run_job, *task).result()
+        except BrokenExecutor:
+            return False, "its worker process died"
 
 
 def _run_job(job, name, source, args, em):

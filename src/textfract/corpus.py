@@ -161,13 +161,12 @@ _BLOCK = 1 << 16  # characters of text scanned, or lowered into words, at once
 _MAX_CHARS = int(np.iinfo(np.int32).max)  # the longest text int32 offsets can index
 
 
-def _cuts(text: str, start: int = 0, stop: int | None = None):
-    """The bounds (a, b) of the blocks that cover ``text[start:stop]`` in
-    order, at least one: each holds ``_BLOCK`` characters or more, up to
-    the next space (the next block's first character) or ``stop``. A
-    block with no space after its first ``_BLOCK`` characters runs to
-    ``stop``."""
-    stop = len(text) if stop is None else stop
+def _cuts(text: str):
+    """The bounds (a, b) of the blocks that cover ``text`` in order, at
+    least one: each holds ``_BLOCK`` characters or more, up to the next
+    space (the next block's first character) or the end. A block with no
+    space after its first ``_BLOCK`` characters runs to the end."""
+    start, stop = 0, len(text)
     while True:
         b = text.find(" ", min(start + _BLOCK, stop), stop)
         b = stop if b < 0 else b
@@ -255,25 +254,29 @@ def tokenize(raw, title: str = "") -> Document:
                     source_hash=hashlib.sha256(raw).hexdigest())
 
 
-def _word_text(doc: Document) -> str:
-    """``doc.text`` with each character outside a word made a space."""
-    is_word = doc.kinds == WORD
-    edges = np.zeros(len(doc.text) + 1, dtype=np.int8)
-    edges[doc.starts[is_word]] = 1
-    edges[doc.ends[is_word]] = -1  # no word starts where another ends
-    cp = _code_points(doc.text).copy()
-    cp[np.cumsum(edges[:-1], dtype=np.int8) == 0] = ord(" ")
-    return cp.tobytes().decode(_CODECS[cp.itemsize])
+def _folded_words(doc: Document, start: int = 0, stop: int | None = None):
+    """The case-folded words of the tokens of ``doc`` that start in
+    ``[start, stop)``, in order. Runs of tokens spanning about ``_BLOCK``
+    characters are lowered whole and split at whitespace, each character
+    of a run outside a word made a space first, so only one run's words
+    are held at once. With a space on each side of every word, str.lower's
+    final-sigma rule sees the context it sees when lowering the word alone."""
+    text, starts, ends, kinds = doc.text, doc.starts, doc.ends, doc.kinds
+    stop = len(text) if stop is None else stop
+    # int32 keys, as starts is: with keys of another dtype, searchsorted
+    # would cast the whole array
+    keys = np.append(np.arange(start, stop, _BLOCK), stop).astype(np.int32)
+    bounds = np.searchsorted(starts, keys).tolist()
 
+    def words(i, j):
+        a = int(starts[i])
+        cp = np.array(_code_points(text[a:int(ends[j - 1])]))
+        # every other token is one character; a character in no token is
+        # whitespace already, which split and str.lower read as a space
+        cp[starts[i:j][kinds[i:j] != WORD] - a] = ord(" ")
+        return cp.tobytes().decode(_CODECS[cp.itemsize]).lower().split()
 
-def _folded_words(text: str, start: int = 0, stop: int | None = None):
-    """The case-folded words of a ``_word_text`` from ``start`` to
-    ``stop`` (each an end or a space), in order. Blocks of about
-    ``_BLOCK`` characters, cut at a space, are lowered whole and split
-    at whitespace, so only one block's words are held at once. With a
-    space on each side of every word, str.lower's final-sigma rule sees
-    the context it sees when lowering the word alone."""
-    return chain.from_iterable(text[a:b].lower().split() for a, b in _cuts(text, start, stop))
+    return chain.from_iterable(words(i, j) for i, j in zip(bounds, bounds[1:]) if i < j)
 
 
 def _running_total(values) -> np.ndarray:
@@ -385,8 +388,7 @@ def word_recurrence_series(doc: Document, target: str) -> Series:
         indices = _running_total(is_word)[:-1][doc.kinds == TERMINATOR]
     else:
         want = target.lower()
-        words = _folded_words(_word_text(doc))
-        indices = [i for i, w in enumerate(words) if w == want]
+        indices = [i for i, w in enumerate(_folded_words(doc)) if w == want]
     if len(indices) < 2:
         raise ValueError(
             f"target {target!r} occurs {len(indices)} time(s); need >= 2"
@@ -404,16 +406,15 @@ def rank_frequency(doc: Document, include_terminators: bool = False) -> RankFreq
     """Zipf table: case-folded words ranked by count, descending, ties
     broken by first occurrence. With ``include_terminators`` all
     sentence-ending marks pool into one pseudo-word, ``TERMINATOR_SURFACE``."""
-    text = _word_text(doc)
     marks = doc.kinds == TERMINATOR
     counts = Counter()  # keys in first-occurrence order
     cut = 0
     if include_terminators and marks.any():
-        # the pooled marks first occur at the first mark, a space in text
+        # the pooled marks first occur at the first mark
         cut = int(doc.starts[np.argmax(marks)])
-        counts.update(_folded_words(text, 0, cut))
+        counts.update(_folded_words(doc, 0, cut))
         counts[TERMINATOR_SURFACE] = int(np.count_nonzero(marks))
-    counts.update(_folded_words(text, cut))
+    counts.update(_folded_words(doc, cut))
     # most_common sorts stably, so equal counts keep first-occurrence order
     ranked = counts.most_common()
     if not ranked:

@@ -6,6 +6,7 @@ import json
 import math
 import os
 import re
+import signal
 import subprocess
 import sys
 import tempfile
@@ -19,7 +20,7 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 import textfract as tf
-from textfract import cli, mfdfa, serialize
+from textfract import cli, corpus, mfdfa, serialize
 
 
 VOCAB = [
@@ -843,6 +844,31 @@ class TestAnalyzeCommand:
                     "--min-sentences", "100", "--jobs", "2"]) == 0
         assert len(list(serial.iterdir())) == 14  # 5 per text, 4 for the corpus
         assert_same_tree(serial, parallel)
+
+    def test_a_worker_that_dies_skips_only_its_input(self, tmp_path, monkeypatch, capfd):
+        # b's worker is killed as the OOM killer would kill it; workers
+        # inherit the patch through fork
+        for name, seed in [("a.txt", 1), ("b.txt", 2), ("c.txt", 3)]:
+            (tmp_path / name).write_text(make_text(800, seed), encoding="utf-8")
+        tokenize, parent = corpus.tokenize, os.getpid()
+
+        def tokenize_or_die(raw, title=""):
+            if title == "b":
+                assert os.getpid() != parent, "b ran in the parent process"
+                os.kill(os.getpid(), signal.SIGKILL)
+            return tokenize(raw, title)
+
+        monkeypatch.setattr(corpus, "tokenize", tokenize_or_die)
+        argv = ["--min-sentences", "100", "--surrogates", "0", "--jobs", "2"]
+        alone, out = tmp_path / "alone", tmp_path / "o"
+        paths = [tmp_path / n for n in ("a.txt", "c.txt")]
+        assert run(["analyze", *paths, "--out", alone, *argv]) == 0
+        capfd.readouterr()
+        assert run(["analyze", *paths, tmp_path / "b.txt", "--out", out, *argv]) == 2
+        err = capfd.readouterr().err
+        assert "error: b: its worker process died\n" in err
+        assert "Traceback" not in err
+        assert_same_tree(alone, out)
 
     def test_parallel_workers_log_whole_lines(self, tmp_path, capfd):
         # both workers log at once; each line must start as one message does

@@ -1,5 +1,6 @@
 import re
 import sys
+import tracemalloc
 import unicodedata
 from collections import Counter
 from pathlib import Path
@@ -404,15 +405,17 @@ class TestWordRecurrence:
         target = data.draw(st.sampled_from(["a", "é", "ж", "7", "ﬁ", "𝐀", "a-a", "q’e"]))
         text = data.draw(drawn_texts(TOKEN_PIECES + [target, target.upper()]))
         positions = [i for i, w in enumerate(oracle_keys(text)) if w == target.lower()]
-        doc = tf.tokenize(text)
+        # the same text with every space a newline has the same words
+        docs = [tf.tokenize(text), tf.tokenize(text.replace(" ", "\n"))]
 
         def test():
-            if len(positions) < 2:
-                with pytest.raises(ValueError, match=f"occurs {len(positions)} time"):
-                    tf.word_recurrence_series(doc, target)
-            else:
-                got = tf.word_recurrence_series(doc, target).values
-                assert got.tolist() == np.diff(positions).tolist()
+            for doc in docs:
+                if len(positions) < 2:
+                    with pytest.raises(ValueError, match=f"occurs {len(positions)} time"):
+                        tf.word_recurrence_series(doc, target)
+                else:
+                    got = tf.word_recurrence_series(doc, target).values
+                    assert got.tolist() == np.diff(positions).tolist()
 
         each_block_size(test)
 
@@ -467,15 +470,17 @@ class TestRankFrequency:
         # Counter keeps first-occurrence order, and the sort is stable
         expected = sorted(Counter(oracle_keys(text, include_terminators)).items(),
                           key=lambda kv: -kv[1])
-        doc = tf.tokenize(text)
+        # the same text with every space a newline has the same words
+        docs = [tf.tokenize(text), tf.tokenize(text.replace(" ", "\n"))]
 
         def test():
-            if not expected:
-                with pytest.raises(ValueError, match="no words to rank"):
-                    tf.rank_frequency(doc, include_terminators)
-            else:
-                table = tf.rank_frequency(doc, include_terminators)
-                assert list(zip(table.surfaces, table.counts.tolist())) == expected
+            for doc in docs:
+                if not expected:
+                    with pytest.raises(ValueError, match="no words to rank"):
+                        tf.rank_frequency(doc, include_terminators)
+                else:
+                    table = tf.rank_frequency(doc, include_terminators)
+                    assert list(zip(table.surfaces, table.counts.tolist())) == expected
 
         each_block_size(test)
 
@@ -553,6 +558,25 @@ class TestNovelScale:
 
     def test_tokens_match_oracle(self, novel):
         assert_matches_oracle(novel[0])
+
+    @pytest.mark.parametrize("word_pass", [
+        lambda doc: tf.rank_frequency(doc, include_terminators=True),
+        lambda doc: tf.word_recurrence_series(doc, "the"),
+    ], ids=["zipf", "recurrence"])
+    def test_word_pass_holds_one_run_at_a_time(self, novel, word_pass):
+        # the word lists are built one run of about _BLOCK characters at a
+        # time, so the peak above the Document does not grow with the text:
+        # one whole-text copy in code points, a mask or the lowered text
+        # would each take 3 MB of the 3 MB novel repeated 4 times
+        doc = tf.tokenize(novel[0] * 4)
+        tracemalloc.start()
+        try:
+            held = tracemalloc.get_traced_memory()[0]
+            word_pass(doc)
+            peak = tracemalloc.get_traced_memory()[1] - held
+        finally:
+            tracemalloc.stop()
+        assert peak < 6e6, f"peak {peak / 1e6:.1f} MB above the Document"
 
     def test_zipf_midrank_slope(self, novel):
         text, _ = novel

@@ -68,6 +68,7 @@ RUNS = {
     "recurrence_unicode": ["recurrence", "unicode.txt", "--target", "Café"],
     "analyze_newlines": ["analyze", "newlines.txt"],
     "zipf_newlines": ["zipf", "newlines.txt", "--include-terminators"],
+    "recurrence_newlines": ["recurrence", "newlines.txt", "--target", "the"],
     "analyze_tiny": ["analyze", "--series-csv", "tiny.csv"],
     "analyze_huge": ["analyze", "--series-csv", "huge.csv"],
     "wavelet_tiny": ["wavelet", "--series-csv", "tiny.csv", "--n-scales", "20"],
