@@ -28,6 +28,7 @@ import contextlib
 import csv
 import itertools
 import math
+import os
 import sys
 from concurrent.futures import BrokenExecutor
 from dataclasses import asdict
@@ -281,9 +282,17 @@ class Emitter:
         self.out.mkdir(parents=True, exist_ok=True)
 
     def write(self, name: str, ext: str, content: str):
+        """Write ``content`` to ``name.ext`` in --out whole or not at all:
+        to a temporary name first, which then replaces it."""
         if ext in self.formats:
             path = self.out / f"{name}.{ext}"
-            path.write_text(content, encoding="utf-8")
+            part = path.with_name(path.name + ".tmp")
+            try:
+                part.write_text(content, encoding="utf-8")
+                os.replace(part, path)
+            except BaseException:
+                part.unlink(missing_ok=True)
+                raise
             log(f"wrote {path}")
 
 

@@ -330,21 +330,26 @@ def segment_sentences(doc: Document, lexicon: AbbreviationLexicon | None = None)
     # the ellipsis and bracket rules hold a mark unless a capital follows
     held = ~(lexicon_hit | initial_hit) & ((surfaces == "…") | inside)
     # words and terminators in order, int32 as the keys are: with keys of
-    # another dtype, searchsorted would cast the whole array
-    stops = np.flatnonzero(kinds != OTHER).astype(np.int32)
+    # another dtype, searchsorted would cast the whole array. It and
+    # word_chars below are whole-text columns, each dropped once read, so
+    # that few are held at once
+    stops = np.arange(len(kinds), dtype=np.int32)[kinds != OTHER]
     after = np.searchsorted(stops, marks[held].astype(np.int32), side="right")
     # a mark with no word or terminator after it reads itself: no capital
     after = np.minimum(after, len(stops) - 1)
     capitalized[held] = [text[a].isupper() for a in starts[stops[after]].tolist()]
+    del stops
     ellipsis = held & ~capitalized & (surfaces == "…")
     bracket = held & ~capitalized & ~ellipsis
     # span boundaries: each span runs from one cut to the next
     cuts = np.concatenate(([0], marks[~(lexicon_hit | initial_hit | ellipsis | bracket)] + 1))
 
     trailing = len(kinds) - int(cuts[-1])
-    word_chars = (ends - starts) * is_word  # int32, as the columns are
     words = np.diff(_running_total(is_word)[cuts])
+    word_chars = ends - starts  # int32, as the columns are
+    word_chars *= is_word
     chars = np.diff(_running_total(word_chars)[cuts])
+    del word_chars
     kept = words > 0
     spans = SentenceSpans(cuts[:-1][kept], cuts[1:][kept], words[kept], chars[kept])
     report = SegmentationReport(

@@ -96,9 +96,10 @@ def default_scales(n: int, s_min: int = 20, s_max: int | None = None) -> np.ndar
         s_max = n // 5
     if s_max <= s_min:
         raise ValueError(f"series of length {n} leaves no room for scales >= {s_min}")
-    return np.unique(
-        np.round(np.logspace(np.log10(s_min), np.log10(s_max), _N_SCALES)).astype(int)
-    )
+    scales = np.round(np.logspace(np.log10(s_min), np.log10(s_max), _N_SCALES)).astype(int)
+    # the grid is sorted, so a duplicate sits next to its twin; np.unique
+    # would import numpy.ma to do the same
+    return scales[np.r_[True, scales[1:] != scales[:-1]]]
 
 
 @functools.lru_cache(maxsize=_N_SCALES)

@@ -1,6 +1,7 @@
 import argparse
 import contextlib
 import csv
+import errno
 import io
 import json
 import math
@@ -870,6 +871,29 @@ class TestAnalyzeCommand:
         assert "Traceback" not in err
         assert_same_tree(alone, out)
 
+    def test_a_failed_write_leaves_no_part_of_its_file(self, tmp_path, monkeypatch, capsys):
+        # b's first file runs out of space halfway through, as on a full disk
+        for name, seed in [("a.txt", 1), ("b.txt", 2)]:
+            (tmp_path / name).write_text(make_text(800, seed), encoding="utf-8")
+        paths = [tmp_path / "a.txt", tmp_path / "b.txt"]
+        argv = ["--min-sentences", "100", "--surrogates", "0"]
+        alone, out = tmp_path / "alone", tmp_path / "o"
+        assert run(["analyze", paths[0], "--out", alone, *argv]) == 0
+        write_text = Path.write_text
+
+        def half_then_enospc(path, data, *a, **kw):
+            if not path.name.startswith("b__report.json"):
+                return write_text(path, data, *a, **kw)
+            write_text(path, data[:len(data) // 2], *a, **kw)
+            raise OSError(errno.ENOSPC, "No space left on device")
+
+        monkeypatch.setattr(Path, "write_text", half_then_enospc)
+        assert run(["analyze", *paths, "--out", out, *argv]) == 2
+        err = capsys.readouterr().err
+        assert f"error: b: [Errno {errno.ENOSPC}] No space left on device\n" in err
+        # neither b__report.json nor its temporary file is left
+        assert_same_tree(alone, out)
+
     def test_parallel_workers_log_whole_lines(self, tmp_path, capfd):
         # both workers log at once; each line must start as one message does
         for name, seed in [("a.txt", 1), ("b.txt", 2)]:
@@ -934,6 +958,22 @@ class TestRunner:
         assert run(argv + [good, bad, "--out", out]) == 2
         assert "error: bad: " in capsys.readouterr().err
         assert_same_tree(alone, out)
+
+    @pytest.mark.parametrize("argv", [
+        ["analyze", "--surrogates", "1"], ["mfdfa"], ["recurrence", "--target", "the"],
+    ], ids=lambda argv: argv[0])
+    def test_a_run_does_not_import_numpy_ma(self, argv, text_file, tmp_path):
+        # numpy.ma costs every process that imports it 11-14 ms and about
+        # 0.8 MB; np.unique without return_index imports it
+        src = str(Path(tf.__file__).resolve().parents[1])
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+            filter(None, [src, os.environ.get("PYTHONPATH")])))
+        script = ("import sys; from textfract import cli; status = cli.main(sys.argv[1:]); "
+                  "print(status, 'numpy.ma' in sys.modules)")
+        proc = subprocess.run([sys.executable, "-c", script, *argv, str(text_file),
+                               "--out", str(tmp_path / "o")],
+                              capture_output=True, text=True, env=env, timeout=120)
+        assert proc.stdout == "0 False\n", proc.stderr
 
     @pytest.mark.parametrize("fmt, corpus_files", [
         ("csv", ["corpus__avg_spectrum.csv", "corpus__scatter.csv"]),

@@ -578,6 +578,21 @@ class TestNovelScale:
             tracemalloc.stop()
         assert peak < 6e6, f"peak {peak / 1e6:.1f} MB above the Document"
 
+    def test_segmentation_holds_few_whole_text_columns(self, novel):
+        # a whole-text int32 column takes 2.7 MB of the novel repeated 4
+        # times; the word and terminator indices are built with no int64
+        # copy (5.4 MB) and dropped once the capital rule has read them:
+        # a peak of 10.5 MB above the Document, 15.3 MB with the copy
+        doc = tf.tokenize(novel[0] * 4)
+        tracemalloc.start()
+        try:
+            held = tracemalloc.get_traced_memory()[0]
+            tf.segment_sentences(doc)
+            peak = tracemalloc.get_traced_memory()[1] - held
+        finally:
+            tracemalloc.stop()
+        assert peak < 12e6, f"peak {peak / 1e6:.1f} MB above the Document"
+
     def test_zipf_midrank_slope(self, novel):
         text, _ = novel
         table = tf.rank_frequency(tf.tokenize(text), include_terminators=True)

@@ -1,6 +1,8 @@
 import importlib.util
 from pathlib import Path
 
+from textfract import cli, mfdfa
+
 TOOL = Path(__file__).resolve().parents[1] / "tools" / "diff_outputs.py"
 spec = importlib.util.spec_from_file_location("diff_outputs", TOOL)
 diff_outputs = importlib.util.module_from_spec(spec)
@@ -52,3 +54,17 @@ def test_the_closing_line_totals_each_side(tmp_path):
         "2 runs, 3 files on the OLD side: no differences; 2,004 → 2,004 bytes in all")
     assert diff_outputs.summary(old, old, 1).startswith(
         "2 runs, 3 files on the OLD side: 1 difference;")
+
+
+def test_every_run_parses_and_every_subcommand_runs():
+    parser = cli.build_parser()
+    for argv in diff_outputs.RUNS.values():
+        parser.parse_args([*argv, "--out", "o"])
+    assert {argv[0] for argv in diff_outputs.RUNS.values()} == set(cli._COMMANDS)
+
+
+def test_a_run_fits_over_a_grid_with_duplicates():
+    # the byte check then covers the step that drops them
+    args = cli.build_parser().parse_args([*diff_outputs.RUNS["mfdfa_narrow_grid"], "--out", "o"])
+    grid = mfdfa.default_scales(0, args.scale_min, args.scale_max)
+    assert len(grid) < mfdfa._N_SCALES

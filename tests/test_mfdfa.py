@@ -474,3 +474,20 @@ class TestHelpers:
         q = M.default_q_values()
         assert 0.0 in q and 2.0 in q
         assert q[0] == -4.0 and q[-1] == 4.0
+
+    @pytest.mark.parametrize("n, s_min, s_max", [
+        (n, 20, None) for n in (128, 256, 1000, 16384, 2**17)
+    ] + [
+        (0, s_min, s_max) for s_min, s_max in
+        [(10, 40), (20, 30), (20, 21), (4, 12), (1, 2), (5, 5000), (10, 200)]
+    ])
+    def test_scale_grid_matches_unique(self, n, s_min, s_max):
+        # the grid drops duplicates as np.unique does; narrow grids round
+        # several of their points to one scale
+        points = np.logspace(np.log10(s_min), np.log10(s_max or n // 5), M._N_SCALES)
+        want = np.unique(np.round(points).astype(int))
+        got = M.default_scales(n, s_min, s_max)
+        assert got.dtype == want.dtype and np.array_equal(got, want)
+
+    def test_narrow_scale_grid_has_duplicates_to_drop(self):
+        assert len(M.default_scales(0, 10, 40)) == 25 < M._N_SCALES

@@ -51,6 +51,10 @@ RUNS = {
     "mfdfa": ["mfdfa", "marks.txt"],
     "mfdfa_q_positive": ["mfdfa", "--series-csv", "noise.csv", "--detrend-order", "3",
                          "--q-min", "0.5", "--q-max", "4", "--q-step", "0.5"],
+    # 30 grid points that round to 25 scales: the only run whose grid has
+    # duplicates to drop
+    "mfdfa_narrow_grid": ["mfdfa", "--series-csv", "noise.csv",
+                          "--scale-min", "10", "--scale-max", "40"],
     "wavelet": ["wavelet", "novel.txt"],
     "wavelet_csv": ["wavelet", "--series-csv", "noise.csv", "--n-scales", "20"],
     "surrogate_shuffle": ["surrogate", "novel.txt"],
