@@ -375,8 +375,7 @@ def _run_job(job, name, source, args, em):
 def spectrum_stage(values, args):
     """Power spectrum and its 1/f^beta fit, of a series that varies
     beyond rounding."""
-    ps = spectral.power_spectrum(values)  # first: it rejects a short series
-    series._reject_flat(values)
+    ps = spectral.power_spectrum(values)
     return ps, spectral.fit_beta(ps, spectrum_fit_range(args), args.bins_per_decade)
 
 

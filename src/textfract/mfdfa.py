@@ -20,7 +20,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .series import Profile, _line_fit, _reject_amplitude, _reject_flat, as_values, profile
+from .series import Series, _line_fit, _reject_amplitude, _reject_flat, as_values, profile
 
 __all__ = [
     "FluctuationSurface",
@@ -85,6 +85,9 @@ class SingularitySpectrum:
 
 def default_q_values(q_min: float = -4.0, q_max: float = 4.0, q_step: float = 0.25):
     """Uniform q grid including 0 and 2."""
+    if not (q_step > 0 and np.isfinite([q_min, q_max, q_step]).all()):
+        raise ValueError(f"q grid {q_min} to {q_max} in steps of {q_step}: the bounds "
+                         "must be finite and the step > 0")
     n = int(round((q_max - q_min) / q_step))
     q = q_min + q_step * np.arange(n + 1)
     return np.where(np.abs(q) < 1e-12, 0.0, q)
@@ -92,6 +95,8 @@ def default_q_values(q_min: float = -4.0, q_max: float = 4.0, q_step: float = 0.
 
 def default_scales(n: int, s_min: int = 20, s_max: int | None = None) -> np.ndarray:
     """About ``_N_SCALES`` log-spaced integer scales in [s_min, n/5]."""
+    if not s_min >= 1:
+        raise ValueError(f"s_min must be >= 1, got {s_min}")
     if s_max is None:
         s_max = n // 5
     if s_max <= s_min:
@@ -113,7 +118,7 @@ def _trend_basis(s: int, m: int) -> np.ndarray:
     return q_mat
 
 
-def segment_variances(p: Profile, s: int, m: int = 2) -> np.ndarray:
+def segment_variances(p: Series, s: int, m: int = 2) -> np.ndarray:
     """F^2(nu, s) for all 2*M_s segments at one scale, vectorized, in
     ``nu`` order: element ``nu - 1`` is the mean squared residual of
     segment ``nu`` about its least-squares polynomial of order ``m``.
@@ -129,13 +134,13 @@ def segment_variances(p: Profile, s: int, m: int = 2) -> np.ndarray:
     """
     L = p.values
     n = len(L)
-    ms = n // s
-    if ms < 1:
-        raise ValueError(f"scale {s} exceeds series length {n}")
     if not 0 <= m <= MAX_DETREND_ORDER:
         raise ValueError(f"polynomial order {m} not in 0..{MAX_DETREND_ORDER}")
     if s <= m + 1:
         raise ValueError(f"scale {s} too small for polynomial order {m}")
+    ms = n // s
+    if ms < 1:
+        raise ValueError(f"scale {s} exceeds series length {n}")
     q_mat = _trend_basis(s, m)
     f2 = np.empty(2 * ms)
     # the backward rows reversed, so row j - 1 is the j-th from the end
@@ -155,15 +160,20 @@ def fluctuation_surface(s_series, q_values=None, scales=None, m: int = 2) -> Flu
     q = 0 takes the logarithmic limit exp{ mean(ln F^2) / 2 }.
     Negative q diverges on any exactly-detrended segment, so a zero
     variance then raises, as does any subnormal one and, before any scale
-    is tried, a series out of amplitude range or flat to rounding.
+    is tried, an empty or 2-D grid, a scale <= m + 1, and a series out of
+    amplitude range or flat to rounding.
     """
     x = as_values(s_series)
     q_values = np.asarray(default_q_values() if q_values is None else q_values, dtype=float)
     scales = np.asarray(default_scales(len(x)) if scales is None else scales, dtype=int)
+    if not (q_values.ndim == scales.ndim == 1 and len(q_values) and len(scales)):
+        raise ValueError("q_values and scales must each be a non-empty 1-D grid")
+    if scales.min() <= m + 1:
+        raise ValueError(f"scale {scales.min()} too small for polynomial order {m}")
     if len(x) < 4 * scales.max():
         raise ValueError(f"series length {len(x)} < 4 * max scale {scales.max()}; "
                          "shrink the scale grid")
-    if np.abs(q_values).max() > MAX_ABS_Q:
+    if not np.abs(q_values).max() <= MAX_ABS_Q:  # NaN too
         raise ValueError(f"|q| up to {np.abs(q_values).max():.4g} overflows float64; "
                          f"at most {MAX_ABS_Q:.4g}")
     _reject_amplitude(x, 2)

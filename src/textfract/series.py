@@ -13,7 +13,6 @@ import numpy as np
 
 __all__ = [
     "Series",
-    "Profile",
     "as_values",
     "profile",
     "shuffle_surrogate",
@@ -47,15 +46,6 @@ class Series:
 
     def __len__(self):
         return len(self.values)
-
-
-@dataclass(frozen=True)
-class Profile:
-    """Cumulative sum of a demeaned series; the input to detrended
-    fluctuation analysis."""
-
-    values: np.ndarray
-    mean_removed: float
 
 
 def as_values(s) -> np.ndarray:
@@ -131,16 +121,15 @@ def _random_phases(spec, n: int, seed: int) -> np.ndarray:
     return np.fft.irfft(np.abs(spec) * np.exp(1j * phases), n=n)
 
 
-def profile(s) -> Profile:
-    """Cumulative demeaned sum L(j) of the series.
-
-    The terminal value is zero up to accumulated rounding.
+def profile(s) -> Series:
+    """Cumulative demeaned sum L(j) of the series, the input to detrended
+    fluctuation analysis. The terminal value is zero up to accumulated
+    rounding.
     """
     x = as_values(s)
     if len(x) < 2:
         raise ValueError("series too short for a profile (need >= 2 points)")
-    mean = float(x.mean())
-    return Profile(values=np.cumsum(x - mean), mean_removed=mean)
+    return Series(np.cumsum(x - x.mean()))
 
 
 def shuffle_surrogate(s, seed: int) -> Series:

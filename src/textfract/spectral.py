@@ -6,7 +6,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .series import _line_fit, _reject_amplitude, as_values
+from .series import _line_fit, _reject_amplitude, _reject_flat, as_values
 
 __all__ = [
     "PowerSpectrum",
@@ -54,12 +54,14 @@ class SpectrumFit:
 
 def power_spectrum(s) -> PowerSpectrum:
     """Fourier-transform modulus squared of the series at the positive
-    frequencies."""
+    frequencies. A series flat to rounding raises ValueError: its power
+    away from DC is rounding noise, which a fit would read as a beta."""
     x = as_values(s)
     n = len(x)
     if n < 8:
         raise ValueError(f"series too short for a spectrum (need >= 8, got {n})")
     _reject_amplitude(x, 2)
+    _reject_flat(x)
     power = np.abs(np.fft.rfft(x)) ** 2
     return PowerSpectrum(freqs=np.arange(1, n // 2 + 1) / n, power=power[1 : n // 2 + 1],
                          n_samples=n, dc_power=float(power[0]))

@@ -46,12 +46,9 @@ def _frame(xlabel, ylabel) -> list:
 
 
 class _Axes:
-    """Maps data coordinates (possibly log-transformed) to pixels."""
+    """Maps plot coordinates to pixels; a log axis passes its log10 values."""
 
-    def __init__(self, xs, ys, log: bool):
-        self.log = log
-        if log:
-            xs, ys = np.log10(xs), np.log10(ys)
+    def __init__(self, xs, ys):
         self.x0, self.x1 = float(np.min(xs)), float(np.max(xs))
         self.y0, self.y1 = float(np.min(ys)), float(np.max(ys))
         if self.x1 == self.x0:
@@ -60,13 +57,9 @@ class _Axes:
             self.y1 += 1.0
 
     def px(self, x):
-        if self.log:
-            x = np.log10(x)
         return _MARGIN + (x - self.x0) / (self.x1 - self.x0) * (_W - 2 * _MARGIN)
 
     def py(self, y):
-        if self.log:
-            y = np.log10(y)
         return (_H - _MARGIN) - (y - self.y0) / (self.y1 - self.y0) * (_H - 2 * _MARGIN)
 
 
@@ -115,20 +108,21 @@ def log_log_plot(curves, title="", xlabel="x", ylabel="y", fit_lines=()) -> str:
     keep = (all_x > 0) & (all_y > 0)
     if not keep.any():
         raise ValueError(f"{title}: no point with x > 0 and y > 0 to plot on log axes")
-    ax = _Axes(all_x[keep], all_y[keep], log=True)
+    ax = _Axes(np.log10(all_x[keep]), np.log10(all_y[keep]))
     parts = _header(title) + _frame(xlabel, ylabel)
     for i, (xs, ys, label) in enumerate(curves):
         xs, ys = np.asarray(xs, dtype=float), np.asarray(ys, dtype=float)
         m = (xs > 0) & (ys > 0)
         color = _COLORS[i % len(_COLORS)]
-        parts.append(_polyline(ax, xs[m], ys[m], color))
+        parts.append(_polyline(ax, np.log10(xs[m]), np.log10(ys[m]), color))
         if label:
             parts.append(_text(_W - _MARGIN - 5, _MARGIN + 16 + 16 * i, 11, label, "end",
                                f' fill="{color}"'))
     for i, (slope, intercept, label) in enumerate(fit_lines):
+        # the ends go through 10** and back, which keeps each pixel's bits
         lx = np.array([10**ax.x0, 10**ax.x1])
         ly = 10**intercept * lx**slope
-        parts.append(_polyline(ax, lx, ly, "#333333", dashed=True))
+        parts.append(_polyline(ax, np.log10(lx), np.log10(ly), "#333333", dashed=True))
         if label:
             parts.append(_text(_MARGIN + 5, _MARGIN + 16 + 16 * i, 11, label))
     parts.append("</svg>")
@@ -140,7 +134,7 @@ def scatter_plot(xs, ys, title="", xlabel="x", ylabel="y", labels=None,
     """Plain linear scatter; ``hband`` = (lo, hi) draws a shaded
     horizontal band (used for the surrogate uncertainty region)."""
     xs, ys = np.asarray(xs, dtype=float), np.asarray(ys, dtype=float)
-    ax = _Axes(xs, ys, log=False)
+    ax = _Axes(xs, ys)
     parts = _header(title)
     if hband is not None:
         y_hi, y_lo = ax.py(np.asarray(hband, dtype=float)).tolist()

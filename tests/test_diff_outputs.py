@@ -1,7 +1,9 @@
 import importlib.util
 from pathlib import Path
 
-from textfract import cli, mfdfa
+import pytest
+
+from textfract import cli, mfdfa, spectral
 
 TOOL = Path(__file__).resolve().parents[1] / "tools" / "diff_outputs.py"
 spec = importlib.util.spec_from_file_location("diff_outputs", TOOL)
@@ -68,3 +70,12 @@ def test_a_run_fits_over_a_grid_with_duplicates():
     args = cli.build_parser().parse_args([*diff_outputs.RUNS["mfdfa_narrow_grid"], "--out", "o"])
     grid = mfdfa.default_scales(0, args.scale_min, args.scale_max)
     assert len(grid) < mfdfa._N_SCALES
+
+
+def test_runs_feed_the_spectrum_a_flat_series():
+    # the byte check then pins the error line and exit code of the flat rule
+    with pytest.raises(ValueError, match="series does not vary beyond rounding"):
+        spectral.power_spectrum(diff_outputs.FLAT)
+    assert len(diff_outputs.FLAT) == 8192 and len(set(diff_outputs.FLAT.tolist())) == 2
+    for command in ("spectrum", "analyze"):
+        assert [command, "--series-csv", "flat.csv"] in diff_outputs.RUNS.values()

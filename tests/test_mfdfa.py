@@ -1,3 +1,5 @@
+import re
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -42,14 +44,14 @@ class TestDetrendedVariance:
     def test_quadratic_segment_annihilated(self):
         # profile whose first segment is exactly quadratic
         k = np.arange(1, 101, dtype=float)
-        quad = M.Profile(values=0.5 * k**2 - 3 * k + 1, mean_removed=0.0)
+        quad = tf.Series(0.5 * k**2 - 3 * k + 1)
         assert detrended_variance(quad, 1, 50, m=2) < 1e-16 * 1e4
         assert M.segment_variances(quad, 50, m=2)[0] < 1e-16 * 1e4
 
     def test_order_zero_is_plain_variance(self):
         seg = np.zeros(10)
         seg[1] = 1.0
-        prof = M.Profile(values=seg, mean_removed=0.0)
+        prof = tf.Series(seg)
         expected = np.mean((seg - seg.mean()) ** 2)
         assert detrended_variance(prof, 1, 10, m=0) == pytest.approx(expected)
         assert M.segment_variances(prof, 10, m=0)[0] == pytest.approx(expected)
@@ -315,6 +317,40 @@ class TestFluctuationSurface:
         with pytest.raises(ValueError, match="order -1"):
             M.fluctuation_surface(np.random.default_rng(0).normal(size=400),
                                   scales=[20, 40], m=-1)
+
+    @pytest.mark.parametrize("call, message", [
+        (lambda x: M.default_q_values(-4, 4, 0), "q grid -4 to 4 in steps of 0: the bounds"),
+        (lambda x: M.default_q_values(-4, 4, np.nan), "in steps of nan: the bounds must be"),
+        (lambda x: M.default_q_values(-4, 4, -0.25), "in steps of -0.25: the bounds must"),
+        (lambda x: M.default_q_values(-4, np.inf, 0.25), "to inf in steps of 0.25: the"),
+        (lambda x: M.default_scales(1000, 0), "s_min must be >= 1, got 0"),
+        (lambda x: M.fluctuation_surface(x, scales=[0, 20, 40]),
+         "scale 0 too small for polynomial order 2"),
+        (lambda x: M.fluctuation_surface(x, scales=[-5, 20]),
+         "scale -5 too small for polynomial order 2"),
+        (lambda x: M.fluctuation_surface(x, scales=[20, 40, 1]),
+         "scale 1 too small for polynomial order 2"),
+        (lambda x: M.fluctuation_surface(x, scales=[]), "non-empty 1-D grid"),
+        (lambda x: M.fluctuation_surface(x, q_values=[]), "non-empty 1-D grid"),
+        (lambda x: M.fluctuation_surface(x, q_values=[-2.0, np.nan, 2.0]), "|q| up to nan"),
+        (lambda x: M.fluctuation_surface(x, q_values=[[-2.0, 2.0], [1.0, 3.0]]),
+         "non-empty 1-D grid"),
+        (lambda x: M.fluctuation_surface(x, scales=[[20, 40], [60, 80]]),
+         "non-empty 1-D grid"),
+    ], ids=["q_step_zero", "q_step_nan", "q_step_negative", "q_max_inf", "s_min_zero",
+            "scale_zero", "scale_negative", "scale_last", "no_scales", "no_q", "q_nan",
+            "q_2d", "scales_2d"])
+    def test_bad_grid_raises_by_name(self, call, message, monkeypatch):
+        x = tf.generate_fgn(0.75, 2000, 3).values
+        tried = []
+        monkeypatch.setattr(M, "segment_variances", lambda *args, **kw: tried.append(args))
+        with pytest.raises(ValueError, match=re.escape(message)):
+            call(x)
+        assert tried == []  # once per call, before any scale is tried
+
+    def test_scale_zero_rejected_before_dividing(self):
+        with pytest.raises(ValueError, match="scale 0 too small for polynomial order 2"):
+            M.segment_variances(tf.profile(np.arange(100.0)), 0)
 
     def test_order_above_most_rejected(self):
         # the monomial basis loses F^2's digits above MAX_DETREND_ORDER = 10

@@ -168,9 +168,10 @@ class TestSvg:
         # over three decades, n <= 1080 points lie more than half a pixel apart
         xs = 10.0 ** np.linspace(0.0, 3.0, n)
         ys = np.random.default_rng(n).exponential(size=n)
-        ax = svgplot._Axes(xs, ys, log=True)
-        assert np.unique(np.floor(ax.px(xs)), return_counts=True)[1].max() <= 2
-        points = [f"{float(ax.px(x)):.2f},{float(ax.py(y)):.2f}" for x, y in zip(xs, ys)]
+        lx, ly = np.log10(xs), np.log10(ys)
+        ax = svgplot._Axes(lx, ly)
+        assert np.unique(np.floor(ax.px(lx)), return_counts=True)[1].max() <= 2
+        points = [f"{float(ax.px(x)):.2f},{float(ax.py(y)):.2f}" for x, y in zip(lx, ly)]
         assert self._drawn(svgplot.log_log_plot([(xs, ys, "")])) == points
 
     @pytest.mark.parametrize("shape", ["rising", "ties", "zigzag"])
@@ -181,8 +182,8 @@ class TestSvg:
         ys = np.random.default_rng(8).exponential(size=len(xs)) * xs**-0.5
         if shape == "ties":  # a few distinct heights, so most runs tie
             ys = np.round(ys * 4.0) + 1.0
-        ax = svgplot._Axes(xs, ys, log=True)
-        px, py = ax.px(xs), ax.py(ys)
+        ax = svgplot._Axes(np.log10(xs), np.log10(ys))
+        px, py = ax.px(np.log10(xs)), ax.py(np.log10(ys))
         full = [f"{x:.2f},{y:.2f}" for x, y in zip(px.tolist(), py.tolist())]
         drawn = self._drawn(svgplot.log_log_plot([(xs, ys, "")]))
         assert len(drawn) < len(full)
@@ -363,9 +364,10 @@ class TestBlockFormatting:
         xs = np.arange(n + 1) / (2.0 * n)
         ys = np.random.default_rng(n).exponential(size=n + 1) * (xs + 0.01)**-0.5
         svg = svgplot.log_log_plot([(xs, ys, "S")])
-        ax = svgplot._Axes(xs[1:], ys[1:], log=True)
-        px = [float(ax.px(x)) for x in xs[1:]]
-        py = [float(ax.py(y)) for y in ys[1:]]
+        lx, ly = np.log10(xs[1:]), np.log10(ys[1:])
+        ax = svgplot._Axes(lx, ly)
+        px = [float(ax.px(x)) for x in lx]
+        py = [float(ax.py(y)) for y in ly]
         points = " ".join(f"{px[i]:.2f},{py[i]:.2f}" for i in column_extremes(px, py))
         assert f'<polyline points="{points}" fill="none"' in svg
 

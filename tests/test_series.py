@@ -19,9 +19,9 @@ from textfract.series import (
 
 class TestProfile:
     def test_two_points(self):
-        p = tf.profile([1.0, 3.0])
-        assert p.mean_removed == 2.0
-        np.testing.assert_allclose(p.values, [-1.0, 0.0])
+        p = tf.profile([1.0, 3.0])  # the mean, 2.0, is removed
+        assert isinstance(p, tf.Series)
+        np.testing.assert_array_equal(p.values, [-1.0, 0.0])
 
     def test_constant_series_is_flat(self):
         p = tf.profile(np.full(50, 7.0))

@@ -13,9 +13,21 @@ def exact_power_law_spectrum(beta, n=4096, c=1.0):
 
 class TestPowerSpectrum:
     def test_constant_series_all_dc(self):
-        ps = tf.power_spectrum(np.full(64, 5.0))
-        np.testing.assert_allclose(ps.power, 0.0, atol=1e-18)
-        assert ps.dc_power > 0
+        # all its power is DC, so it has no 1/f^beta to fit
+        with pytest.raises(ValueError, match="^series does not vary beyond rounding: "
+                                             r"max\|x - mean\| = 0 <= "):
+            tf.power_spectrum(np.full(64, 5.0))
+
+    @pytest.mark.parametrize("x", [
+        # a one-ulp step at the midpoint: without the rule, fit_beta gives
+        # beta = 1.98 at r^2 = 0.9999
+        np.where(np.arange(1024) < 512, 3.0, np.nextafter(3.0, 4.0)),
+        # 0-3 ulps up at random: without the rule, beta = -0.16
+        3.0 + np.spacing(3.0) * np.random.default_rng(5).integers(0, 4, 1024),
+    ], ids=["ulp_step", "random_ulps"])
+    def test_series_flat_to_rounding_rejected(self, x):
+        with pytest.raises(ValueError, match="series does not vary beyond rounding"):
+            tf.fit_beta(tf.power_spectrum(x))
 
     def test_sinusoid_single_bin(self):
         n = 64

@@ -11,9 +11,10 @@ stops turn in turn into ``...``, ``…``, ``....``, ``?`` and ``!`` (plus
 ``snake_case 3.14 a...b``), a copy whose sentences in turn gain
 non-ASCII text (see ``unicode_text``), a copy whose every space is a
 newline (so the tokenizer finds no space to cut a block at), an empty
-text, a seeded float series as an ``index,value`` CSV, and fGn times
+text, a seeded float series as an ``index,value`` CSV, fGn times
 2^-520 and 2^1010, two amplitudes that float64 cannot carry through the
-spectrum and MFDFA.
+spectrum and MFDFA, and ``FLAT``, a series that does not vary beyond
+rounding.
 Every subcommand runs at least once on each side. For each run the exit
 code, stdout, stderr (with the output directory written as ``<out>``,
 and its lines sorted where ``--jobs`` runs them in parallel), the list
@@ -79,7 +80,12 @@ RUNS = {
     "wavelet_huge": ["wavelet", "--series-csv", "huge.csv", "--n-scales", "20"],
     "surrogate_phase_tiny": ["surrogate", "--series-csv", "tiny.csv", "--kind", "phase"],
     "surrogate_phase_huge": ["surrogate", "--series-csv", "huge.csv", "--kind", "phase"],
+    "spectrum_flat": ["spectrum", "--series-csv", "flat.csv"],
+    "analyze_flat": ["analyze", "--series-csv", "flat.csv"],
 }
+# 3.0 and the next float up in turn: flat to rounding, so the spectrum and
+# MFDFA reject it
+FLAT = np.where(np.arange(8192) % 2, np.nextafter(3.0, 4.0), 3.0)
 
 
 def unicode_text(text: str) -> str:
@@ -122,7 +128,8 @@ def write_inputs(folder: Path, src: Path):
     (folder / "empty.txt").write_bytes(b"")
     fgn = generate_fgn(0.75, 8192, 5).values
     for name, values in [("noise", np.random.default_rng(20261018).lognormal(2.0, 0.5, 2**14)),
-                         ("tiny", fgn * 2.0**-520), ("huge", fgn * 2.0**1010)]:
+                         ("tiny", fgn * 2.0**-520), ("huge", fgn * 2.0**1010),
+                         ("flat", FLAT)]:
         (folder / f"{name}.csv").write_text("index,value\n" + "".join(
             f"{i},{v!r}\n" for i, v in enumerate(values.tolist(), 1)), encoding="utf-8")
 
