@@ -50,6 +50,8 @@ MAX_DETREND_ORDER = 10
 _FI = np.finfo(float)
 MAX_ABS_Q = float(_FI.max / (np.log(_FI.max) - np.log(_FI.tiny)))
 MAX_Q_STEP = float(np.sqrt(_FI.max) / 2)
+# MFDFA holds n_q x 2*M_s floats per scale: at most a step of 0.02 over [-4, 4]
+MAX_Q_POINTS = 401
 
 
 @dataclass(frozen=True)
@@ -84,12 +86,17 @@ class SingularitySpectrum:
 
 
 def default_q_values(q_min: float = -4.0, q_max: float = 4.0, q_step: float = 0.25):
-    """Uniform q grid including 0 and 2."""
-    if not (q_step > 0 and np.isfinite([q_min, q_max, q_step]).all()):
-        raise ValueError(f"q grid {q_min} to {q_max} in steps of {q_step}: the bounds "
-                         "must be finite and the step > 0")
-    n = int(round((q_max - q_min) / q_step))
-    q = q_min + q_step * np.arange(n + 1)
+    """Uniform q grid ``q_min + q_step * k``, k = 0..round((q_max - q_min) / q_step),
+    of 5 to ``MAX_Q_POINTS`` points; a q within 1e-12 of 0 is 0."""
+    grid = f"{q_min} to {q_max} in steps of {q_step}"
+    if not (np.isfinite([q_min, q_max]).all() and 0 < q_step <= MAX_Q_STEP):
+        raise ValueError(f"{grid}: the bounds must be finite and the q step in "
+                         f"(0, {MAX_Q_STEP:.4g}]")
+    span = (float(q_max) - float(q_min)) / float(q_step)  # a numpy scalar would warn on overflow
+    n_q = round(span) + 1 if np.isfinite(span) else span
+    if not 5 <= n_q <= MAX_Q_POINTS:
+        raise ValueError(f"{grid} gives {max(n_q, 0)} points; a q grid holds 5 to {MAX_Q_POINTS}")
+    q = q_min + q_step * np.arange(n_q)
     return np.where(np.abs(q) < 1e-12, 0.0, q)
 
 
@@ -99,6 +106,8 @@ def default_scales(n: int, s_min: int = 20, s_max: int | None = None) -> np.ndar
         raise ValueError(f"s_min must be >= 1, got {s_min}")
     if s_max is None:
         s_max = n // 5
+    if not s_max < 2**53:  # NaN and inf too; whole in float64, and 4 * s_max fits int64
+        raise ValueError(f"s_max must be below 2**53, got {s_max}")
     if s_max <= s_min:
         raise ValueError(f"series of length {n} leaves no room for scales >= {s_min}")
     scales = np.round(np.logspace(np.log10(s_min), np.log10(s_max), _N_SCALES)).astype(int)
@@ -160,19 +169,22 @@ def fluctuation_surface(s_series, q_values=None, scales=None, m: int = 2) -> Flu
     q = 0 takes the logarithmic limit exp{ mean(ln F^2) / 2 }.
     Negative q diverges on any exactly-detrended segment, so a zero
     variance then raises, as does any subnormal one and, before any scale
-    is tried, an empty or 2-D grid, a scale <= m + 1, and a series out of
-    amplitude range or flat to rounding.
+    is tried, an empty or 2-D grid, a scale that is not a whole number or
+    is <= m + 1, and a series out of amplitude range or flat to rounding.
     """
     x = as_values(s_series)
     q_values = np.asarray(default_q_values() if q_values is None else q_values, dtype=float)
-    scales = np.asarray(default_scales(len(x)) if scales is None else scales, dtype=int)
+    scales = np.asarray(default_scales(len(x)) if scales is None else scales)
     if not (q_values.ndim == scales.ndim == 1 and len(q_values) and len(scales)):
         raise ValueError("q_values and scales must each be a non-empty 1-D grid")
+    if (off := scales[np.round(scales) != scales]).size:  # NaN too
+        raise ValueError(f"scale {off[0]} is not a whole number")
     if scales.min() <= m + 1:
         raise ValueError(f"scale {scales.min()} too small for polynomial order {m}")
     if len(x) < 4 * scales.max():
         raise ValueError(f"series length {len(x)} < 4 * max scale {scales.max()}; "
                          "shrink the scale grid")
+    scales = scales.astype(int)  # whole and finite by now
     if not np.abs(q_values).max() <= MAX_ABS_Q:  # NaN too
         raise ValueError(f"|q| up to {np.abs(q_values).max():.4g} overflows float64; "
                          f"at most {MAX_ABS_Q:.4g}")

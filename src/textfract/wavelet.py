@@ -64,8 +64,8 @@ def wavelet_map(s_series, scales=None) -> WaveletMap:
     x = as_values(s_series)
     n = len(x)
     scales = np.asarray(default_scales(n) if scales is None else scales, dtype=float)
-    if np.any(scales <= 0):
-        raise ValueError("scales must be positive")
+    if (off := scales[~((0 < scales) & (scales < np.inf))]).size:  # NaN too
+        raise ValueError(f"scale {off[0]} is not positive and finite")
     if n < 4 * scales.min():
         raise ValueError(f"series length {n} < 4 * min scale {scales.min()}")
     _reject_amplitude(x, 1, _padding(n, scales.max())[1])

@@ -131,7 +131,8 @@ class TestParser:
         assert not out.exists()
 
     @pytest.mark.parametrize("argv, flag", [
-        (["mfdfa", "--q-step", "0"], "--q-step"),
+        (["mfdfa", "--q-step", "0"], "--q-min/--q-max/--q-step: -4.0 to 4.0 in steps of 0.0: "
+         "the bounds must be finite and the q step in (0, 6.704e+153]"),
         (["analyze", "--format", "cvs"], "--format"),
         (["analyze", "--jobs", "0"], "--jobs"),
         (["analyze", "--surrogates", "-2"], "--surrogates"),
@@ -178,7 +179,7 @@ class TestParser:
         (["recurrence", "--target", "the", "--fit-fmin=-0.2", "--fit-fmax=-0.1"],
          "--fit-fmin/--fit-fmax"),
         (["mfdfa", "--q-step", "1e-6"], "--q-min/--q-max/--q-step: -4.0 to 4.0 in steps "
-         "of 1e-06 gives 8000001 points; at most 401"),
+         "of 1e-06 gives 8000001 points; a q grid holds 5 to 401"),
         (["analyze", "--q-max", "4.02", "--q-step", "0.02"],
          "--q-min/--q-max/--q-step: -4.0 to 4.02 in steps of 0.02 gives 402 points"),
         (["zipf", "--rank-min", "10", "--rank-max", "15"], "--rank-min/--rank-max: 10 to 15 "
@@ -195,10 +196,12 @@ class TestParser:
         (["recurrence", "--target", "the", "--detrend-order", "11"],
          "--detrend-order must be <= 10"),
         (["wavelet", "--n-scales", "1001"], "--n-scales must be <= 1000, got 1001"),
+        # the library names the bound; it crashed np.log10 before
+        (["mfdfa", "--scale-max", str(10**20)], "s_max must be below 2**53, got " + str(10**20)),
         (["mfdfa", "--q-min", "2", "--q-step", repr(math.nextafter(mfdfa.MAX_Q_STEP, math.inf)),
           "--q-max", repr(2 + 400 * mfdfa.MAX_Q_STEP)],
          "--q-min/--q-max/--q-step: 2.0 to 2.681561585988519e+156 in steps of "
-         "6.703903964971299e+153 overflows float64 in MFDFA; the step must be <= 6.704e+153"),
+         "6.703903964971299e+153: the bounds must be finite and the q step in (0, 6.704e+153]"),
     ], ids=["q_step_zero", "unknown_format", "jobs_zero", "negative_surrogates",
             "q_grid_without_two", "q_grid_too_short", "half_fit_range",
             "negative_detrend_order", "analyze_negative_detrend_order", "n_scales_zero",
@@ -218,7 +221,7 @@ class TestParser:
             "analyze_bins_per_decade_huge", "recurrence_bins_per_decade_above_most",
             "detrend_order_above_most", "analyze_detrend_order_far_above_most",
             "recurrence_detrend_order_above_most", "n_scales_above_most",
-            "q_step_one_float_past_bound"])
+            "scale_max_past_int64", "q_step_one_float_past_bound"])
     def test_bad_option_value_is_fatal_before_reading(self, argv, flag, tmp_path, capsys):
         # the input does not exist: the value must be rejected before any read
         out = tmp_path / "o"
@@ -426,8 +429,8 @@ class TestSeriesCsvInput:
                            "--q-max", "4e307", "--out", out)
         assert proc.returncode == 1
         assert proc.stderr == ("fatal: --q-min/--q-max/--q-step: 2.0 to 4e+307 in steps of "
-                               "1e+305 overflows float64 in MFDFA; the step must be "
-                               "<= 6.704e+153\n")
+                               "1e+305: the bounds must be finite and the q step in "
+                               "(0, 6.704e+153]\n")
         assert not out.exists()
 
     def test_largest_accepted_q_grid_runs_without_warning(self, tmp_path):

@@ -79,3 +79,13 @@ def test_runs_feed_the_spectrum_a_flat_series():
     assert len(diff_outputs.FLAT) == 8192 and len(set(diff_outputs.FLAT.tolist())) == 2
     for command in ("spectrum", "analyze"):
         assert [command, "--series-csv", "flat.csv"] in diff_outputs.RUNS.values()
+
+
+def test_runs_pin_the_q_grid_edge_and_its_fatal_rule():
+    # the byte check then covers the most q points and the CLI's q = 2 line
+    parser = cli.build_parser()
+    most = parser.parse_args([*diff_outputs.RUNS["mfdfa_q_grid_most"], "--out", "o"])
+    assert len(mfdfa.default_q_values(most.q_min, most.q_max, most.q_step)) == mfdfa.MAX_Q_POINTS
+    fatal = parser.parse_args([*diff_outputs.RUNS["mfdfa_q_grid_fatal"], "--out", "o"])
+    with pytest.raises(ValueError, match="misses q = 2, which H needs"):
+        cli.check_args(fatal)

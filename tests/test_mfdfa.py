@@ -319,7 +319,8 @@ class TestFluctuationSurface:
                                   scales=[20, 40], m=-1)
 
     @pytest.mark.parametrize("call, message", [
-        (lambda x: M.default_q_values(-4, 4, 0), "q grid -4 to 4 in steps of 0: the bounds"),
+        (lambda x: M.default_q_values(-4, 4, 0),
+         "-4 to 4 in steps of 0: the bounds must be finite and the q step in (0, 6.704e+153]"),
         (lambda x: M.default_q_values(-4, 4, np.nan), "in steps of nan: the bounds must be"),
         (lambda x: M.default_q_values(-4, 4, -0.25), "in steps of -0.25: the bounds must"),
         (lambda x: M.default_q_values(-4, np.inf, 0.25), "to inf in steps of 0.25: the"),
@@ -527,3 +528,37 @@ class TestHelpers:
 
     def test_narrow_scale_grid_has_duplicates_to_drop(self):
         assert len(M.default_scales(0, 10, 40)) == 25 < M._N_SCALES
+
+
+@pytest.mark.parametrize("call, message", [
+    (lambda x: M.default_q_values(-1e308, 1e308, 1e-320),
+     "-1e+308 to 1e+308 in steps of 1e-320 gives inf points; a q grid holds 5 to 401"),
+    (lambda x: M.default_q_values(-1e308, 1e308, 1e300),
+     "in steps of 1e+300: the bounds must be finite and the q step in (0, 6.704e+153]"),
+    (lambda x: M.default_q_values(-4, 4, 1e-3), "gives 8001 points; a q grid holds 5 to 401"),
+    (lambda x: M.default_q_values(0.5, 2, 0.5), "gives 4 points; a q grid holds 5 to 401"),
+    (lambda x: M.default_q_values(2, 2 + 4 * M.MAX_Q_STEP,
+                                  np.nextafter(M.MAX_Q_STEP, np.inf)),
+     "the bounds must be finite and the q step in (0, 6.704e+153]"),
+    (lambda x: M.default_scales(1000, 20, np.inf), "s_max must be below 2**53, got inf"),
+    (lambda x: M.default_scales(1000, 20, np.nan), "s_max must be below 2**53, got nan"),
+    (lambda x: M.default_scales(1000, 20, 1e300), "s_max must be below 2**53, got 1e+300"),
+    (lambda x: M.fluctuation_surface(x, scales=[20.7, 40.2, 60, 80, 100, 120]),
+     "scale 20.7 is not a whole number"),
+    (lambda x: tf.wavelet_map(x, scales=[10, np.inf]), "scale inf is not positive and finite"),
+    (lambda x: tf.wavelet_map(x, scales=[np.nan, 10]), "scale nan is not positive and finite"),
+], ids=["q_step_uncountable", "q_step_huge", "q_grid_8001_points", "q_grid_4_points",
+        "q_step_one_float_past_most", "s_max_inf", "s_max_nan", "s_max_past_int64",
+        "scales_not_whole",
+        "wavelet_scale_inf", "wavelet_scale_nan"])
+def test_grid_builder_rejects_bad_input_by_name(call, message):
+    with pytest.raises(ValueError, match=re.escape(message)):
+        call(tf.generate_fgn(0.75, 2000, 3).values)
+
+
+def test_whole_float_scales_run_as_ints():
+    x = tf.generate_fgn(0.75, 2000, 3).values
+    whole = M.fluctuation_surface(x, scales=[20.0, 40.0, 60.0, 80.0, 100.0, 120.0])
+    ints = M.fluctuation_surface(x, scales=[20, 40, 60, 80, 100, 120])
+    assert whole.scales.dtype == ints.scales.dtype and np.array_equal(whole.scales, ints.scales)
+    assert np.array_equal(whole.F, ints.F)

@@ -56,6 +56,9 @@ RUNS = {
     # duplicates to drop
     "mfdfa_narrow_grid": ["mfdfa", "--series-csv", "noise.csv",
                           "--scale-min", "10", "--scale-max", "40"],
+    # the most q points the grid holds, and a grid the CLI's own q = 2 rule rejects
+    "mfdfa_q_grid_most": ["mfdfa", "--series-csv", "noise.csv", "--q-step", "0.02"],
+    "mfdfa_q_grid_fatal": ["mfdfa", "--series-csv", "noise.csv", "--q-min", "2.5"],
     "wavelet": ["wavelet", "novel.txt"],
     "wavelet_csv": ["wavelet", "--series-csv", "noise.csv", "--n-scales", "20"],
     "surrogate_shuffle": ["surrogate", "novel.txt"],
