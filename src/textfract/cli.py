@@ -15,9 +15,11 @@ recurrence) take the segmentation flags --unit, --lexicon, --language
 and --min-sentences, or ``--series-csv`` to read one series instead of
 texts; a malformed CSV is fatal. zipf and recurrence read texts only,
 case-folded, with no segmentation. Only analyze and surrogate draw
-random numbers, so only they take --seed. Logs go to stderr, data to
-files under --out. Exit codes: 0 ok, 2 some inputs skipped, 1 all
-skipped, fatal or a usage error.
+random numbers, so only they take --seed. Data go to files under --out,
+logs to stderr, which only the main process writes: each input's lines
+whole and in input order at any --jobs (lost if its worker dies), then
+the ``error:`` lines, then the corpus step's. Exit codes: 0 ok, 2 some
+inputs skipped, 1 all skipped, fatal or a usage error.
 """
 
 from __future__ import annotations
@@ -26,6 +28,7 @@ import argparse
 import concurrent.futures
 import contextlib
 import csv
+import io
 import itertools
 import math
 import os
@@ -42,9 +45,7 @@ __all__ = ["main", "build_parser"]
 
 
 def log(msg: str):
-    # one write per line, so lines from parallel workers never merge
-    sys.stderr.write(msg + "\n")
-    sys.stderr.flush()
+    print(msg, file=sys.stderr)
 
 
 # --------------------------------------------------------------------------
@@ -150,9 +151,7 @@ def parse_formats(text) -> set:
 # an int within its least and most values, and a list or file must parse.
 _LEAST = {"detrend_order": 0, "bins_per_decade": 1, "n_scales": 1, "jobs": 1,
           "surrogates": 0, "seed": 0, "slice_from": 1}
-# _log_bin holds ~20 B per bin, empty or not; on 16,384 sentences each wavelet
-# scale holds 147 kB of map and writes 0.72 MB of CSV
-_MOST = {"bins_per_decade": 100_000, "n_scales": 1_000,
+_MOST = {"bins_per_decade": spectral.MAX_BINS_PER_DECADE, "n_scales": wavelet.MAX_SCALES,
          "detrend_order": mfdfa.MAX_DETREND_ORDER}
 _PARSED = {"format": parse_formats, "lexicon": corpus.AbbreviationLexicon.from_file}
 _FLAGS = {"slice_from": "--from", "slice_to": "--to"}  # else "--" + dest with dashes
@@ -191,8 +190,12 @@ def check_args(args):
                              f"{args.detrend_order + 1}, got {args.scale_min}")
         # a given --scale-max fixes the scales whatever the series length
         smax = args.scale_max
-        if smax is not None and (smax <= args.scale_min or len(
-                mfdfa.default_scales(0, args.scale_min, smax)) < mfdfa.MIN_FIT_SCALES):
+        try:  # default_scales names an s_max past 2**53
+            few = smax is not None and (smax <= args.scale_min or len(
+                mfdfa.default_scales(0, args.scale_min, smax)) < mfdfa.MIN_FIT_SCALES)
+        except ValueError as exc:
+            raise ValueError(f"--scale-max: {exc}") from exc
+        if few:
             raise ValueError(f"--scale-max must give >= {mfdfa.MIN_FIT_SCALES} scales "
                              f"from --scale-min = {args.scale_min}, got {smax}")
     if "fit_fmin" in args and (args.fit_fmin is None) != (args.fit_fmax is None):
@@ -310,10 +313,11 @@ def each_input(args, job):
     em = Emitter(args)
     tasks = [(job, name, source, args, em) for name, source in inputs]
     workers = min(getattr(args, "jobs", 1), len(tasks))
-    if workers > 1:
-        outcomes = _run_pooled(tasks, workers)
-    else:
-        outcomes = [_run_job(*task) for task in tasks]
+    outcomes = []
+    for ok, result, lines in (_run_pooled(tasks, workers) if workers > 1
+                              else itertools.starmap(_run_job, tasks)):
+        sys.stderr.write(lines)  # in input order, so --jobs N prints as --jobs 1
+        outcomes.append((ok, result))
     for (name, _), (ok, result) in zip(inputs, outcomes):
         if not ok:
             log(f"error: {name}: {result}")
@@ -344,16 +348,19 @@ def _run_alone(task):
         try:
             return ex.submit(_run_job, *task).result()
         except BrokenExecutor:
-            return False, "its worker process died"
+            return False, "its worker process died", ""  # its held lines die with it
 
 
 def _run_job(job, name, source, args, em):
-    try:
-        if not isinstance(source, series.Series):  # a text path
-            source = (load_slv if "series_csv" in args else load_document)(source, args)
-        return True, job(name, source, args, em)
-    except Exception as exc:  # one bad input never sinks the batch
-        return False, str(exc)
+    """(ok, result or error, its stderr lines, held for the main process to write)"""
+    with contextlib.redirect_stderr(io.StringIO()) as held:
+        try:
+            if not isinstance(source, series.Series):  # a text path
+                source = (load_slv if "series_csv" in args else load_document)(source, args)
+            ok, result = True, job(name, source, args, em)
+        except Exception as exc:  # one bad input never sinks the batch
+            ok, result = False, str(exc)
+    return ok, result, held.getvalue()
 
 
 # --------------------------------------------------------------------------

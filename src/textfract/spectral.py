@@ -17,6 +17,7 @@ __all__ = [
 ]
 
 _GRID_BINS = 200  # points of the corpus-average spectrum's log grid
+MAX_BINS_PER_DECADE = 100_000  # _log_bin holds ~20 B per bin, empty or not
 
 
 @dataclass(frozen=True)
@@ -96,6 +97,8 @@ def fit_beta(ps: PowerSpectrum, fit_range=None, bins_per_decade: int = 20) -> Sp
     support except the top half-decade, where text spectra tend to
     flatten.
     """
+    if not 1 <= bins_per_decade <= MAX_BINS_PER_DECADE:
+        raise ValueError(f"bins_per_decade {bins_per_decade} not in 1..{MAX_BINS_PER_DECADE}")
     if fit_range is None:
         f_hi = ps.freqs[-1] / 10**0.5
         fit_range = (float(ps.freqs[0]), float(f_hi))

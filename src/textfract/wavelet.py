@@ -13,6 +13,7 @@ __all__ = ["WaveletMap", "mother_wavelet", "wavelet_map", "SUPPORT_HALF_WIDTH"]
 
 # |psi(x)| < 1e-12 beyond this, so the discrete sum is truncated there.
 SUPPORT_HALF_WIDTH = 8.0
+MAX_SCALES = 1_000  # on 16,384 points a scale holds 147 kB of map and 0.72 MB of CSV
 
 
 @dataclass(frozen=True)
@@ -33,8 +34,8 @@ def mother_wavelet(x):
 
 def default_scales(n: int, n_scales: int = 50) -> np.ndarray:
     """Log-spaced scales in [4, n/10]."""
-    if n_scales < 1:
-        raise ValueError(f"n_scales must be >= 1, got {n_scales}")
+    if not 1 <= n_scales <= MAX_SCALES:
+        raise ValueError(f"n_scales {n_scales} not in 1..{MAX_SCALES}")
     s_max = max(n / 10.0, 8.0)
     return np.logspace(np.log10(4.0), np.log10(s_max), n_scales)
 
@@ -64,6 +65,8 @@ def wavelet_map(s_series, scales=None) -> WaveletMap:
     x = as_values(s_series)
     n = len(x)
     scales = np.asarray(default_scales(n) if scales is None else scales, dtype=float)
+    if scales.ndim != 1 or not scales.size:
+        raise ValueError("scales must be a non-empty 1-D grid")
     if (off := scales[~((0 < scales) & (scales < np.inf))]).size:  # NaN too
         raise ValueError(f"scale {off[0]} is not positive and finite")
     if n < 4 * scales.min():

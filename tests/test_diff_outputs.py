@@ -89,3 +89,11 @@ def test_runs_pin_the_q_grid_edge_and_its_fatal_rule():
     fatal = parser.parse_args([*diff_outputs.RUNS["mfdfa_q_grid_fatal"], "--out", "o"])
     with pytest.raises(ValueError, match="misses q = 2, which H needs"):
         cli.check_args(fatal)
+
+
+def test_a_run_pins_parallel_stderr_with_warnings_and_a_skip():
+    # the byte check then compares, unsorted, the stderr of two workers
+    # that each warn and of an input that is skipped
+    args = cli.build_parser().parse_args([*diff_outputs.RUNS["analyze_j2_skips"], "--out", "o"])
+    assert args.jobs == 2 and args.min_sentences == 100_000
+    assert args.paths == ["novel.txt", "empty.txt", "marks.txt"]

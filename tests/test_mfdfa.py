@@ -6,6 +6,7 @@ from hypothesis import given, settings, strategies as st
 
 import textfract as tf
 import textfract.mfdfa as M
+from textfract import spectral, wavelet
 from _novel import sentence_lengths
 from textfract.series import cascade_generalized_hurst
 
@@ -547,10 +548,18 @@ class TestHelpers:
      "scale 20.7 is not a whole number"),
     (lambda x: tf.wavelet_map(x, scales=[10, np.inf]), "scale inf is not positive and finite"),
     (lambda x: tf.wavelet_map(x, scales=[np.nan, 10]), "scale nan is not positive and finite"),
+    (lambda x: tf.wavelet_map(x, scales=[]), "scales must be a non-empty 1-D grid"),
+    (lambda x: tf.wavelet_map(x, scales=[[4.0, 8.0]]), "scales must be a non-empty 1-D grid"),
+    (lambda x: wavelet.default_scales(2000, wavelet.MAX_SCALES + 1),
+     "n_scales 1001 not in 1..1000"),
+    (lambda x: tf.fit_beta(tf.power_spectrum(x),
+                           bins_per_decade=spectral.MAX_BINS_PER_DECADE + 1),
+     "bins_per_decade 100001 not in 1..100000"),
 ], ids=["q_step_uncountable", "q_step_huge", "q_grid_8001_points", "q_grid_4_points",
         "q_step_one_float_past_most", "s_max_inf", "s_max_nan", "s_max_past_int64",
         "scales_not_whole",
-        "wavelet_scale_inf", "wavelet_scale_nan"])
+        "wavelet_scale_inf", "wavelet_scale_nan", "wavelet_no_scales", "wavelet_scales_2d",
+        "wavelet_n_scales_past_most", "bins_per_decade_past_most"])
 def test_grid_builder_rejects_bad_input_by_name(call, message):
     with pytest.raises(ValueError, match=re.escape(message)):
         call(tf.generate_fgn(0.75, 2000, 3).values)

@@ -16,9 +16,9 @@ text, a seeded float series as an ``index,value`` CSV, fGn times
 spectrum and MFDFA, and ``FLAT``, a series that does not vary beyond
 rounding.
 Every subcommand runs at least once on each side. For each run the exit
-code, stdout, stderr (with the output directory written as ``<out>``,
-and its lines sorted where ``--jobs`` runs them in parallel), the list
-of output files and each file's bytes are compared. Each difference is
+code, stdout, stderr (with the output directory written as ``<out>``;
+the CLI writes it in input order at any ``--jobs``), the list of output
+files and each file's bytes are compared. Each difference is
 printed, a differing file with its size on each side as ``(OLD → NEW
 bytes)``, then a closing line with the total bytes of all output files
 on each side, so an output-size change reads as one net figure. The exit
@@ -42,6 +42,9 @@ REPO = Path(__file__).resolve().parents[1]
 RUNS = {
     "analyze_j1": ["analyze", "novel.txt", "marks.txt", "--surrogates", "2"],
     "analyze_j2": ["analyze", "novel.txt", "marks.txt", "--surrogates", "2", "--jobs", "2"],
+    # two warnings and a skipped input from parallel workers: pins their stderr
+    "analyze_j2_skips": ["analyze", "novel.txt", "empty.txt", "marks.txt", "--jobs", "2",
+                         "--surrogates", "0", "--min-sentences", "100000"],
     "analyze_csv": ["analyze", "--series-csv", "noise.csv"],
     "analyze_csv_order1": ["analyze", "--series-csv", "noise.csv", "--surrogates", "3",
                            "--detrend-order", "1", "--q-min", "-6", "--q-max", "6",
@@ -146,10 +149,8 @@ def run_side(src: Path, inputs: Path, outs: Path) -> dict:
         out = outs / name
         proc = subprocess.run([sys.executable, "-m", "textfract.cli", *argv, "--out", str(out)],
                               cwd=inputs, env=env, capture_output=True)
-        err = proc.stderr.replace(os.fsencode(out), b"<out>").splitlines(keepends=True)
-        if "--jobs" in argv:  # parallel workers log in no fixed order
-            err.sort()
-        results[name] = (proc.returncode, proc.stdout, b"".join(err), out)
+        err = proc.stderr.replace(os.fsencode(out), b"<out>")
+        results[name] = (proc.returncode, proc.stdout, err, out)
     return results
 
 
