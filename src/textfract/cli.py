@@ -271,10 +271,12 @@ class Emitter:
         self.out = Path(args.out)
         self.out.mkdir(parents=True, exist_ok=True)
 
-    def write(self, name: str, ext: str, content: str):
-        """Write ``content`` to ``name.ext`` in --out whole or not at all:
-        to a temporary name first, which then replaces it."""
+    def write(self, name: str, ext: str, render, /, *args, **kwargs):
+        """Render ``render(*args, **kwargs)`` only if ``ext`` is in --format, so
+        a format not asked for costs nothing and fails nothing. Write it to
+        ``name.ext`` in --out whole or not at all: to ``name.ext.tmp``, then renamed."""
         if ext in self.formats:
+            content = render(*args, **kwargs)
             path = self.out / f"{name}.{ext}"
             part = path.with_name(path.name + ".tmp")
             try:
@@ -449,11 +451,11 @@ def analyze_job(name, s, args, em):
         "tail_fit": None if tail is None else {
             "mu": tail.mu, "b": tail.b, "fit_range": list(tail.fit_range)},
     }
-    em.write(f"{name}__report", "json", serialize.to_json(report))
-    em.write(f"{name}__spectrum", "csv", serialize.spectrum_csv(ps))
-    em.write(f"{name}__hurst", "csv", serialize.hurst_csv(gh))
-    em.write(f"{name}__singularity", "csv", serialize.singularity_csv(spec))
-    em.write(f"{name}__spectrum", "svg", spectrum_svg(ps, fit, name, f"S(f), {name}"))
+    em.write(f"{name}__report", "json", serialize.to_json, report)
+    em.write(f"{name}__spectrum", "csv", serialize.spectrum_csv, ps)
+    em.write(f"{name}__hurst", "csv", serialize.hurst_csv, gh)
+    em.write(f"{name}__singularity", "csv", serialize.singularity_csv, spec)
+    em.write(f"{name}__spectrum", "svg", spectrum_svg, ps, fit, name, f"S(f), {name}")
     shuffled_da = max((row["shuffled"]["delta_alpha"] for row in surrogate_rows),
                       default=float("nan"))
     return (name, H, spec.delta_alpha, fit.beta, shuffled_da), ps
@@ -461,38 +463,38 @@ def analyze_job(name, s, args, em):
 
 def spectrum_job(name, s, args, em):
     ps, fit = spectrum_stage(s.values, args)
-    em.write(f"{name}__spectrum", "csv", serialize.spectrum_csv(ps))
-    em.write(f"{name}__spectrum_fit", "json", serialize.to_json(
-        {"provenance": s.provenance, **asdict(fit)}))
-    em.write(f"{name}__spectrum", "svg", spectrum_svg(ps, fit, name, f"S(f), {name}"))
+    em.write(f"{name}__spectrum", "csv", serialize.spectrum_csv, ps)
+    em.write(f"{name}__spectrum_fit", "json", serialize.to_json,
+             {"provenance": s.provenance, **asdict(fit)})
+    em.write(f"{name}__spectrum", "svg", spectrum_svg, ps, fit, name, f"S(f), {name}")
 
 
 def mfdfa_job(name, s, args, em):
     surf, gh, spec = mfdfa_stage(s.values, args)
     H = mfdfa.hurst_exponent(gh)  # raises before any file is written
-    em.write(f"{name}__fq", "csv", serialize.surface_csv(surf))
-    em.write(f"{name}__hurst", "csv", serialize.hurst_csv(gh))
-    em.write(f"{name}__singularity", "csv", serialize.singularity_csv(spec))
-    em.write(f"{name}__mfdfa", "json", serialize.to_json({
+    em.write(f"{name}__fq", "csv", serialize.surface_csv, surf)
+    em.write(f"{name}__hurst", "csv", serialize.hurst_csv, gh)
+    em.write(f"{name}__singularity", "csv", serialize.singularity_csv, spec)
+    em.write(f"{name}__mfdfa", "json", serialize.to_json, {
         "provenance": s.provenance,
         "H": H,
         "delta_alpha": spec.delta_alpha,
         "alpha_at_peak": spec.alpha_at_peak,
         "fit_scale_range": list(gh.fit_scale_range),
         "detrend_order": args.detrend_order,
-    }))
+    })
     curves = [(surf.scales, surf.F[i], f"q={surf.q_values[i]:g}")
               for i in range(0, len(surf.q_values),
                              max(1, len(surf.q_values) // 5))]
-    em.write(f"{name}__fq", "svg", svgplot.log_log_plot(
-        curves, title=f"F_q(s), {name}", xlabel="s", ylabel="F_q(s)"))
+    em.write(f"{name}__fq", "svg", svgplot.log_log_plot,
+             curves, title=f"F_q(s), {name}", xlabel="s", ylabel="F_q(s)")
 
 
 def wavelet_job(name, s, args, em):
     wm = wavelet.wavelet_map(s, scales=wavelet.default_scales(len(s), args.n_scales))
-    em.write(f"{name}__wavelet", "csv", serialize.wavelet_csv(wm))
-    em.write(f"{name}__wavelet", "svg", svgplot.heatmap(
-        wm.coefficients, title=f"|T(s,k)|, {name}"))
+    em.write(f"{name}__wavelet", "csv", serialize.wavelet_csv, wm)
+    em.write(f"{name}__wavelet", "svg", svgplot.heatmap,
+             wm.coefficients, title=f"|T(s,k)|, {name}")
 
 
 def surrogate_job(name, s, args, em):
@@ -502,14 +504,14 @@ def surrogate_job(name, s, args, em):
         seed = args.seed + k
         surr = make(s, seed=seed)
         em.write(f"{name}__{args.kind}_{seed}", "csv",
-                 serialize.series_csv(surr.values, value_name="value"))
-        em.write(f"{name}__{args.kind}_{seed}", "json", serialize.to_json(
-            {"provenance": {**s.provenance, **surr.provenance}}))
+                 serialize.series_csv, surr.values, value_name="value")
+        em.write(f"{name}__{args.kind}_{seed}", "json", serialize.to_json,
+                 {"provenance": {**s.provenance, **surr.provenance}})
 
 
 def zipf_job(name, doc, args, em):
     table = corpus.rank_frequency(doc, include_terminators=args.include_terminators)
-    em.write(f"{name}__zipf", "csv", serialize.rank_frequency_csv(table))
+    em.write(f"{name}__zipf", "csv", serialize.rank_frequency_csv, table)
     counts = table.counts.astype(float)
     ranks = np.arange(1.0, len(counts) + 1)
     sel = (ranks >= args.rank_min) & (ranks <= args.rank_max)
@@ -518,16 +520,16 @@ def zipf_job(name, doc, args, em):
         slope, intercept, _, _ = series._line_fit(np.log10(ranks[sel]), np.log10(counts[sel]))
         fit = {"slope": float(slope), "intercept": float(intercept),
                "rank_range": [args.rank_min, args.rank_max]}
-    em.write(f"{name}__zipf", "json", serialize.to_json({
+    em.write(f"{name}__zipf", "json", serialize.to_json, {
         "n_types": len(counts),
         "include_terminators": args.include_terminators,
         "fit": fit,
-    }))
+    })
     fit_lines = [(fit["slope"], fit["intercept"],
                   f"slope={fit['slope']:.3f}")] if fit else []
-    em.write(f"{name}__zipf", "svg", svgplot.log_log_plot(
-        [(ranks, counts, name)], title=f"rank-frequency, {name}",
-        xlabel="rank", ylabel="count", fit_lines=fit_lines))
+    em.write(f"{name}__zipf", "svg", svgplot.log_log_plot,
+             [(ranks, counts, name)], title=f"rank-frequency, {name}",
+             xlabel="rank", ylabel="count", fit_lines=fit_lines)
 
 
 def recurrence_job(name, doc, args, em):
@@ -537,8 +539,8 @@ def recurrence_job(name, doc, args, em):
     _, gh, spec = mfdfa_stage(rec.values, args)
     H = mfdfa.hurst_exponent(gh)  # raises before any file is written
     em.write(f"{name}__recurrence", "csv",
-             serialize.series_csv(rec.values.astype(int), value_name="gap"))
-    em.write(f"{name}__recurrence", "json", serialize.to_json({
+             serialize.series_csv, rec.values.astype(int), value_name="gap")
+    em.write(f"{name}__recurrence", "json", serialize.to_json, {
         "provenance": rec.provenance,
         "target": args.target,
         "n_gaps": len(rec),
@@ -546,9 +548,9 @@ def recurrence_job(name, doc, args, em):
         "sigma_beta_w": fit.sigma_beta,
         "H": H,
         "delta_alpha": spec.delta_alpha,
-    }))
-    em.write(f"{name}__spectrum", "svg", spectrum_svg(
-        ps, fit, args.target, f"S(f), recurrence of {args.target!r}", "beta_w"))
+    })
+    em.write(f"{name}__spectrum", "svg", spectrum_svg,
+             ps, fit, args.target, f"S(f), recurrence of {args.target!r}", "beta_w")
 
 
 def slice_job(name, s, args, em):  # a text's lengths always pass these checks
@@ -558,9 +560,9 @@ def slice_job(name, s, args, em):  # a text's lengths always pass these checks
         raise ValueError("sentence lengths must be >= 1")
     part = corpus.slice_series(s, args.slice_from, args.slice_to)
     out_name = f"{name}__slice_{args.slice_from}_{args.slice_to}"
-    em.write(out_name, "csv", serialize.series_csv([int(v) for v in part.values.tolist()]))
-    em.write(out_name, "json", serialize.to_json(
-        {"provenance": part.provenance, "j_max": len(part)}))
+    em.write(out_name, "csv", serialize.series_csv, [int(v) for v in part.values.tolist()])
+    em.write(out_name, "json", serialize.to_json,
+             {"provenance": part.provenance, "j_max": len(part)})
 
 
 def values_job(name, s, args, em):
@@ -572,19 +574,19 @@ def analyze_corpus(results, args, em):
     corpus-average spectrum."""
     summary, spectra = zip(*sorted(results, key=lambda r: r[0][0]))
     header = ["name", "H", "delta_alpha", "beta", "shuffled_delta_alpha"]
-    em.write("corpus__scatter", "csv", serialize.table_csv(summary, header))
+    em.write("corpus__scatter", "csv", serialize.table_csv, summary, header)
     names, hs, das, _betas, sdas = zip(*summary)
     finite = [x for x in sdas if np.isfinite(x)]
     band = (float(np.mean(finite)), float(np.max(finite))) if finite else None
-    em.write("corpus__scatter", "svg", svgplot.scatter_plot(
-        hs, das, title="delta_alpha vs H", xlabel="H", ylabel="delta_alpha",
-        labels=names, hband=band))
+    em.write("corpus__scatter", "svg", svgplot.scatter_plot,
+             hs, das, title="delta_alpha vs H", xlabel="H", ylabel="delta_alpha",
+             labels=names, hband=band)
     if len(spectra) >= 2:
         avg = spectral.average_spectrum(spectra)
         avg_fit = spectral.fit_beta(avg, spectrum_fit_range(args), args.bins_per_decade)
-        em.write("corpus__avg_spectrum", "csv", serialize.spectrum_csv(avg))
-        em.write("corpus__avg_spectrum", "svg", spectrum_svg(
-            avg, avg_fit, "average", "corpus-average S(f)"))
+        em.write("corpus__avg_spectrum", "csv", serialize.spectrum_csv, avg)
+        em.write("corpus__avg_spectrum", "svg", spectrum_svg,
+                 avg, avg_fit, "average", "corpus-average S(f)")
 
 
 def ccdf_corpus(results, args, em):
@@ -592,14 +594,14 @@ def ccdf_corpus(results, args, em):
     names, pooled = zip(*results)
     c = distfit.ccdf(np.concatenate(pooled))
     name = names[0] if len(names) == 1 else "pooled"
-    em.write(f"{name}__ccdf", "svg", svgplot.log_log_plot(  # first: it can raise
-        [(c.lengths, c.F, name)], title="CCDF", xlabel="length", ylabel="F"))
-    em.write(f"{name}__ccdf", "csv", serialize.ccdf_csv(c))
+    em.write(f"{name}__ccdf", "svg", svgplot.log_log_plot,  # first: it can raise
+             [(c.lengths, c.F, name)], title="CCDF", xlabel="length", ylabel="F")
+    em.write(f"{name}__ccdf", "csv", serialize.ccdf_csv, c)
     payload = {"n_samples": c.n_samples, "members": names}
     tail = tail_stage(c, args.tail_start, name)
     if tail is not None:
         payload["tail_fit"] = asdict(tail)
-    em.write(f"{name}__ccdf_fit", "json", serialize.to_json(payload))
+    em.write(f"{name}__ccdf_fit", "json", serialize.to_json, payload)
 
 
 # each command: its job per input, and its corpus step or None

@@ -20,7 +20,7 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 import textfract as tf
-from textfract import cli, corpus, mfdfa, serialize
+from textfract import cli, corpus, mfdfa, serialize, svgplot
 
 
 VOCAB = [
@@ -719,6 +719,17 @@ class TestCcdfCommand:
         assert "fatal: CCDF: no point with x > 0 and y > 0" in capsys.readouterr().err
         assert list(out.iterdir()) == []
 
+    def test_no_positive_value_without_svg_writes_the_csv(self, tmp_path, capsys):
+        # only the log-axes plot needs a point above 0, and it is not asked for
+        path = tmp_path / "neg.csv"
+        path.write_text("index,value\n1,-1\n2,-2\n3,-3\n4,0\n", encoding="utf-8")
+        out = tmp_path / "out"
+        assert run(["ccdf", "--series-csv", path, "--out", out, "--format", "csv,json"]) == 0
+        assert "neg: tail fit skipped" in capsys.readouterr().err
+        assert sorted(p.name for p in out.iterdir()) == ["neg__ccdf.csv", "neg__ccdf_fit.json"]
+        meta = json.loads((out / "neg__ccdf_fit.json").read_text())
+        assert "tail_fit" not in meta and meta["n_samples"] == 4
+
 
 class TestRecurrenceCommand:
     def test_word_target(self, text_file, tmp_path):
@@ -985,6 +996,30 @@ class TestRunner:
         names = sorted(p.name for p in out.iterdir())
         assert [n for n in names if n.startswith("corpus__")] == corpus_files
         assert all(n.endswith("." + fmt) for n in names)
+
+    @pytest.mark.parametrize("argv, fmt", [
+        (["wavelet"], "svg"), (["analyze", "--surrogates", "0"], "json"),
+        (["mfdfa"], "csv"), (["zipf"], "json"),
+    ], ids=lambda v: v if isinstance(v, str) else v[0])
+    def test_a_format_not_asked_for_is_never_rendered(self, argv, fmt, text_file,
+                                                       tmp_path, monkeypatch):
+        full, out = tmp_path / "full", tmp_path / "out"
+        assert run([*argv, text_file, "--out", full]) == 0
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("rendered a format that was not asked for")
+
+        renderers = {"csv": [(serialize, n) for n in dir(serialize) if n.endswith("_csv")],
+                     "json": [(serialize, "to_json")],
+                     "svg": [(svgplot, n) for n in svgplot.__all__]}
+        for ext in renderers.keys() - {fmt}:
+            for module, attr in renderers[ext]:
+                monkeypatch.setattr(module, attr, refuse)
+        assert run([*argv, text_file, "--out", out, "--format", fmt]) == 0
+        wanted = sorted(p.name for p in full.iterdir() if p.suffix == "." + fmt)
+        assert wanted and sorted(p.name for p in out.iterdir()) == wanted
+        for name in wanted:
+            assert (out / name).read_bytes() == (full / name).read_bytes(), name
 
 
 class TestSvgText:

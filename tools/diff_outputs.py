@@ -45,6 +45,9 @@ RUNS = {
     # two warnings and a skipped input from parallel workers: pins their stderr
     "analyze_j2_skips": ["analyze", "novel.txt", "empty.txt", "marks.txt", "--jobs", "2",
                          "--surrogates", "0", "--min-sentences", "100000"],
+    # one format asked for: only its renderer runs
+    "analyze_json": ["analyze", "novel.txt", "marks.txt", "--surrogates", "2",
+                     "--format", "json"],
     "analyze_csv": ["analyze", "--series-csv", "noise.csv"],
     "analyze_csv_order1": ["analyze", "--series-csv", "noise.csv", "--surrogates", "3",
                            "--detrend-order", "1", "--q-min", "-6", "--q-max", "6",
@@ -63,6 +66,7 @@ RUNS = {
     "mfdfa_q_grid_most": ["mfdfa", "--series-csv", "noise.csv", "--q-step", "0.02"],
     "mfdfa_q_grid_fatal": ["mfdfa", "--series-csv", "noise.csv", "--q-min", "2.5"],
     "wavelet": ["wavelet", "novel.txt"],
+    "wavelet_svg": ["wavelet", "novel.txt", "--format", "svg"],
     "wavelet_csv": ["wavelet", "--series-csv", "noise.csv", "--n-scales", "20"],
     "surrogate_shuffle": ["surrogate", "novel.txt"],
     "surrogate_phase": ["surrogate", "--series-csv", "noise.csv", "--kind", "phase",
