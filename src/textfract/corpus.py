@@ -244,14 +244,17 @@ def tokenize(raw, title: str = "") -> Document:
         text = raw.decode("utf-8")
     except UnicodeDecodeError as exc:
         raise ValueError(f"input is not valid utf-8 at byte {exc.start}") from exc
+    source_hash = hashlib.sha256(raw).hexdigest()
+    del raw  # so that one copy of the text is held at a time
     text = unicodedata.normalize("NFC", text).replace("...", "…")
     if len(text) > _MAX_CHARS:
         raise ValueError(f"text has {len(text):,} characters; token offsets are int32, "
                          f"so at most {_MAX_CHARS:,}")
-    blocks = [_scan(text[a:b], a) for a, b in _cuts(text)]
-    starts, ends, kinds = (np.concatenate(column) for column in zip(*blocks))
+    # each column's blocks are freed as the column is joined
+    columns = [list(column) for column in zip(*(_scan(text[a:b], a) for a, b in _cuts(text)))]
+    starts, ends, kinds = (np.concatenate(columns.pop(0)) for _ in range(3))
     return Document(title=title, text=text, starts=starts, ends=ends, kinds=kinds,
-                    source_hash=hashlib.sha256(raw).hexdigest())
+                    source_hash=source_hash)
 
 
 def _folded_words(doc: Document, start: int = 0, stop: int | None = None):
@@ -277,15 +280,6 @@ def _folded_words(doc: Document, start: int = 0, stop: int | None = None):
         return cp.tobytes().decode(_CODECS[cp.itemsize]).lower().split()
 
     return chain.from_iterable(words(i, j) for i, j in zip(bounds, bounds[1:]) if i < j)
-
-
-def _running_total(values) -> np.ndarray:
-    """Prefix sums with a leading 0, as int32: entry i totals values[:i].
-    Every total here counts tokens or characters of one text, which
-    ``tokenize`` holds below 2^31."""
-    total = np.zeros(len(values) + 1, dtype=np.int32)
-    np.cumsum(values, dtype=np.int32, out=total[1:])
-    return total
 
 
 def segment_sentences(doc: Document, lexicon: AbbreviationLexicon | None = None):
@@ -321,8 +315,8 @@ def segment_sentences(doc: Document, lexicon: AbbreviationLexicon | None = None)
     stop = (surfaces == ".") & (marks > 0) & is_word[marks - 1]
     first, last = starts[marks[stop] - 1], ends[marks[stop] - 1]
     lexicon_hit, initial_hit, capitalized = np.zeros((3, len(marks)), dtype=bool)
-    lexicon_hit[stop] = np.fromiter((text[a:b] in lexicon for a, b in
-                                     zip(first.tolist(), last.tolist())), bool, len(first))
+    lexicon_hit[stop] = [text[a:b].lower() in lexicon.entries
+                         for a, b in zip(first.tolist(), last.tolist())]
     initial_hit[stop] = last - first == 1
     initial_hit &= ~lexicon_hit
     initial_hit[initial_hit] = [text[a].isalpha() and text[a].isupper()
@@ -345,10 +339,12 @@ def segment_sentences(doc: Document, lexicon: AbbreviationLexicon | None = None)
     cuts = np.concatenate(([0], marks[~(lexicon_hit | initial_hit | ellipsis | bracket)] + 1))
 
     trailing = len(kinds) - int(cuts[-1])
-    words = np.diff(_running_total(is_word)[cuts])
+    # a span's words are its tokens less its non-word tokens
+    words = np.diff(cuts) - np.diff(np.searchsorted(nonword, cuts))
     word_chars = ends - starts  # int32, as the columns are
     word_chars *= is_word
-    chars = np.diff(_running_total(word_chars)[cuts])
+    # summed as int32: by default numpy would cast the whole column to int64
+    chars = np.add.reduceat(word_chars[:cuts[-1]], cuts[:-1], dtype=np.int32)
     del word_chars
     kept = words > 0
     spans = SentenceSpans(cuts[:-1][kept], cuts[1:][kept], words[kept], chars[kept])
@@ -387,10 +383,12 @@ def word_recurrence_series(doc: Document, target: str) -> Series:
     series shifted by one sentence.
     """
     pooled_terminators = target in (".", TERMINATOR_SURFACE)
-    is_word = doc.kinds == WORD
     if pooled_terminators:
-        # a mark sits at the number of words before it
-        indices = _running_total(is_word)[:-1][doc.kinds == TERMINATOR]
+        # a mark sits at the number of words before it: its token index
+        # less its place among the non-word tokens
+        nonword = np.flatnonzero(doc.kinds != WORD)
+        is_mark = doc.kinds[nonword] == TERMINATOR
+        indices = nonword[is_mark] - np.flatnonzero(is_mark)
     else:
         want = target.lower()
         indices = [i for i, w in enumerate(_folded_words(doc)) if w == want]

@@ -335,6 +335,19 @@ class TestSegmentation:
             for tag in REF_LEXICONS:
                 assert_matches_reference(text, tag)
 
+    @pytest.mark.parametrize("text", [
+        "",
+        "no terminator at all",
+        ". A text that starts with a mark.",
+        "?! Back to back?! Marks...",
+        "He waited…. Then he left.",
+        "It ended. But this tail runs on",
+    ], ids=["empty", "no_terminator", "leading_mark", "question_bang",
+            "ellipsis_stop", "unterminated_tail"])
+    @pytest.mark.parametrize("tag", sorted(REF_LEXICONS))
+    def test_edge_cases_match_reference(self, text, tag):
+        assert_matches_reference(text, tag)
+
 
 class TestSentenceLengthSeries:
     def _sents(self, text):
@@ -562,12 +575,15 @@ class TestNovelScale:
     @pytest.mark.parametrize("word_pass", [
         lambda doc: tf.rank_frequency(doc, include_terminators=True),
         lambda doc: tf.word_recurrence_series(doc, "the"),
-    ], ids=["zipf", "recurrence"])
+        lambda doc: tf.word_recurrence_series(doc, "."),
+    ], ids=["zipf", "recurrence", "recurrence_stop"])
     def test_word_pass_holds_one_run_at_a_time(self, novel, word_pass):
         # the word lists are built one run of about _BLOCK characters at a
         # time, so the peak above the Document does not grow with the text:
         # one whole-text copy in code points, a mask or the lowered text
-        # would each take 3 MB of the 3 MB novel repeated 4 times
+        # would each take 3 MB of the 3 MB novel repeated 4 times. The
+        # full stops are counted from the non-word tokens alone, with no
+        # whole-text running total (2.7 MB, and 5.4 MB in the cast to it)
         doc = tf.tokenize(novel[0] * 4)
         tracemalloc.start()
         try:
@@ -580,9 +596,12 @@ class TestNovelScale:
 
     def test_segmentation_holds_few_whole_text_columns(self, novel):
         # a whole-text int32 column takes 2.7 MB of the novel repeated 4
-        # times; the word and terminator indices are built with no int64
-        # copy (5.4 MB) and dropped once the capital rule has read them:
-        # a peak of 10.5 MB above the Document, 15.3 MB with the copy
+        # times, a bool one 0.7 MB. The whole-text columns are the word
+        # flags, the word lengths and the word and terminator index
+        # `stops`, built with no int64 copy (5.4 MB) and dropped once the
+        # capital rule has read it; the word and character counts are
+        # taken per span with no running total: a peak of 10.0 MB above
+        # the Document, 15.3 MB with the copy
         doc = tf.tokenize(novel[0] * 4)
         tracemalloc.start()
         try:
@@ -592,6 +611,21 @@ class TestNovelScale:
         finally:
             tracemalloc.stop()
         assert peak < 12e6, f"peak {peak / 1e6:.1f} MB above the Document"
+
+    def test_tokenize_holds_one_copy_of_the_text(self, novel):
+        # the bytes are dropped once decoded, and each column's blocks
+        # once it is joined: on the novel repeated 4 times the peak is the
+        # 9.1 MB Document and one int32 column's blocks (2.7 MB), where
+        # holding the bytes and every block to the end peaked at 18.1 MB
+        text = novel[0] * 4
+        tracemalloc.start()
+        try:
+            held = tracemalloc.get_traced_memory()[0]
+            tf.tokenize(text.encode())  # a temporary, as cli.load_document passes it
+            peak = tracemalloc.get_traced_memory()[1] - held
+        finally:
+            tracemalloc.stop()
+        assert peak < 13.5e6, f"peak {peak / 1e6:.1f} MB"
 
     def test_zipf_midrank_slope(self, novel):
         text, _ = novel

@@ -81,6 +81,7 @@ RUNS = {
     "spectrum_unicode_chars": ["spectrum", "unicode.txt", "--unit", "chars"],
     "zipf_unicode": ["zipf", "unicode.txt", "--include-terminators"],
     "recurrence_unicode": ["recurrence", "unicode.txt", "--target", "Café"],
+    "recurrence_stop_unicode": ["recurrence", "unicode.txt", "--target", "."],
     "analyze_newlines": ["analyze", "newlines.txt"],
     "zipf_newlines": ["zipf", "newlines.txt", "--include-terminators"],
     "recurrence_newlines": ["recurrence", "newlines.txt", "--target", "the"],
