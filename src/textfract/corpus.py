@@ -133,9 +133,6 @@ class AbbreviationLexicon:
     def __init__(self, entries=()):
         self.entries = frozenset(e.lower().rstrip(".") for e in entries if e.strip())
 
-    def __contains__(self, word: str) -> bool:
-        return word.lower() in self.entries
-
     def __len__(self):
         return len(self.entries)
 

@@ -227,21 +227,9 @@ def generate_fgn(H: float, n: int, seed: int) -> Series:
     return Series(x, provenance={"kind": "fgn", "H": H, "n": n, "seed": int(seed)})
 
 
-def generate_white_noise(n: int, seed: int, dist: str = "gaussian",
-                         lo: int = 0, hi: int = 1) -> Series:
-    """Independent draws: ``dist`` is "gaussian" or "uniform_integer"
-    (inclusive integer range [lo, hi], useful as a toy sentence-length
-    stand-in)."""
+def generate_white_noise(n: int, seed: int) -> Series:
+    """Independent standard Gaussian draws."""
     if n < 2:
         raise ValueError(f"n must be >= 2, got {n}")
-    rng = np.random.default_rng(seed)
-    if dist == "gaussian":
-        x = rng.standard_normal(n)
-    elif dist == "uniform_integer":
-        x = rng.integers(lo, hi + 1, size=n).astype(float)
-    else:
-        raise ValueError(f"unknown dist {dist!r}")
-    return Series(
-        x,
-        provenance={"kind": "white_noise", "dist": dist, "n": n, "seed": int(seed)},
-    )
+    x = np.random.default_rng(seed).standard_normal(n)
+    return Series(x, provenance={"kind": "white_noise", "n": n, "seed": int(seed)})

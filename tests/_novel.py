@@ -1,96 +1,14 @@
-"""Deterministic synthetic novel used where a real long text would be.
-
-The generator fixes everything the tests need to know in advance:
-
-* sentence lengths come from a power-transformed binomial cascade with
-  mild lognormal de-quantization noise, so the sentence-length series is
-  long-range correlated and multifractal by construction;
-* words are drawn independently from a Zipf(1) distribution over a
-  pseudo-word vocabulary, so rank-frequency statistics follow a known
-  law and word-recurrence gaps carry no temporal correlations;
-* a small fraction of sentences opens with an abbreviated honorific
-  ("Mr." etc.) to exercise the segmenter's exception rules.
-
-``build_novel`` returns the text plus the exact per-sentence word
-counts, so segmentation can be checked against a hand-count oracle at
-scale. Set the TEXTFRACT_NOVEL environment variable to a plain-text
-file to run the text-based acceptance checks on a real novel instead.
+"""The synthetic novel of the tests: sentence lengths from a binomial
+cascade (long-range correlated and multifractal by construction), Zipf(1)
+words, and a few "Mr."-style honorifics. Its one generator is
+``perfbench/inputs.py``, which imports no textfract, so no change to the
+library can move it. ``build_novel()`` returns the text and the exact
+per-sentence word counts the segmenter must recover.
 """
 
-from __future__ import annotations
+import sys
+from pathlib import Path
 
-import numpy as np
+sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "perfbench"))
 
-import textfract as tf
-
-SEED = 20260825
-N_LEVELS = 14  # 2**14 = 16384 sentences
-VOCAB_SIZE = 6000
-
-_COMMON = [
-    "the", "and", "of", "to", "in", "he", "she", "it", "was", "that",
-    "his", "her", "with", "as", "at", "by", "on", "for", "had", "not",
-]
-_SYLLABLES = [
-    "ba", "ce", "di", "fo", "gu", "ha", "je", "ki", "lo", "mu",
-    "na", "pe", "ri", "so", "tu", "va", "we", "xi", "yo", "zu",
-]
-_HONORIFICS = ["Mr.", "Mrs.", "Dr.", "Prof."]
-_NAMES = ["Banook", "Celder", "Dorvin", "Ferla", "Gomet", "Harrin"]
-
-
-def _pseudo_word(i: int) -> str:
-    parts = []
-    i += 1
-    while i:
-        parts.append(_SYLLABLES[i % len(_SYLLABLES)])
-        i //= len(_SYLLABLES)
-    return "".join(parts)
-
-
-def vocabulary() -> list:
-    vocab = list(_COMMON)
-    i = 0
-    while len(vocab) < VOCAB_SIZE:
-        w = _pseudo_word(i)
-        if w not in vocab:
-            vocab.append(w)
-        i += 1
-    return vocab
-
-
-def sentence_lengths(levels: int = N_LEVELS) -> np.ndarray:
-    """Cascade-driven lengths: multifractal, mean around 9 words."""
-    rng = np.random.default_rng(SEED)
-    c = tf.generate_binomial_cascade(0.38, levels).values
-    z = c / c.mean()
-    u = z**0.9
-    mult = np.exp(0.2 * rng.standard_normal(len(u)))
-    return np.maximum(1, np.round(9.0 * u / u.mean() * mult)).astype(int)
-
-
-def build_novel(levels: int = N_LEVELS):
-    """Returns (text, lengths) with lengths the exact word counts the
-    segmenter must recover."""
-    lengths = sentence_lengths(levels)
-    vocab = vocabulary()
-    ranks = np.arange(1, VOCAB_SIZE + 1)
-    probs = (1.0 / ranks) / (1.0 / ranks).sum()
-    rng = np.random.default_rng(SEED + 1)
-    draws = rng.choice(VOCAB_SIZE, size=int(lengths.sum()), p=probs)
-    enders = rng.choice([".", ".", ".", ".", ".", ".", "?", "!"], size=len(lengths))
-    honorific = rng.random(len(lengths)) < 0.02
-
-    out = []
-    pos = 0
-    for j, l in enumerate(lengths):
-        words = [vocab[k] for k in draws[pos : pos + l]]
-        pos += l
-        if honorific[j] and l >= 3:
-            # "Mr." + Name occupy the first two word slots
-            words[0] = _HONORIFICS[j % len(_HONORIFICS)]
-            words[1] = _NAMES[j % len(_NAMES)]
-        else:
-            words[0] = words[0].capitalize()
-        out.append(" ".join(words) + enders[j])
-    return "\n".join(out) + "\n", lengths
+from inputs import build_novel, sentence_lengths  # noqa: E402,F401

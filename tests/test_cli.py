@@ -1,10 +1,13 @@
 import argparse
+import concurrent.futures
 import contextlib
 import csv
 import errno
+import functools
 import io
 import json
 import math
+import multiprocessing
 import os
 import re
 import signal
@@ -20,7 +23,7 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 import textfract as tf
-from textfract import cli, corpus, mfdfa, serialize, svgplot
+from textfract import cli, mfdfa, serialize, svgplot
 
 
 VOCAB = [
@@ -30,6 +33,14 @@ VOCAB = [
     "light", "shadow", "bridge", "keeper", "bell", "song", "road", "field",
     "crow", "ash", "oak", "rain", "fog", "frost", "ember",
 ]
+
+
+def analyze_or_die(name, s, args, em):
+    """``cli.analyze_job``, except that input b kills its own worker."""
+    if name == "b":
+        assert multiprocessing.parent_process() is not None, "b ran in the parent process"
+        os.kill(os.getpid(), signal.SIGKILL)
+    return cli.analyze_job(name, s, args, em)
 
 
 def make_text(n_sentences, seed):
@@ -860,20 +871,17 @@ class TestAnalyzeCommand:
         assert len(list(serial.iterdir())) == 14  # 5 per text, 4 for the corpus
         assert_same_tree(serial, parallel)
 
-    def test_a_worker_that_dies_skips_only_its_input(self, tmp_path, monkeypatch, capfd):
-        # b's worker is killed as the OOM killer would kill it; workers
-        # inherit the patch through fork
+    @pytest.mark.parametrize("method", ["fork", "forkserver", "spawn"])
+    def test_a_worker_that_dies_skips_only_its_input(self, tmp_path, monkeypatch, capfd,
+                                                     method):
+        # b's worker is killed as the OOM killer would kill it; the job is
+        # imported by name, so every start method runs the same one
         for name, seed in [("a.txt", 1), ("b.txt", 2), ("c.txt", 3)]:
             (tmp_path / name).write_text(make_text(800, seed), encoding="utf-8")
-        tokenize, parent = corpus.tokenize, os.getpid()
-
-        def tokenize_or_die(raw, title=""):
-            if title == "b":
-                assert os.getpid() != parent, "b ran in the parent process"
-                os.kill(os.getpid(), signal.SIGKILL)
-            return tokenize(raw, title)
-
-        monkeypatch.setattr(corpus, "tokenize", tokenize_or_die)
+        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", functools.partial(
+            concurrent.futures.ProcessPoolExecutor,
+            mp_context=multiprocessing.get_context(method)))
+        monkeypatch.setitem(cli._COMMANDS, "analyze", (analyze_or_die, cli.analyze_corpus))
         argv = ["--min-sentences", "100", "--surrogates", "0", "--jobs", "2"]
         alone, out = tmp_path / "alone", tmp_path / "o"
         paths = [tmp_path / n for n in ("a.txt", "c.txt")]

@@ -1,3 +1,4 @@
+import hashlib
 import re
 import sys
 import tracemalloc
@@ -12,6 +13,7 @@ from hypothesis import example, given, settings, strategies as st
 import textfract as tf
 from textfract import corpus
 from textfract.corpus import OTHER, TERMINATOR, TERMINATOR_SURFACE, WORD, AbbreviationLexicon
+from _novel import build_novel
 from seg_fixtures import CASES
 
 # pieces of random texts that exercise every segmentation rule
@@ -116,7 +118,7 @@ def reference_segment(doc, lexicon):
 
         if surface == "." and i > 0 and is_word[i - 1]:
             before = text[starts[i - 1]:ends[i - 1]]
-            if before in lexicon:
+            if before.lower() in lexicon.entries:
                 lexicon_hits += 1
                 continue
             if len(before) == 1 and before.isalpha() and before.isupper():
@@ -541,8 +543,9 @@ class TestLexicon:
         assert len(lex) == 2
 
     def test_case_insensitive_match(self):
-        lex = AbbreviationLexicon(["Mr."])
-        assert "MR" in lex and "mr" in lex
+        # entries are case-folded, so a word matches as word.lower()
+        lex = AbbreviationLexicon(["Mr.", "ETC"])
+        assert lex.entries == frozenset({"mr", "etc"})
 
     def test_bundled_languages_load(self):
         for tag in ["en", "de", "fr", "es", "it", "pl", "ru"]:
@@ -555,6 +558,15 @@ class TestLexicon:
 
 
 class TestNovelScale:
+    def test_the_novel_is_pinned(self):
+        # one generator builds it for the tests, the benchmark and
+        # tools/diff_outputs.py; any change to it fails here by name
+        text, lengths = build_novel()
+        data = text.encode("utf-8")
+        assert hashlib.sha256(data).hexdigest() == (
+            "b778db66a8f3c087a368609b4c779ccf2741dd04822e8f66d6ac928a0640c691")
+        assert (len(data), len(lengths), lengths.sum()) == (756_362, 16_384, 150_551)
+
     def test_segmentation_recovers_generated_lengths(self, novel):
         text, lengths = novel
         if lengths is None:

@@ -1,4 +1,7 @@
 import importlib.util
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -9,6 +12,16 @@ TOOL = Path(__file__).resolve().parents[1] / "tools" / "diff_outputs.py"
 spec = importlib.util.spec_from_file_location("diff_outputs", TOOL)
 diff_outputs = importlib.util.module_from_spec(spec)
 spec.loader.exec_module(diff_outputs)
+
+# write_inputs in a fresh process that could import textfract from src
+WRITE_INPUTS = """
+import sys
+from pathlib import Path
+sys.path.insert(0, sys.argv[1])
+import diff_outputs
+diff_outputs.write_inputs(Path(sys.argv[2]))
+sys.exit("textfract" in sys.modules)
+"""
 
 
 def side(root, files, code=0, err=b"wrote <out>/a.csv\n"):
@@ -97,3 +110,13 @@ def test_a_run_pins_parallel_stderr_with_warnings_and_a_skip():
     args = cli.build_parser().parse_args([*diff_outputs.RUNS["analyze_j2_skips"], "--out", "o"])
     assert args.jobs == 2 and args.min_sentences == 100_000
     assert args.paths == ["novel.txt", "empty.txt", "marks.txt"]
+
+
+def test_the_inputs_are_written_without_either_tree(tmp_path):
+    # so they stay the same whatever the two compared trees hold
+    env = {**os.environ, "PYTHONPATH": str(TOOL.parents[1] / "src")}
+    subprocess.run([sys.executable, "-c", WRITE_INPUTS, TOOL.parent, tmp_path],
+                   env=env, check=True)
+    read = {arg for argv in diff_outputs.RUNS.values() for arg in argv
+            if arg.endswith((".txt", ".csv"))}
+    assert read <= {p.name for p in tmp_path.iterdir()}

@@ -228,11 +228,6 @@ class TestWhiteNoise:
         b = tf.generate_white_noise(1000, 9).values
         np.testing.assert_array_equal(a, b)
 
-    def test_uniform_integer_range(self):
-        x = tf.generate_white_noise(5000, 0, dist="uniform_integer", lo=1, hi=6).values
-        assert x.min() >= 1 and x.max() <= 6
-        assert set(np.unique(x)) == set(range(1, 7))
-
     def test_beta_near_zero(self):
         x = tf.generate_white_noise(2**16, 11)
         fit = tf.fit_beta(tf.power_spectrum(x))

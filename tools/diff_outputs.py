@@ -5,16 +5,17 @@ and report every way the runs differ.
 
 OLD_SRC and NEW_SRC are ``src`` directories, each holding the
 ``textfract`` package; one may be unpacked from an older commit with
-``git archive``. The inputs are written once to a temporary directory:
-the synthetic novel of ``tests/_novel.py``, a copy of it whose full
-stops turn in turn into ``...``, ``…``, ``....``, ``?`` and ``!`` (plus
-``snake_case 3.14 a...b``), a copy whose sentences in turn gain
-non-ASCII text (see ``unicode_text``), a copy whose every space is a
-newline (so the tokenizer finds no space to cut a block at), an empty
-text, a seeded float series as an ``index,value`` CSV, fGn times
-2^-520 and 2^1010, two amplitudes that float64 cannot carry through the
-spectrum and MFDFA, and ``FLAT``, a series that does not vary beyond
-rounding.
+``git archive``. The inputs are built by ``perfbench/inputs.py``,
+without importing either tree, and written once to a temporary
+directory: the synthetic novel that the tests and the benchmark share, a
+copy of it whose full stops turn in turn into ``...``, ``…``, ``....``,
+``?`` and ``!`` (plus ``snake_case 3.14 a...b``), a copy whose sentences
+in turn gain non-ASCII text (see ``unicode_text``), a copy whose every
+space is a newline (so the tokenizer finds no space to cut a block at),
+an empty text, a seeded float series as an ``index,value`` CSV, fGn
+times 2^-520 and 2^1010, two amplitudes that float64 cannot carry
+through the spectrum and MFDFA, and ``FLAT``, a series that does not
+vary beyond rounding.
 Every subcommand runs at least once on each side. For each run the exit
 code, stdout, stderr (with the output directory written as ``<out>``;
 the CLI writes it in input order at any ``--jobs``), the list of output
@@ -37,6 +38,9 @@ from pathlib import Path
 import numpy as np
 
 REPO = Path(__file__).resolve().parents[1]
+sys.path.insert(0, str(REPO / "perfbench"))
+
+import inputs  # noqa: E402
 
 # one CLI call per entry; the text and CSV names are those of write_inputs
 RUNS = {
@@ -120,14 +124,9 @@ def unicode_text(text: str) -> str:
                    for i, line in enumerate(lines))
 
 
-def write_inputs(folder: Path, src: Path):
-    """The fixed inputs; ``src`` supplies the textfract that the novel's
-    generator imports."""
-    sys.path[:0] = [str(src.resolve()), str(REPO / "tests")]
-    from _novel import build_novel
-    from textfract import generate_fgn
-
-    text, _ = build_novel()
+def write_inputs(folder: Path):
+    """The fixed inputs, the same whichever trees are compared."""
+    text, _ = inputs.build_novel()
     (folder / "novel.txt").write_text(text, encoding="utf-8")
     marks = ["...", "…", "....", "?", "!"]
     parts = text.split(".\n")
@@ -137,23 +136,22 @@ def write_inputs(folder: Path, src: Path):
     (folder / "unicode.txt").write_text(unicode_text(text), encoding="utf-8")
     (folder / "newlines.txt").write_text(text.replace(" ", "\n"), encoding="utf-8")
     (folder / "empty.txt").write_bytes(b"")
-    fgn = generate_fgn(0.75, 8192, 5).values
+    fgn = inputs.fgn(0.75, 8192, 5)
     for name, values in [("noise", np.random.default_rng(20261018).lognormal(2.0, 0.5, 2**14)),
                          ("tiny", fgn * 2.0**-520), ("huge", fgn * 2.0**1010),
                          ("flat", FLAT)]:
-        (folder / f"{name}.csv").write_text("index,value\n" + "".join(
-            f"{i},{v!r}\n" for i, v in enumerate(values.tolist(), 1)), encoding="utf-8")
+        (folder / f"{name}.csv").write_text(inputs.series_csv(values), encoding="utf-8")
 
 
-def run_side(src: Path, inputs: Path, outs: Path) -> dict:
-    """Run every entry of RUNS with ``src`` first on the path; returns
-    name -> (exit code, stdout, stderr, output directory)."""
+def run_side(src: Path, in_dir: Path, outs: Path) -> dict:
+    """Run every entry of RUNS in ``in_dir`` with ``src`` first on the
+    path; returns name -> (exit code, stdout, stderr, output directory)."""
     env = {**os.environ, "PYTHONPATH": str(src.resolve())}
     results = {}
     for name, argv in RUNS.items():
         out = outs / name
         proc = subprocess.run([sys.executable, "-m", "textfract.cli", *argv, "--out", str(out)],
-                              cwd=inputs, env=env, capture_output=True)
+                              cwd=in_dir, env=env, capture_output=True)
         err = proc.stderr.replace(os.fsencode(out), b"<out>")
         results[name] = (proc.returncode, proc.stdout, err, out)
     return results
@@ -195,11 +193,11 @@ def main(argv=None) -> int:
     args = ap.parse_args(argv)
     with tempfile.TemporaryDirectory() as tmp:
         tmp = Path(tmp)
-        inputs = tmp / "inputs"
-        inputs.mkdir()
-        write_inputs(inputs, args.new_src)
-        old = run_side(args.old_src, inputs, tmp / "old")
-        new = run_side(args.new_src, inputs, tmp / "new")
+        in_dir = tmp / "inputs"
+        in_dir.mkdir()
+        write_inputs(in_dir)
+        old = run_side(args.old_src, in_dir, tmp / "old")
+        new = run_side(args.new_src, in_dir, tmp / "new")
         lines = [line for name in RUNS for line in differences(name, old[name], new[name])]
         closing = summary(old, new, len(lines))
     for line in lines + [closing]:
