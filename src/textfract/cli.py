@@ -328,12 +328,16 @@ def each_input(args, job):
 
 
 def _run_pooled(tasks, workers):
-    """The outcomes of ``tasks`` run in a pool of ``workers`` processes.
-    A worker that dies breaks the pool, so each task that did not
-    complete then runs again alone, in a fresh pool of one; a task whose
-    worker dies again fails. The parent never runs a task itself."""
+    """The outcomes of ``tasks`` run in a pool of ``workers`` processes,
+    at most one per CPU this process may use. A worker that dies breaks
+    the pool, so each task that did not complete then runs again alone,
+    in a fresh pool of one; a task whose worker dies again fails. The
+    parent never runs a task itself."""
+    # a fork pool starts all its workers at the first submit
+    cpus = (len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity")
+            else os.cpu_count() or 1)
     futures = []
-    with concurrent.futures.ProcessPoolExecutor(max_workers=workers) as ex:
+    with concurrent.futures.ProcessPoolExecutor(max_workers=min(workers, cpus)) as ex:
         with contextlib.suppress(BrokenExecutor):  # broke before all were submitted
             for task in tasks:
                 futures.append(ex.submit(_run_job, *task))

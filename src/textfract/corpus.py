@@ -16,7 +16,7 @@ import unicodedata
 from collections import Counter
 from dataclasses import dataclass
 from importlib import resources
-from itertools import chain
+from itertools import chain, islice
 
 import numpy as np
 
@@ -132,9 +132,6 @@ class AbbreviationLexicon:
 
     def __init__(self, entries=()):
         self.entries = frozenset(e.lower().rstrip(".") for e in entries if e.strip())
-
-    def __len__(self):
-        return len(self.entries)
 
     @classmethod
     def from_file(cls, path) -> "AbbreviationLexicon":
@@ -254,18 +251,17 @@ def tokenize(raw, title: str = "") -> Document:
                     source_hash=source_hash)
 
 
-def _folded_words(doc: Document, start: int = 0, stop: int | None = None):
-    """The case-folded words of the tokens of ``doc`` that start in
-    ``[start, stop)``, in order. Runs of tokens spanning about ``_BLOCK``
-    characters are lowered whole and split at whitespace, each character
-    of a run outside a word made a space first, so only one run's words
-    are held at once. With a space on each side of every word, str.lower's
-    final-sigma rule sees the context it sees when lowering the word alone."""
+def _folded_words(doc: Document):
+    """The case-folded words of ``doc``, one per word token, in order.
+    Runs of tokens spanning about ``_BLOCK`` characters are lowered whole
+    and split at whitespace, each character of a run outside a word made a
+    space first, so only one run's words are held at once. With a space on
+    each side of every word, str.lower's final-sigma rule sees the context
+    it sees when lowering the word alone."""
     text, starts, ends, kinds = doc.text, doc.starts, doc.ends, doc.kinds
-    stop = len(text) if stop is None else stop
     # int32 keys, as starts is: with keys of another dtype, searchsorted
     # would cast the whole array
-    keys = np.append(np.arange(start, stop, _BLOCK), stop).astype(np.int32)
+    keys = np.append(np.arange(0, len(text), _BLOCK), len(text)).astype(np.int32)
     bounds = np.searchsorted(starts, keys).tolist()
 
     def words(i, j):
@@ -408,13 +404,13 @@ def rank_frequency(doc: Document, include_terminators: bool = False) -> RankFreq
     sentence-ending marks pool into one pseudo-word, ``TERMINATOR_SURFACE``."""
     marks = doc.kinds == TERMINATOR
     counts = Counter()  # keys in first-occurrence order
-    cut = 0
+    words = _folded_words(doc)
     if include_terminators and marks.any():
-        # the pooled marks first occur at the first mark
-        cut = int(doc.starts[np.argmax(marks)])
-        counts.update(_folded_words(doc, 0, cut))
+        # the pooled marks first occur after the words before the first mark
+        before = int(np.count_nonzero(doc.kinds[:np.argmax(marks)] == WORD))
+        counts.update(islice(words, before))
         counts[TERMINATOR_SURFACE] = int(np.count_nonzero(marks))
-    counts.update(_folded_words(doc, cut))
+    counts.update(words)
     # most_common sorts stably, so equal counts keep first-occurrence order
     ranked = counts.most_common()
     if not ranked:

@@ -169,14 +169,18 @@ def fluctuation_surface(s_series, q_values=None, scales=None, m: int = 2) -> Flu
     q = 0 takes the logarithmic limit exp{ mean(ln F^2) / 2 }.
     Negative q diverges on any exactly-detrended segment, so a zero
     variance then raises, as does any subnormal one and, before any scale
-    is tried, an empty or 2-D grid, a scale that is not a whole number or
-    is <= m + 1, and a series out of amplitude range or flat to rounding.
+    is tried, an empty or 2-D grid, more than ``MAX_Q_POINTS`` q values,
+    a scale that is not a whole number or is <= m + 1, and a series out
+    of amplitude range or flat to rounding.
     """
     x = as_values(s_series)
     q_values = np.asarray(default_q_values() if q_values is None else q_values, dtype=float)
     scales = np.asarray(default_scales(len(x)) if scales is None else scales)
     if not (q_values.ndim == scales.ndim == 1 and len(q_values) and len(scales)):
         raise ValueError("q_values and scales must each be a non-empty 1-D grid")
+    if len(q_values) > MAX_Q_POINTS:
+        raise ValueError(f"q_values holds {len(q_values)} points; a q grid holds at most "
+                         f"{MAX_Q_POINTS}")
     if (off := scales[np.round(scales) != scales]).size:  # NaN too
         raise ValueError(f"scale {off[0]} is not a whole number")
     if scales.min() <= m + 1:

@@ -22,25 +22,11 @@ MAX_BINS_PER_DECADE = 100_000  # _log_bin holds ~20 B per bin, empty or not
 
 @dataclass(frozen=True)
 class PowerSpectrum:
-    """Periodogram at the positive frequencies f_k = k/N, k = 1..N//2.
-
-    ``dc_power`` holds the k=0 bin, which is computed but never enters a
-    scaling fit.
-    """
+    """Power ``power[k]`` at frequency ``freqs[k]``: a periodogram at
+    f_k = k/N, k = 1..N//2, or a corpus average on a log grid."""
 
     freqs: np.ndarray
     power: np.ndarray
-    n_samples: int
-    dc_power: float = 0.0
-
-    def total_power(self) -> float:
-        """Sum over all N bins of |X_k|^2, reconstructed from the
-        Hermitian symmetry of a real input (for Parseval checks)."""
-        n = self.n_samples
-        total = self.dc_power + 2.0 * self.power.sum()
-        if n % 2 == 0:
-            total -= self.power[-1]  # Nyquist bin has no mirror
-        return float(total)
 
 
 @dataclass(frozen=True)
@@ -64,8 +50,7 @@ def power_spectrum(s) -> PowerSpectrum:
     _reject_amplitude(x, 2)
     _reject_flat(x)
     power = np.abs(np.fft.rfft(x)) ** 2
-    return PowerSpectrum(freqs=np.arange(1, n // 2 + 1) / n, power=power[1 : n // 2 + 1],
-                         n_samples=n, dc_power=float(power[0]))
+    return PowerSpectrum(freqs=np.arange(1, n // 2 + 1) / n, power=power[1 : n // 2 + 1])
 
 
 def _log_bin(freqs, power, bins_per_decade: int):
@@ -150,9 +135,4 @@ def average_spectrum(spectra) -> PowerSpectrum:
         norm = ps.power[keep] / ps.power[keep].sum()
         acc += np.interp(log_grid, np.log10(ps.freqs[keep]), np.log10(norm))
     mean_log = acc / len(spectra)
-    return PowerSpectrum(
-        freqs=grid,
-        power=10.0**mean_log,
-        n_samples=min(ps.n_samples for ps in spectra),
-        dc_power=0.0,
-    )
+    return PowerSpectrum(freqs=grid, power=10.0**mean_log)

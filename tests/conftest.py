@@ -1,4 +1,3 @@
-import os
 import sys
 from pathlib import Path
 
@@ -16,15 +15,7 @@ from _novel import build_novel  # noqa: E402
 
 @pytest.fixture(scope="session")
 def novel():
-    """(text, exact per-sentence word counts) of the synthetic novel.
-
-    Point TEXTFRACT_NOVEL at a plain-text file to run the text-scale
-    checks on a real novel instead; the word counts are then None and
-    oracle-exact assertions are skipped.
-    """
-    override = os.environ.get("TEXTFRACT_NOVEL")
-    if override:
-        return Path(override).read_text(encoding="utf-8"), None
+    """(text, exact per-sentence word counts) of the synthetic novel."""
     return build_novel()
 
 

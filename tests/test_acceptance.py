@@ -94,14 +94,17 @@ def test_criterion_5_spectral_estimator_exactness():
 
     n = 4096
     freqs = np.arange(1, n // 2 + 1) / n
-    ps = PowerSpectrum(freqs=freqs, power=freqs**-0.5, n_samples=n)
+    ps = PowerSpectrum(freqs=freqs, power=freqs**-0.5)
     fit = tf.fit_beta(ps, fit_range=(freqs[0], freqs[-1]))
     assert abs(fit.beta - 0.5) < 1e-6
 
     for size in (1000, 1001, 2**13):
         x = np.random.default_rng(size).normal(size=size)
-        spec = tf.power_spectrum(x)
-        assert spec.total_power() == pytest.approx(size * np.sum(x**2), rel=1e-8)
+        power = tf.power_spectrum(x).power
+        # |X_k|^2 over all bins: DC from the input, each reported bin and
+        # its mirror, the Nyquist bin of an even size once
+        total = np.sum(x) ** 2 + 2.0 * power.sum() - (power[-1] if size % 2 == 0 else 0.0)
+        assert total == pytest.approx(size * np.sum(x**2), rel=1e-8)
     print(f"criterion 5 PASS: beta error {abs(fit.beta - 0.5):.2e}")
 
 

@@ -404,29 +404,29 @@ class TestSeriesCsvInput:
         assert "fatal: give text paths or --series-csv, not both" in capsys.readouterr().err
         assert not out.exists()
 
-    # In a child process, where numpy's overflow RuntimeWarning stays a
-    # warning as in a real run; raised as an error it would stop the run
-    # before any fit sees the infinities.
     @staticmethod
-    def _child(*argv):
-        src = str(Path(tf.__file__).resolve().parents[1])
-        env = dict(os.environ, PYTHONPATH=os.pathsep.join(
-            filter(None, [src, os.environ.get("PYTHONPATH")])))
-        return subprocess.run([sys.executable, "-m", "textfract.cli", *map(str, argv)],
-                              capture_output=True, text=True, env=env, timeout=120)
+    def _run(capfd, *argv):
+        """(exit code, stderr) of a run in this process, which must warn of
+        nothing. Each warning is recorded, not raised: raised as an error,
+        numpy's overflow RuntimeWarning would stop the run before any fit
+        sees the infinities, as it does not in a real run."""
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            code = run(argv)
+        assert caught == [], [str(w.message) for w in caught]
+        return code, capfd.readouterr().err
 
     @pytest.mark.parametrize("cmd", ["spectrum", "analyze", "mfdfa"])
-    def test_overflowing_series_writes_nothing(self, cmd, tmp_path):
+    def test_overflowing_series_writes_nothing(self, cmd, tmp_path, capfd):
         rng = np.random.default_rng(0)
         values = rng.choice([-1.0, 1.0], 512) * rng.uniform(0.5, 1.0, 512) * 1e300
         path = tmp_path / "huge.csv"
         path.write_text(serialize.series_csv(values, value_name="value"), encoding="utf-8")
         out = tmp_path / "o"
-        proc = self._child(cmd, "--series-csv", path, "--out", out)
-        assert proc.returncode == 1
+        code, err = self._run(capfd, cmd, "--series-csv", path, "--out", out)
+        assert code == 1
         assert ("error: huge: series amplitude max|x| = 9.998e+299 is outside "
-                "[6.718e-139, 8.183e+149] at n = 512; " + RESCALE) in proc.stderr
-        assert "Warning" not in proc.stderr
+                "[6.718e-139, 8.183e+149] at n = 512; " + RESCALE) in err
         assert list(out.iterdir()) == []
 
     def test_q_grid_beyond_float64_is_fatal(self, tmp_path):
@@ -436,40 +436,44 @@ class TestSeriesCsvInput:
         path.write_text(serialize.series_csv(tf.generate_fgn(0.75, 8192, 5).values,
                                              value_name="value"), encoding="utf-8")
         out = tmp_path / "o"
-        proc = self._child("mfdfa", "--series-csv", path, "--q-min", "2", "--q-step", "1e305",
-                           "--q-max", "4e307", "--out", out)
+        # the one run of `python -m textfract.cli`, in a child process
+        src = str(Path(tf.__file__).resolve().parents[1])
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+            filter(None, [src, os.environ.get("PYTHONPATH")])))
+        proc = subprocess.run([sys.executable, "-m", "textfract.cli", "mfdfa", "--series-csv",
+                               str(path), "--q-min", "2", "--q-step", "1e305", "--q-max",
+                               "4e307", "--out", str(out)],
+                              capture_output=True, text=True, env=env, timeout=120)
         assert proc.returncode == 1
         assert proc.stderr == ("fatal: --q-min/--q-max/--q-step: 2.0 to 4e+307 in steps of "
                                "1e+305: the bounds must be finite and the q step in "
                                "(0, 6.704e+153]\n")
         assert not out.exists()
 
-    def test_largest_accepted_q_grid_runs_without_warning(self, tmp_path):
+    def test_largest_accepted_q_grid_runs_without_warning(self, tmp_path, capfd):
         # 401 points from q = 2 at the largest step: |q| reaches 2.7e156
         path = tmp_path / "fgn.csv"
         path.write_text(serialize.series_csv(tf.generate_fgn(0.75, 8192, 5).values,
                                              value_name="value"), encoding="utf-8")
         out = tmp_path / "o"
         step = mfdfa.MAX_Q_STEP
-        proc = self._child("mfdfa", "--series-csv", path, "--q-min", "2", "--q-step", repr(step),
-                           "--q-max", repr(2 + 400 * step), "--out", out)
-        assert proc.returncode == 0
-        assert "Warning" not in proc.stderr
+        code, _ = self._run(capfd, "mfdfa", "--series-csv", path, "--q-min", "2",
+                            "--q-step", repr(step), "--q-max", repr(2 + 400 * step), "--out", out)
+        assert code == 0
         rows = read_rows(out / "fgn__singularity.csv")[1:]
         assert len(rows) == 401
         assert all(math.isfinite(float(v)) for row in rows for v in row)
 
-    def test_wavelet_of_a_huge_series_writes_nothing(self, tmp_path):
+    def test_wavelet_of_a_huge_series_writes_nothing(self, tmp_path, capfd):
         # every value is finite, but the map's FFT would overflow to inf and NaN
         path = tmp_path / "huge.csv"
         values = tf.generate_fgn(0.75, 8192, 5).values * 2.0**1010
         path.write_text(serialize.series_csv(values, value_name="value"), encoding="utf-8")
         out = tmp_path / "o"
-        proc = self._child("wavelet", "--series-csv", path, "--out", out)
-        assert proc.returncode == 1
+        code, err = self._run(capfd, "wavelet", "--series-csv", path, "--out", out)
+        assert code == 1
         assert ("error: huge: series amplitude max|x| = 4.001e+304 is outside "
-                "[1.002e-292, 2.555e+294] at n = 8192; " + RESCALE) in proc.stderr
-        assert "Warning" not in proc.stderr
+                "[1.002e-292, 2.555e+294] at n = 8192; " + RESCALE) in err
         assert list(out.iterdir()) == []
 
     # fGn (H = 0.75, n = 8,192, seed 5) times 2^k. Before the amplitude rule,
@@ -492,29 +496,27 @@ class TestSeriesCsvInput:
 
     @pytest.mark.parametrize("cmd, k, bounds", OUT_OF_RANGE,
                              ids=[f"{cmd}_2^{k}" for cmd, k, _ in OUT_OF_RANGE])
-    def test_series_out_of_amplitude_range_writes_nothing(self, cmd, k, bounds, tmp_path):
+    def test_series_out_of_amplitude_range_writes_nothing(self, cmd, k, bounds, tmp_path, capfd):
         values = tf.generate_fgn(0.75, 8192, 5).values * 2.0**k
         path = tmp_path / "fgn.csv"
         path.write_text(serialize.series_csv(values, value_name="value"), encoding="utf-8")
         out = tmp_path / "o"
         kind = ["--kind", "phase"] if cmd == "surrogate" else []
-        proc = self._child(cmd, "--series-csv", path, *kind, "--out", out)
-        assert proc.returncode == 1
+        code, err = self._run(capfd, cmd, "--series-csv", path, *kind, "--out", out)
+        assert code == 1
         amp = float(np.abs(values).max())
         assert (f"error: fgn: series amplitude max|x| = {amp:.4g} is outside {bounds} "
-                f"at n = 8192; {RESCALE}") in proc.stderr
-        assert "Warning" not in proc.stderr
+                f"at n = 8192; {RESCALE}") in err
         assert list(out.iterdir()) == []
 
-    def test_wavelet_of_a_large_series_is_the_scaled_map(self, tmp_path):
+    def test_wavelet_of_a_large_series_is_the_scaled_map(self, tmp_path, capfd):
         path = tmp_path / "large.csv"
         values = tf.generate_fgn(0.75, 8192, 5).values
         path.write_text(serialize.series_csv(values * 2.0**500, value_name="value"),
                         encoding="utf-8")
         out = tmp_path / "o"
-        proc = self._child("wavelet", "--series-csv", path, "--out", out)
-        assert proc.returncode == 0
-        assert "Warning" not in proc.stderr
+        code, _ = self._run(capfd, "wavelet", "--series-csv", path, "--out", out)
+        assert code == 0
         rows = read_rows(out / "large__wavelet.csv")[1:]
         want = tf.wavelet_map(values, scales=tf.wavelet.default_scales(8192)).coefficients
         assert [float(r[2]) for r in rows] == (want * 2.0**500).ravel().tolist()
@@ -893,6 +895,48 @@ class TestAnalyzeCommand:
         assert capfd.readouterr().err == (inputs + "error: b: its worker process died\n"
                                           + f"wrote {out / 'corpus__'}" + corpus_lines)
         assert_same_tree(alone, out)
+
+    @pytest.mark.parametrize("cpus, lookup", [(2, "sched_getaffinity"), (1, "sched_getaffinity"),
+                                              (2, "cpu_count")])
+    def test_jobs_past_the_usable_cpus_start_one_worker_per_cpu(self, tmp_path, monkeypatch,
+                                                                capfd, cpus, lookup):
+        # no process starts: the pool records its size and runs each task
+        # here; one CPU still gets a pool, so a dead worker skips one input
+        sizes = []
+
+        class InProcessPool:
+            def __init__(self, max_workers):
+                sizes.append(max_workers)
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                return False
+
+            def submit(self, fn, *args):
+                future = concurrent.futures.Future()
+                future.set_result(fn(*args))
+                return future
+
+        for name, seed in [("a.txt", 1), ("b.txt", 2), ("c.txt", 3)]:
+            (tmp_path / name).write_text(make_text(300, seed), encoding="utf-8")
+        paths = [tmp_path / n for n in ("a.txt", "b.txt", "c.txt")]
+        argv = ["--min-sentences", "100", "--surrogates", "0"]
+        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", InProcessPool)
+        if lookup == "sched_getaffinity":
+            monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(cpus)))
+        else:  # a platform without it
+            monkeypatch.delattr(os, "sched_getaffinity", raising=False)
+            monkeypatch.setattr(os, "cpu_count", lambda: cpus)
+        errs = []
+        for jobs in ("1", "1000"):
+            out = tmp_path / f"o{jobs}"
+            assert run(["analyze", *paths, "--out", out, *argv, "--jobs", jobs]) == 0
+            errs.append(capfd.readouterr().err.replace(str(out), "<out>"))
+        assert sizes == [cpus]
+        assert errs[1] == errs[0]
+        assert_same_tree(tmp_path / "o1", tmp_path / "o1000")
 
     def test_a_failed_write_leaves_no_part_of_its_file(self, tmp_path, monkeypatch, capsys):
         # b's first file runs out of space halfway through, as on a full disk

@@ -540,7 +540,7 @@ class TestLexicon:
         path.write_text("# comment line\nMr  # inline\n\nFoo.\n", encoding="utf-8")
         lex = AbbreviationLexicon.from_file(path)
         assert "mr" in lex.entries and "foo" in lex.entries
-        assert len(lex) == 2
+        assert len(lex.entries) == 2
 
     def test_case_insensitive_match(self):
         # entries are case-folded, so a word matches as word.lower()
@@ -550,7 +550,7 @@ class TestLexicon:
     def test_bundled_languages_load(self):
         for tag in ["en", "de", "fr", "es", "it", "pl", "ru"]:
             lex = AbbreviationLexicon.for_language(tag)
-            assert len(lex) > 0
+            assert len(lex.entries) > 0
             # the bundled files follow the format of a user's --lexicon file
             path = Path(tf.__file__).parent / "lexicons" / f"{tag}.txt"
             assert lex.entries == AbbreviationLexicon.from_file(path).entries
@@ -569,8 +569,6 @@ class TestNovelScale:
 
     def test_segmentation_recovers_generated_lengths(self, novel):
         text, lengths = novel
-        if lengths is None:
-            pytest.skip("external novel: no generated-length oracle")
         doc = tf.tokenize(text, title="novel")
         sents, report = tf.segment_sentences(doc)
         slv = tf.sentence_length_series(sents)

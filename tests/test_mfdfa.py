@@ -546,6 +546,8 @@ class TestHelpers:
     (lambda x: M.default_scales(1000, 20, 1e300), "s_max must be below 2**53, got 1e+300"),
     (lambda x: M.fluctuation_surface(x, scales=[20.7, 40.2, 60, 80, 100, 120]),
      "scale 20.7 is not a whole number"),
+    (lambda x: M.fluctuation_surface(x, q_values=np.linspace(-4, 4, M.MAX_Q_POINTS + 1)),
+     "q_values holds 402 points; a q grid holds at most 401"),
     (lambda x: tf.wavelet_map(x, scales=[10, np.inf]), "scale inf is not positive and finite"),
     (lambda x: tf.wavelet_map(x, scales=[np.nan, 10]), "scale nan is not positive and finite"),
     (lambda x: tf.wavelet_map(x, scales=[]), "scales must be a non-empty 1-D grid"),
@@ -557,7 +559,7 @@ class TestHelpers:
      "bins_per_decade 100001 not in 1..100000"),
 ], ids=["q_step_uncountable", "q_step_huge", "q_grid_8001_points", "q_grid_4_points",
         "q_step_one_float_past_most", "s_max_inf", "s_max_nan", "s_max_past_int64",
-        "scales_not_whole",
+        "scales_not_whole", "q_values_402_points",
         "wavelet_scale_inf", "wavelet_scale_nan", "wavelet_no_scales", "wavelet_scales_2d",
         "wavelet_n_scales_past_most", "bins_per_decade_past_most"])
 def test_grid_builder_rejects_bad_input_by_name(call, message):
