@@ -153,7 +153,8 @@ _LEAST = {"detrend_order": 0, "bins_per_decade": 1, "n_scales": 1, "jobs": 1,
           "surrogates": 0, "seed": 0, "slice_from": 1}
 _MOST = {"bins_per_decade": spectral.MAX_BINS_PER_DECADE, "n_scales": wavelet.MAX_SCALES,
          "detrend_order": mfdfa.MAX_DETREND_ORDER}
-_PARSED = {"format": parse_formats, "lexicon": corpus.AbbreviationLexicon.from_file}
+_PARSED = {"format": parse_formats, "lexicon": corpus.AbbreviationLexicon.from_file,
+           "target": corpus.recurrence_target}
 _FLAGS = {"slice_from": "--from", "slice_to": "--to"}  # else "--" + dest with dashes
 # the fewest ranks a Zipf slope is fitted through
 _MIN_ZIPF_RANKS = 10

@@ -12,6 +12,7 @@ Segmentation is deterministic: same bytes + same lexicon = same spans.
 from __future__ import annotations
 
 import hashlib
+import re
 import unicodedata
 from collections import Counter
 from dataclasses import dataclass
@@ -32,6 +33,7 @@ __all__ = [
     "segment_sentences",
     "sentence_length_series",
     "word_recurrence_series",
+    "recurrence_target",
     "rank_frequency",
     "slice_series",
 ]
@@ -135,7 +137,7 @@ class AbbreviationLexicon:
 
     @classmethod
     def from_file(cls, path) -> "AbbreviationLexicon":
-        with open(path, encoding="utf-8") as fh:
+        with open(path, encoding="utf-8-sig") as fh:  # a leading BOM is no entry
             return cls(line.split("#", 1)[0].strip() for line in fh)
 
     @classmethod
@@ -153,17 +155,18 @@ class AbbreviationLexicon:
 _CODECS = {1: "ascii", 4: "utf-32-le"}
 _BLOCK = 1 << 16  # characters of text scanned, or lowered into words, at once
 _MAX_CHARS = int(np.iinfo(np.int32).max)  # the longest text int32 offsets can index
+_WHITESPACE = re.compile(r"\s")  # str.isspace, as test_space_class_is_isspace pins
 
 
 def _cuts(text: str):
     """The bounds (a, b) of the blocks that cover ``text`` in order, at
     least one: each holds ``_BLOCK`` characters or more, up to the next
-    space (the next block's first character) or the end. A block with no
-    space after its first ``_BLOCK`` characters runs to the end."""
+    whitespace character (the next block's first), which no token holds
+    or needs as a neighbour, or the end."""
     start, stop = 0, len(text)
     while True:
-        b = text.find(" ", min(start + _BLOCK, stop), stop)
-        b = stop if b < 0 else b
+        space = _WHITESPACE.search(text, min(start + _BLOCK, stop))
+        b = space.start() if space else stop
         yield start, b
         if b == stop:
             return
@@ -230,9 +233,8 @@ def tokenize(raw, title: str = "") -> Document:
     """Split raw text (bytes or str) into Word / Terminator / Other
     tokens after NFC normalization. Bytes that are not UTF-8 raise with
     the byte offset, and so does a text of 2^31 characters or more, whose
-    offsets int32 cannot hold. The text is scanned one block of about
-    ``_BLOCK`` characters at a time, cut at a space, which no token
-    crosses and which no joiner needs as a neighbour."""
+    offsets int32 cannot hold. The text is scanned one block of
+    ``_cuts`` at a time."""
     raw = raw.encode("utf-8") if isinstance(raw, str) else raw
     try:
         text = raw.decode("utf-8")
@@ -253,26 +255,22 @@ def tokenize(raw, title: str = "") -> Document:
 
 def _folded_words(doc: Document):
     """The case-folded words of ``doc``, one per word token, in order.
-    Runs of tokens spanning about ``_BLOCK`` characters are lowered whole
-    and split at whitespace, each character of a run outside a word made a
-    space first, so only one run's words are held at once. With a space on
-    each side of every word, str.lower's final-sigma rule sees the context
-    it sees when lowering the word alone."""
-    text, starts, ends, kinds = doc.text, doc.starts, doc.ends, doc.kinds
-    # int32 keys, as starts is: with keys of another dtype, searchsorted
-    # would cast the whole array
-    keys = np.append(np.arange(0, len(text), _BLOCK), len(text)).astype(np.int32)
-    bounds = np.searchsorted(starts, keys).tolist()
+    Each block of ``_cuts`` is lowered whole and split at whitespace, each
+    character of a non-word token in it made a space first, so only one
+    block's words are held at once. With whitespace on each side of every
+    word, str.lower's final-sigma rule sees the context it sees when
+    lowering the word alone."""
+    text, starts, kinds = doc.text, doc.starts, doc.kinds
 
-    def words(i, j):
-        a = int(starts[i])
-        cp = np.array(_code_points(text[a:int(ends[j - 1])]))
-        # every other token is one character; a character in no token is
-        # whitespace already, which split and str.lower read as a space
+    def words(a, b):
+        # int32 keys, as starts is: other keys would cast the whole array
+        i, j = np.searchsorted(starts, np.array([a, b], dtype=np.int32)).tolist()
+        cp = np.array(_code_points(text[a:b]))
+        # every non-word token is one character; the rest is whitespace
         cp[starts[i:j][kinds[i:j] != WORD] - a] = ord(" ")
         return cp.tobytes().decode(_CODECS[cp.itemsize]).lower().split()
 
-    return chain.from_iterable(words(i, j) for i, j in zip(bounds, bounds[1:]) if i < j)
+    return chain.from_iterable(words(a, b) for a, b in _cuts(text))
 
 
 def segment_sentences(doc: Document, lexicon: AbbreviationLexicon | None = None):
@@ -365,17 +363,31 @@ def sentence_length_series(spans, unit: str = "words",
     return Series(values, provenance={"source": dict(source or {}), "unit": unit})
 
 
+def recurrence_target(target: str) -> str:
+    """``target`` as ``word_recurrence_series`` reads it: ``TERMINATOR_SURFACE``
+    for "." or itself, else the one word token that ``tokenize`` makes of
+    it, case-folded as the text's words are. Anything else raises, since
+    it can match nothing."""
+    if target in (".", TERMINATOR_SURFACE):
+        return TERMINATOR_SURFACE
+    doc = tokenize(target)
+    if doc.kinds.tolist() != [WORD]:
+        raise ValueError(f"target {target!r} is not one word, '.' or {TERMINATOR_SURFACE!r}")
+    return next(_folded_words(doc))
+
+
 def word_recurrence_series(doc: Document, target: str) -> Series:
     """Gaps, in word counts, between consecutive case-folded occurrences
-    of ``target``; terminators and other punctuation do not advance the
-    word index.
+    of ``target``, read by ``recurrence_target``; terminators and other
+    punctuation do not advance the word index.
 
     Passing "." (or the pooled pseudo-word "⟨.⟩") targets the
     sentence-ending marks themselves; the resulting gaps are the word
     counts between consecutive full stops, i.e. the sentence-length
     series shifted by one sentence.
     """
-    pooled_terminators = target in (".", TERMINATOR_SURFACE)
+    want = recurrence_target(target)
+    pooled_terminators = want == TERMINATOR_SURFACE
     if pooled_terminators:
         # a mark sits at the number of words before it: its token index
         # less its place among the non-word tokens
@@ -383,7 +395,6 @@ def word_recurrence_series(doc: Document, target: str) -> Series:
         is_mark = doc.kinds[nonword] == TERMINATOR
         indices = nonword[is_mark] - np.flatnonzero(is_mark)
     else:
-        want = target.lower()
         indices = [i for i, w in enumerate(_folded_words(doc)) if w == want]
     if len(indices) < 2:
         raise ValueError(

@@ -43,6 +43,15 @@ def analyze_or_die(name, s, args, em):
     return cli.analyze_job(name, s, args, em)
 
 
+@pytest.fixture(params=["fork", "forkserver", "spawn"])
+def start_method(request, monkeypatch):
+    """Runs a test once with the CLI's worker pool under each start method."""
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", functools.partial(
+        concurrent.futures.ProcessPoolExecutor,
+        mp_context=multiprocessing.get_context(request.param)))
+    return request.param
+
+
 def make_text(n_sentences, seed):
     """Small synthetic corpus: random-length sentences over a fixed
     vocabulary, Zipf-tilted so the rank-frequency fit has support."""
@@ -213,6 +222,11 @@ class TestParser:
           "--q-max", repr(2 + 400 * mfdfa.MAX_Q_STEP)],
          "--q-min/--q-max/--q-step: 2.0 to 2.681561585988519e+156 in steps of "
          "6.703903964971299e+153: the bounds must be finite and the q step in (0, 6.704e+153]"),
+        # a target that is not one word, "." or "⟨.⟩" can occur in no text
+        (["recurrence", "--target", ""], "--target: target '' is not one word, '.' or '⟨.⟩'"),
+        (["recurrence", "--target", "the cat"], "--target: target 'the cat' is not one word"),
+        (["recurrence", "--target", "?"], "--target: target '?' is not one word"),
+        (["recurrence", "--target", "a/b"], "--target: target 'a/b' is not one word"),
     ], ids=["q_step_zero", "unknown_format", "jobs_zero", "negative_surrogates",
             "q_grid_without_two", "q_grid_too_short", "half_fit_range",
             "negative_detrend_order", "analyze_negative_detrend_order", "n_scales_zero",
@@ -232,7 +246,8 @@ class TestParser:
             "analyze_bins_per_decade_huge", "recurrence_bins_per_decade_above_most",
             "detrend_order_above_most", "analyze_detrend_order_far_above_most",
             "recurrence_detrend_order_above_most", "n_scales_above_most",
-            "scale_max_past_int64", "q_step_one_float_past_bound"])
+            "scale_max_past_int64", "q_step_one_float_past_bound", "target_empty",
+            "target_two_words", "target_mark", "target_two_words_and_a_slash"])
     def test_bad_option_value_is_fatal_before_reading(self, argv, flag, tmp_path, capsys):
         # the input does not exist: the value must be rejected before any read
         out = tmp_path / "o"
@@ -861,7 +876,7 @@ class TestAnalyzeCommand:
             outs.append(out)
         assert_same_tree(*outs)
 
-    def test_parallel_matches_serial(self, tmp_path):
+    def test_parallel_matches_serial(self, tmp_path, start_method):
         for name, seed in [("a.txt", 1), ("b.txt", 2)]:
             (tmp_path / name).write_text(make_text(800, seed), encoding="utf-8")
         paths = [tmp_path / "a.txt", tmp_path / "b.txt"]
@@ -873,16 +888,12 @@ class TestAnalyzeCommand:
         assert len(list(serial.iterdir())) == 14  # 5 per text, 4 for the corpus
         assert_same_tree(serial, parallel)
 
-    @pytest.mark.parametrize("method", ["fork", "forkserver", "spawn"])
     def test_a_worker_that_dies_skips_only_its_input(self, tmp_path, monkeypatch, capfd,
-                                                     method):
+                                                     start_method):
         # b's worker is killed as the OOM killer would kill it; the job is
         # imported by name, so every start method runs the same one
         for name, seed in [("a.txt", 1), ("b.txt", 2), ("c.txt", 3)]:
             (tmp_path / name).write_text(make_text(800, seed), encoding="utf-8")
-        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", functools.partial(
-            concurrent.futures.ProcessPoolExecutor,
-            mp_context=multiprocessing.get_context(method)))
         monkeypatch.setitem(cli._COMMANDS, "analyze", (analyze_or_die, cli.analyze_corpus))
         argv = ["--min-sentences", "100", "--surrogates", "0", "--jobs", "2"]
         alone, out = tmp_path / "alone", tmp_path / "o"
@@ -961,7 +972,7 @@ class TestAnalyzeCommand:
         # neither b__report.json nor its temporary file is left
         assert_same_tree(alone, out)
 
-    def test_parallel_workers_log_whole_lines(self, tmp_path, capfd):
+    def test_parallel_workers_log_whole_lines(self, tmp_path, capfd, start_method):
         # a outlasts b, so at --jobs 2 b's worker finishes first; b warns and
         # bad fails, yet stderr reads as it does at --jobs 1, line for line
         (tmp_path / "a.txt").write_text(make_text(3000, 1), encoding="utf-8")

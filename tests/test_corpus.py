@@ -230,11 +230,14 @@ class TestTokenize:
     def test_matches_oracle_on_drawn_text(self, text):
         each_block_size(lambda: assert_matches_oracle(text))
 
-    def test_text_without_a_space_is_one_block(self, monkeypatch):
-        # newlines are spaces to the scan, but blocks are cut only at " "
+    def test_blocks_are_cut_at_any_whitespace(self, monkeypatch):
+        # each block past the first starts at the first whitespace character
+        # _BLOCK or more characters into the one before it
         monkeypatch.setattr(corpus, "_BLOCK", 2)
-        text = "He\nleft.\nShe\nstayed,\nwell-known…\n"
-        assert list(corpus._cuts(text)) == [(0, len(text))]
+        text = "He\nleft.\tShe\u00a0stayed,\u3000well-known…\n"
+        cuts = list(corpus._cuts(text))
+        assert cuts == [(0, 2), (2, 8), (8, 12), (12, 20), (20, 32), (32, 33)]
+        assert [text[a] for a, _ in cuts[1:]] == ["\n", "\t", "\u00a0", "\u3000", "\n"]
         assert_matches_oracle(text)
 
     def test_offsets_past_int32_are_rejected(self, monkeypatch):
@@ -470,6 +473,17 @@ class TestWordRecurrence:
         with pytest.raises(ValueError, match="1 time"):
             tf.word_recurrence_series(doc, "one")
 
+    def test_a_decomposed_target_matches_its_composed_text(self):
+        # the text is read in NFC, and so is the target
+        doc = tf.tokenize("Un café. Le café est bon. Un autre café.")
+        for target in ("caf\u00e9", "cafe\u0301", "CAFE\u0301"):
+            assert tf.word_recurrence_series(doc, target).values.tolist() == [2, 5]
+
+    @pytest.mark.parametrize("target", ["", "the cat", "?", "a/b", "…", "the."])
+    def test_a_target_that_is_not_one_word_raises_by_name(self, target):
+        with pytest.raises(ValueError, match=re.escape(f"target {target!r} is not one word")):
+            tf.word_recurrence_series(tf.tokenize("the cat. the cat."), target)
+
     def test_pooled_terminators_equal_slv_shifted(self):
         text = "One two three. Four five. Six seven eight nine. Ten."
         doc = tf.tokenize(text)
@@ -541,6 +555,14 @@ class TestLexicon:
         lex = AbbreviationLexicon.from_file(path)
         assert "mr" in lex.entries and "foo" in lex.entries
         assert len(lex.entries) == 2
+
+    def test_a_leading_bom_is_no_part_of_the_first_entry(self, tmp_path):
+        path = tmp_path / "abbr.txt"
+        path.write_bytes("\ufeffmr.\ndr.\n".encode("utf-8"))
+        lex = AbbreviationLexicon.from_file(path)
+        assert lex.entries == frozenset({"mr", "dr"})
+        spans, _ = tf.segment_sentences(tf.tokenize("Mr. Smith came. Dr. Jones left."), lex)
+        assert spans.words.tolist() == [3, 3]
 
     def test_case_insensitive_match(self):
         # entries are case-folded, so a word matches as word.lower()
@@ -626,16 +648,19 @@ class TestNovelScale:
         # the bytes are dropped once decoded, and each column's blocks
         # once it is joined: on the novel repeated 4 times the peak is the
         # 9.1 MB Document and one int32 column's blocks (2.7 MB), where
-        # holding the bytes and every block to the end peaked at 18.1 MB
-        text = novel[0] * 4
-        tracemalloc.start()
-        try:
-            held = tracemalloc.get_traced_memory()[0]
-            tf.tokenize(text.encode())  # a temporary, as cli.load_document passes it
-            peak = tracemalloc.get_traced_memory()[1] - held
-        finally:
-            tracemalloc.stop()
-        assert peak < 13.5e6, f"peak {peak / 1e6:.1f} MB"
+        # holding the bytes and every block to the end peaked at 18.1 MB.
+        # One word a line is cut into the same blocks; scanned whole, as
+        # when blocks were cut only at " ", it peaked at 30.8 MB
+        for space in (" ", "\n"):
+            text = novel[0].replace(" ", space) * 4
+            tracemalloc.start()
+            try:
+                held = tracemalloc.get_traced_memory()[0]
+                tf.tokenize(text.encode())  # a temporary, as cli.load_document passes it
+                peak = tracemalloc.get_traced_memory()[1] - held
+            finally:
+                tracemalloc.stop()
+            assert peak < 13.5e6, f"{space!r}-separated: peak {peak / 1e6:.1f} MB"
 
     def test_zipf_midrank_slope(self, novel):
         text, _ = novel

@@ -11,11 +11,12 @@ directory: the synthetic novel that the tests and the benchmark share, a
 copy of it whose full stops turn in turn into ``...``, ``…``, ``....``,
 ``?`` and ``!`` (plus ``snake_case 3.14 a...b``), a copy whose sentences
 in turn gain non-ASCII text (see ``unicode_text``), a copy whose every
-space is a newline (so the tokenizer finds no space to cut a block at),
-an empty text, a seeded float series as an ``index,value`` CSV, fGn
-times 2^-520 and 2^1010, two amplitudes that float64 cannot carry
-through the spectrum and MFDFA, and ``FLAT``, a series that does not
-vary beyond rounding.
+space is a newline, a copy whose spaces turn in turn into a tab, a
+no-break space, an ideographic space and a newline (so it holds no
+ASCII space), an empty text, a seeded float series as an
+``index,value`` CSV, fGn times 2^-520 and 2^1010, two amplitudes that
+float64 cannot carry through the spectrum and MFDFA, and ``FLAT``, a
+series that does not vary beyond rounding.
 Every subcommand runs at least once on each side. For each run the exit
 code, stdout, stderr (with the output directory written as ``<out>``;
 the CLI writes it in input order at any ``--jobs``), the list of output
@@ -89,6 +90,8 @@ RUNS = {
     "analyze_newlines": ["analyze", "newlines.txt"],
     "zipf_newlines": ["zipf", "newlines.txt", "--include-terminators"],
     "recurrence_newlines": ["recurrence", "newlines.txt", "--target", "the"],
+    "zipf_whitespace": ["zipf", "whitespace.txt", "--include-terminators"],
+    "analyze_whitespace": ["analyze", "whitespace.txt"],
     "analyze_tiny": ["analyze", "--series-csv", "tiny.csv"],
     "analyze_huge": ["analyze", "--series-csv", "huge.csv"],
     "wavelet_tiny": ["wavelet", "--series-csv", "tiny.csv", "--n-scales", "20"],
@@ -135,6 +138,11 @@ def write_inputs(folder: Path):
                                       encoding="utf-8")
     (folder / "unicode.txt").write_text(unicode_text(text), encoding="utf-8")
     (folder / "newlines.txt").write_text(text.replace(" ", "\n"), encoding="utf-8")
+    spaces = ["\t", "\u00a0", "\u3000", "\n"]
+    parts = text.split(" ")
+    (folder / "whitespace.txt").write_text(
+        "".join(p + spaces[i % len(spaces)] for i, p in enumerate(parts[:-1])) + parts[-1],
+        encoding="utf-8")
     (folder / "empty.txt").write_bytes(b"")
     fgn = inputs.fgn(0.75, 8192, 5)
     for name, values in [("noise", np.random.default_rng(20261018).lognormal(2.0, 0.5, 2**14)),
