@@ -362,6 +362,8 @@ def _run_job(job, name, source, args, em):
     """(ok, result or error, its stderr lines, held for the main process to write)"""
     with contextlib.redirect_stderr(io.StringIO()) as held:
         try:
+            if any("\ud800" <= c <= "\udfff" for c in name):  # os.fsdecode's undecodable bytes
+                raise ValueError("its file name is not UTF-8, and its outputs are named after it")
             if not isinstance(source, series.Series):  # a text path
                 source = (load_slv if "series_csv" in args else load_document)(source, args)
             ok, result = True, job(name, source, args, em)
@@ -539,7 +541,10 @@ def zipf_job(name, doc, args, em):
 
 def recurrence_job(name, doc, args, em):
     rec = corpus.word_recurrence_series(doc, args.target)
-    name = f"{name}__{args.target}"
+    # named after the target it matched, so each spelling of it writes one tree
+    target = corpus.recurrence_target(args.target)
+    target = "." if target == corpus.TERMINATOR_SURFACE else target
+    name = f"{name}__{target}"
     ps, fit = spectrum_stage(rec.values, args)
     _, gh, spec = mfdfa_stage(rec.values, args)
     H = mfdfa.hurst_exponent(gh)  # raises before any file is written
@@ -547,7 +552,7 @@ def recurrence_job(name, doc, args, em):
              serialize.series_csv, rec.values.astype(int), value_name="gap")
     em.write(f"{name}__recurrence", "json", serialize.to_json, {
         "provenance": rec.provenance,
-        "target": args.target,
+        "target": target,
         "n_gaps": len(rec),
         "beta_w": fit.beta,
         "sigma_beta_w": fit.sigma_beta,
@@ -555,7 +560,7 @@ def recurrence_job(name, doc, args, em):
         "delta_alpha": spec.delta_alpha,
     })
     em.write(f"{name}__spectrum", "svg", spectrum_svg,
-             ps, fit, args.target, f"S(f), recurrence of {args.target!r}", "beta_w")
+             ps, fit, target, f"S(f), recurrence of {target!r}", "beta_w")
 
 
 def slice_job(name, s, args, em):  # a text's lengths always pass these checks

@@ -151,8 +151,6 @@ class AbbreviationLexicon:
             return cls.from_file(file)
 
 
-# the codec that turns code points of each width back into text
-_CODECS = {1: "ascii", 4: "utf-32-le"}
 _BLOCK = 1 << 16  # characters of text scanned, or lowered into words, at once
 _MAX_CHARS = int(np.iinfo(np.int32).max)  # the longest text int32 offsets can index
 _WHITESPACE = re.compile(r"\s")  # str.isspace, as test_space_class_is_isspace pins
@@ -174,15 +172,7 @@ def _cuts(text: str):
 
 
 def _code_points(text: str) -> np.ndarray:
-    """The code points of ``text``, read-only: one byte each for an ASCII
-    text, else four."""
-    # One byte each keeps the buffer of an ASCII block of ``_BLOCK``
-    # characters at 64 kB, below glibc malloc's 128 kB mmap threshold;
-    # four would make it 256 kB. A freed mmap buffer raises that threshold:
-    # after the 3 MB buffer of a whole 756k-character novel, `wavelet`'s
-    # 36 MB CSV that follows peaked 2 MB higher.
-    if text.isascii():
-        return np.frombuffer(text.encode("ascii"), dtype=np.uint8)
+    """The code points of ``text``, four bytes each, read-only."""
     return np.frombuffer(text.encode("utf-32-le"), dtype=np.uint32)
 
 
@@ -190,14 +180,12 @@ def _char_classes(text: str) -> np.ndarray:
     """The class code of each character of ``text``, as uint8: ASCII from
     a fixed table, each distinct higher code point classed once."""
     cp = _code_points(text)
-    if not len(cp) or cp.max() < 128:
-        return _ASCII_CLASS[cp]
-    table = np.zeros(int(cp.max()) + 1, dtype=np.uint8)
-    table[cp] = 1  # mark the code points present
+    table = np.zeros(max(int(cp.max(initial=0)) + 1, 128), dtype=np.uint8)
+    table[cp[cp >= 128]] = 1  # mark the higher code points present
     for c in (np.flatnonzero(table[128:]) + 128).tolist():
         table[c] = _class_of(chr(c))
     table[:128] = _ASCII_CLASS
-    return table[cp]
+    return table.take(cp)
 
 
 def _scan(block: str, offset: int):
@@ -268,7 +256,7 @@ def _folded_words(doc: Document):
         cp = np.array(_code_points(text[a:b]))
         # every non-word token is one character; the rest is whitespace
         cp[starts[i:j][kinds[i:j] != WORD] - a] = ord(" ")
-        return cp.tobytes().decode(_CODECS[cp.itemsize]).lower().split()
+        return cp.tobytes().decode("utf-32-le").lower().split()
 
     return chain.from_iterable(words(a, b) for a, b in _cuts(text))
 

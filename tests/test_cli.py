@@ -779,6 +779,16 @@ class TestRecurrenceCommand:
         slv = tf.sentence_length_series(tf.segment_sentences(doc)[0])
         np.testing.assert_array_equal(gaps, slv.values[1:])
 
+    @pytest.mark.parametrize("target, same_as", [("The", "the"), (" the", "the"),
+                                                 ("THE", "the"), ("⟨.⟩", ".")])
+    def test_each_spelling_of_a_target_writes_the_same_tree(self, target, same_as, text_file,
+                                                            tmp_path):
+        # files, JSON and plot are named after the target matched, the pooled marks as "."
+        out, want = tmp_path / "out", tmp_path / "want"
+        assert run(["recurrence", text_file, "--target", target, "--out", out]) == 0
+        assert run(["recurrence", text_file, "--target", same_as, "--out", want]) == 0
+        assert_same_tree(out, want)
+
     def test_failed_input_writes_nothing(self, text_file, tmp_path, capsys):
         # "ember" is the rarest word: too few gaps for a spectrum fit
         out = tmp_path / "out"
@@ -1118,6 +1128,26 @@ class TestOutputNames:
         assert capsys.readouterr().err == (
             f"fatal: {paths[0]} and {paths[1]} both write x__*; rename one\n")
         assert not out.exists()
+
+    @pytest.mark.parametrize("cmd", [["spectrum"], ["analyze", "--surrogates", "0"], ["ccdf"]],
+                             ids=lambda cmd: cmd[0])
+    def test_a_file_name_that_is_not_utf8_is_skipped_before_any_write(self, cmd, tmp_path):
+        # outputs are UTF-8 files that hold the name, so none can be written
+        good = tmp_path / "good.txt"
+        good.write_text(make_text(1200, 7), encoding="utf-8")
+        bad = os.path.join(os.fsencode(tmp_path), b"caf\xe9.txt")
+        try:
+            with open(bad, "wb") as fh:
+                fh.write(good.read_bytes())
+        except OSError:
+            pytest.skip("the file system refuses a file name that is not UTF-8")
+        alone, out, err = tmp_path / "alone", tmp_path / "out", io.StringIO()
+        with contextlib.redirect_stderr(io.StringIO()):
+            assert run(cmd + [good, "--out", alone]) == 0
+        with contextlib.redirect_stderr(err):
+            assert run(cmd + [os.fsdecode(bad), good, "--out", out]) == 2
+        assert "error: caf\udce9: its file name is not UTF-8" in err.getvalue()
+        assert_same_tree(out, alone)
 
 
 # Texts that have broken a text pipeline somewhere: each drawn text joins

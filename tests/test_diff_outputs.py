@@ -6,7 +6,7 @@ from pathlib import Path
 
 import pytest
 
-from textfract import cli, mfdfa, spectral
+from textfract import cli, corpus, mfdfa, spectral
 
 TOOL = Path(__file__).resolve().parents[1] / "tools" / "diff_outputs.py"
 spec = importlib.util.spec_from_file_location("diff_outputs", TOOL)
@@ -110,6 +110,15 @@ def test_a_run_pins_parallel_stderr_with_warnings_and_a_skip():
     args = cli.build_parser().parse_args([*diff_outputs.RUNS["analyze_j2_skips"], "--out", "o"])
     assert args.jobs == 2 and args.min_sentences == 100_000
     assert args.paths == ["novel.txt", "empty.txt", "marks.txt"]
+
+
+def test_runs_spell_a_target_two_ways():
+    # the byte check then covers naming a recurrence run by the target it matched
+    for spelled, plain in [("recurrence_the_spelled", "recurrence_the"),
+                           ("recurrence_stop_pooled", "recurrence_stop")]:
+        targets = [diff_outputs.RUNS[run][-1] for run in (spelled, plain)]
+        assert targets[0] != targets[1]
+        assert len({corpus.recurrence_target(t) for t in targets}) == 1
 
 
 def test_the_inputs_are_written_without_either_tree(tmp_path):

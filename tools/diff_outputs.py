@@ -82,6 +82,9 @@ RUNS = {
     "ccdf_csv": ["ccdf", "--series-csv", "noise.csv", "--tail-start", "1"],
     "recurrence_the": ["recurrence", "novel.txt", "--target", "the"],
     "recurrence_stop": ["recurrence", "marks.txt", "--target", "."],
+    # other spellings of the two targets above: named as those are
+    "recurrence_the_spelled": ["recurrence", "novel.txt", "--target", " The"],
+    "recurrence_stop_pooled": ["recurrence", "marks.txt", "--target", "⟨.⟩"],
     "slice": ["slice", "marks.txt", "--from", "100", "--to", "5000"],
     "spectrum_unicode_chars": ["spectrum", "unicode.txt", "--unit", "chars"],
     "zipf_unicode": ["zipf", "unicode.txt", "--include-terminators"],
