@@ -223,22 +223,25 @@ def spectrum_fit_range(args):
 # input loading
 
 def read_series_csv(path) -> np.ndarray:
-    """Values of an ``index,value`` CSV below its header row. A row
-    whose second column is missing or not a finite number, or a file
-    with no row below the header, raises ValueError naming the file."""
+    """Values of an ``index,value`` CSV below its header row. A line the
+    csv module cannot read, a row whose value is missing or not finite,
+    or no row below the header raises ValueError naming the file."""
     values = []
     with open(path, newline="", encoding="utf-8") as fh:
         reader = csv.reader(fh)
-        next(reader, None)
-        for row in reader:
-            try:
-                value = float(row[1])
-            except (IndexError, ValueError):
-                value = math.nan
-            if not math.isfinite(value):
-                raise ValueError(f"{path}, line {reader.line_num}: expected "
-                                 f"index,value with a finite value, got {row!r}")
-            values.append(value)
+        try:
+            next(reader, None)
+            for row in reader:
+                try:
+                    value = float(row[1])
+                except (IndexError, ValueError):
+                    value = math.nan
+                if not math.isfinite(value):
+                    raise ValueError(f"{path}, line {reader.line_num}: expected "
+                                     f"index,value with a finite value, got {row!r}")
+                values.append(value)
+        except csv.Error as exc:  # such as a field past csv.field_size_limit()
+            raise ValueError(f"{path}, line {reader.line_num}: {exc}") from exc
     if not values:
         raise ValueError(f"{path}: no rows below the header")
     return np.array(values)
@@ -344,18 +347,13 @@ def _run_pooled(tasks, workers):
                 futures.append(ex.submit(_run_job, *task))
     outcomes = []
     for task, future in itertools.zip_longest(tasks, futures):
-        died = future is None or isinstance(future.exception(), BrokenExecutor)
-        outcomes.append(_run_alone(task) if died else future.result())
+        if future is not None and not isinstance(future.exception(), BrokenExecutor):
+            outcomes.append(future.result())
+        elif workers > 1:
+            outcomes += _run_pooled([task], 1)
+        else:
+            outcomes.append((False, "its worker process died", ""))  # its held lines die with it
     return outcomes
-
-
-def _run_alone(task):
-    """The outcome of ``task`` in a pool of its own, failed if its worker dies."""
-    with concurrent.futures.ProcessPoolExecutor(max_workers=1) as ex:
-        try:
-            return ex.submit(_run_job, *task).result()
-        except BrokenExecutor:
-            return False, "its worker process died", ""  # its held lines die with it
 
 
 def _run_job(job, name, source, args, em):
@@ -368,7 +366,7 @@ def _run_job(job, name, source, args, em):
                 source = (load_slv if "series_csv" in args else load_document)(source, args)
             ok, result = True, job(name, source, args, em)
         except Exception as exc:  # one bad input never sinks the batch
-            ok, result = False, str(exc)
+            ok, result = False, str(exc) or type(exc).__name__
     return ok, result, held.getvalue()
 
 
@@ -641,8 +639,8 @@ def main(argv=None) -> int:
         if corpus_step and results:
             corpus_step(results, args, em)
         return status
-    except (ValueError, OSError) as exc:
-        log(f"fatal: {exc}")
+    except (ValueError, OSError, MemoryError) as exc:
+        log(f"fatal: {str(exc) or type(exc).__name__}")
         return 1
 
 

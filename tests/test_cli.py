@@ -16,6 +16,7 @@ import sys
 import tempfile
 import warnings
 import xml.etree.ElementTree as ET
+from concurrent.futures.process import BrokenProcessPool
 from pathlib import Path
 
 import numpy as np
@@ -50,6 +51,32 @@ def start_method(request, monkeypatch):
         concurrent.futures.ProcessPoolExecutor,
         mp_context=multiprocessing.get_context(request.param)))
     return request.param
+
+
+class InProcessPool:
+    """Stands in for the CLI's ProcessPoolExecutor and starts no process:
+    it appends its size to ``sizes`` and runs each task here. The future
+    of input ``dies_at`` and of every input after it break, as a killed
+    worker breaks a real pool."""
+
+    def __init__(self, max_workers, sizes, dies_at=None):
+        sizes.append(max_workers)
+        self.dies_at, self.broken = dies_at, False
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc):
+        return False
+
+    def submit(self, fn, *task):
+        self.broken = self.broken or task[1] == self.dies_at  # task: job, name, ...
+        future = concurrent.futures.Future()
+        if self.broken:
+            future.set_exception(BrokenProcessPool("a worker process died"))
+        else:
+            future.set_result(fn(*task))
+        return future
 
 
 def make_text(n_sentences, seed):
@@ -565,6 +592,31 @@ class TestSeriesCsvInput:
         assert f"fatal: {path}: no rows below the header" in capsys.readouterr().err
         assert not out.exists()
 
+    @pytest.mark.parametrize("lines, line", [
+        (["x" * (csv.field_size_limit() + 1)], 1),
+        (["index,value", "1," + "9" * (csv.field_size_limit() + 1)], 2),
+    ], ids=["header", "row"])
+    def test_a_field_past_the_csv_limit_is_fatal(self, lines, line, tmp_path, capsys):
+        path = tmp_path / "long.csv"
+        path.write_text("\n".join(lines) + "\n", encoding="utf-8")
+        out = tmp_path / "o"
+        assert run(["spectrum", "--series-csv", path, "--out", out]) == 1
+        err = capsys.readouterr().err
+        assert err == (f"fatal: {path}, line {line}: field larger than field limit "
+                       f"({csv.field_size_limit()})\n")
+        assert "Traceback" not in err and not out.exists()
+
+    def test_an_empty_error_while_reading_is_named_by_its_type(self, tmp_path, monkeypatch,
+                                                              capsys):
+        def out_of_memory(path):
+            raise MemoryError()
+
+        monkeypatch.setattr(cli, "read_series_csv", out_of_memory)
+        out = tmp_path / "o"
+        assert run(["spectrum", "--series-csv", tmp_path / "x.csv", "--out", out]) == 1
+        assert capsys.readouterr().err == "fatal: MemoryError\n"
+        assert not out.exists()
+
 
 class TestSpectrumCommand:
     def test_series_csv_input(self, series_file, tmp_path):
@@ -924,27 +976,12 @@ class TestAnalyzeCommand:
         # no process starts: the pool records its size and runs each task
         # here; one CPU still gets a pool, so a dead worker skips one input
         sizes = []
-
-        class InProcessPool:
-            def __init__(self, max_workers):
-                sizes.append(max_workers)
-
-            def __enter__(self):
-                return self
-
-            def __exit__(self, *exc):
-                return False
-
-            def submit(self, fn, *args):
-                future = concurrent.futures.Future()
-                future.set_result(fn(*args))
-                return future
-
         for name, seed in [("a.txt", 1), ("b.txt", 2), ("c.txt", 3)]:
             (tmp_path / name).write_text(make_text(300, seed), encoding="utf-8")
         paths = [tmp_path / n for n in ("a.txt", "b.txt", "c.txt")]
         argv = ["--min-sentences", "100", "--surrogates", "0"]
-        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", InProcessPool)
+        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor",
+                            functools.partial(InProcessPool, sizes=sizes))
         if lookup == "sched_getaffinity":
             monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(cpus)))
         else:  # a platform without it
@@ -958,6 +995,26 @@ class TestAnalyzeCommand:
         assert sizes == [cpus]
         assert errs[1] == errs[0]
         assert_same_tree(tmp_path / "o1", tmp_path / "o1000")
+
+    def test_inputs_of_a_broken_pool_run_again_in_a_pool_of_one(self, tmp_path, monkeypatch,
+                                                               capfd):
+        # b breaks its pool, and c's future with it; each runs again alone,
+        # where b breaks its own pool and c does not
+        for name, seed in [("a.txt", 1), ("b.txt", 2), ("c.txt", 3)]:
+            (tmp_path / name).write_text(make_text(300, seed), encoding="utf-8")
+        argv = ["--min-sentences", "100", "--surrogates", "0", "--jobs", "2"]
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1})
+        alone, out = tmp_path / "alone", tmp_path / "o"
+        runs = [(["a", "c"], alone, 0, [2]), (["a", "b", "c"], out, 2, [2, 1, 1])]
+        for names, tree, status, sizes in runs:
+            pools = []
+            monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor",
+                                functools.partial(InProcessPool, sizes=pools, dies_at="b"))
+            paths = [tmp_path / f"{name}.txt" for name in names]
+            assert run(["analyze", *paths, "--out", tree, *argv]) == status
+            assert pools == sizes
+        assert "error: b: its worker process died\n" in capfd.readouterr().err
+        assert_same_tree(alone, out)
 
     def test_a_failed_write_leaves_no_part_of_its_file(self, tmp_path, monkeypatch, capsys):
         # b's first file runs out of space halfway through, as on a full disk
@@ -1024,6 +1081,20 @@ class TestAnalyzeCommand:
 
 
 class TestRunner:
+    def test_an_empty_error_in_a_job_is_named_by_its_type(self, tmp_path, monkeypatch,
+                                                         capsys):
+        def spectrum_or_out_of_memory(name, s, args, em):
+            if name == "b":
+                raise MemoryError()
+            return cli.spectrum_job(name, s, args, em)
+
+        monkeypatch.setitem(cli._COMMANDS, "spectrum", (spectrum_or_out_of_memory, None))
+        for name, seed in [("a.txt", 1), ("b.txt", 2)]:
+            (tmp_path / name).write_text(make_text(300, seed), encoding="utf-8")
+        assert run(["spectrum", tmp_path / "a.txt", tmp_path / "b.txt", "--out", tmp_path / "o",
+                    "--min-sentences", "100"]) == 2
+        assert capsys.readouterr().err.endswith("error: b: MemoryError\n")
+
     @pytest.mark.parametrize("argv", [
         ["ccdf", "--min-sentences", "1"], ["zipf"], ["recurrence", "--target", "the"],
     ], ids=lambda argv: argv[0])

@@ -112,6 +112,15 @@ def test_a_run_pins_parallel_stderr_with_warnings_and_a_skip():
     assert args.paths == ["novel.txt", "empty.txt", "marks.txt"]
 
 
+def test_a_run_reads_a_text_as_a_series_csv(tmp_path):
+    # the byte check then pins the fatal line of a field past the csv module's limit
+    args = cli.build_parser().parse_args([*diff_outputs.RUNS["spectrum_csv_one_line"],
+                                          "--out", "o"])
+    diff_outputs.write_inputs(tmp_path)
+    with pytest.raises(ValueError, match=", line 1: field larger than field limit"):
+        cli.read_series_csv(tmp_path / args.series_csv)
+
+
 def test_runs_spell_a_target_two_ways():
     # the byte check then covers naming a recurrence run by the target it matched
     for spelled, plain in [("recurrence_the_spelled", "recurrence_the"),

@@ -13,7 +13,8 @@ copy of it whose full stops turn in turn into ``...``, ``…``, ``....``,
 in turn gain non-ASCII text (see ``unicode_text``), a copy whose every
 space is a newline, a copy whose spaces turn in turn into a tab, a
 no-break space, an ideographic space and a newline (so it holds no
-ASCII space), an empty text, a seeded float series as an
+ASCII space), a copy whose every newline is a space (read as a series
+CSV, its one line is a field past the csv module's limit), an empty text, a seeded float series as an
 ``index,value`` CSV, fGn times 2^-520 and 2^1010, two amplitudes that
 float64 cannot carry through the spectrum and MFDFA, and ``FLAT``, a
 series that does not vary beyond rounding.
@@ -101,6 +102,8 @@ RUNS = {
     "wavelet_huge": ["wavelet", "--series-csv", "huge.csv", "--n-scales", "20"],
     "surrogate_phase_tiny": ["surrogate", "--series-csv", "tiny.csv", "--kind", "phase"],
     "surrogate_phase_huge": ["surrogate", "--series-csv", "huge.csv", "--kind", "phase"],
+    # a text given as a series CSV: its one line is too long a field
+    "spectrum_csv_one_line": ["spectrum", "--series-csv", "oneline.txt"],
     "spectrum_flat": ["spectrum", "--series-csv", "flat.csv"],
     "analyze_flat": ["analyze", "--series-csv", "flat.csv"],
 }
@@ -141,6 +144,7 @@ def write_inputs(folder: Path):
                                       encoding="utf-8")
     (folder / "unicode.txt").write_text(unicode_text(text), encoding="utf-8")
     (folder / "newlines.txt").write_text(text.replace(" ", "\n"), encoding="utf-8")
+    (folder / "oneline.txt").write_text(text.replace("\n", " "), encoding="utf-8")
     spaces = ["\t", "\u00a0", "\u3000", "\n"]
     parts = text.split(" ")
     (folder / "whitespace.txt").write_text(
