@@ -15,7 +15,8 @@ recurrence) take the segmentation flags --unit, --lexicon, --language
 and --min-sentences, or ``--series-csv`` to read one series instead of
 texts; a malformed CSV is fatal. zipf and recurrence read texts only,
 case-folded, with no segmentation. Only analyze and surrogate draw
-random numbers, so only they take --seed. Data go to files under --out,
+random numbers, so only they take --seed. Input order is by name, the
+stem that begins each output file's name. Data go to files under --out,
 logs to stderr, which only the main process writes: each input's lines
 whole and in input order at any --jobs (lost if its worker dies), then
 the ``error:`` lines, then the corpus step's. Exit codes: 0 ok, 2 some
@@ -296,23 +297,21 @@ def each_input(args, job):
     """Load each input and run ``job(name, loaded, args, em)`` on it in
     up to --jobs processes. A text loads as its series, or as its
     Document where the command has no --series-csv; the --series-csv
-    values are read into their Series here, before any job. Two texts
-    with the same stem are rejected before any read, since they would
-    write the same files. Returns the run's Emitter, the results of the
-    inputs that did not raise, in input order, and the status: 0, 2 or 1
-    when all, some or none succeeded."""
-    if csv_path := getattr(args, "series_csv", None):
+    values are read into their Series here, before any job. Texts run
+    sorted by stem; two with the same stem are rejected before any read,
+    since they would write the same files. Returns the run's Emitter,
+    the results of the inputs that did not raise, in input order, and
+    the status: 0, 2 or 1 when all, some or none succeeded."""
+    if (csv_path := getattr(args, "series_csv", None)) is not None:
         if args.paths:
             raise ValueError("give text paths or --series-csv, not both")
         inputs = [(Path(csv_path).stem,
                    series.Series(read_series_csv(csv_path), {"series_csv": csv_path}))]
     elif args.paths:
-        inputs = [(Path(p).stem, p) for p in sorted(args.paths)]
-        first = {}  # each output file is named after its input's stem
-        for name, p in inputs:
-            if name in first:
-                raise ValueError(f"{first[name]} and {p} both write {name}__*; rename one")
-            first[name] = p
+        inputs = sorted((Path(p).stem, p) for p in args.paths)
+        for (name, p), (twin, q) in zip(inputs, inputs[1:]):
+            if name == twin:
+                raise ValueError(f"{p} and {q} both write {name}__*; rename one")
     else:
         raise ValueError("no input: give text paths, or --series-csv "
                          "where the command reads a series")
@@ -580,7 +579,7 @@ def values_job(name, s, args, em):
 def analyze_corpus(results, args, em):
     """The delta_alpha-vs-H scatter and, over two or more inputs, the
     corpus-average spectrum."""
-    summary, spectra = zip(*sorted(results, key=lambda r: r[0][0]))
+    summary, spectra = zip(*results)
     header = ["name", "H", "delta_alpha", "beta", "shuffled_delta_alpha"]
     em.write("corpus__scatter", "csv", serialize.table_csv, summary, header)
     names, hs, das, _betas, sdas = zip(*summary)

@@ -59,7 +59,6 @@ class FluctuationSurface:
     q_values: np.ndarray
     scales: np.ndarray
     F: np.ndarray  # shape (len(q_values), len(scales)), strictly positive
-    n_segments: np.ndarray  # 2*M_s per scale
 
 
 @dataclass(frozen=True)
@@ -196,7 +195,6 @@ def fluctuation_surface(s_series, q_values=None, scales=None, m: int = 2) -> Flu
     _reject_flat(x)
     prof = profile(x)
     F = np.empty((len(q_values), len(scales)))
-    n_segments = np.empty(len(scales), dtype=int)
     has_negative_q = bool((q_values < 0).any())
     is_zero = q_values == 0
     q_nonzero = q_values[~is_zero]
@@ -204,7 +202,6 @@ def fluctuation_surface(s_series, q_values=None, scales=None, m: int = 2) -> Flu
     tiny = np.finfo(float).tiny
     for j, s in enumerate(scales):
         f2 = segment_variances(prof, int(s), m)
-        n_segments[j] = len(f2)
         if has_negative_q and (f2 == 0).any():
             nu = int(np.nonzero(f2 == 0)[0][0]) + 1
             raise ValueError(f"segment {nu} at scale {s} is exactly detrended (F^2 = 0); "
@@ -221,7 +218,7 @@ def fluctuation_surface(s_series, q_values=None, scales=None, m: int = 2) -> Flu
         a -= amax[:, None]
         np.exp(a, out=a)
         F[~is_zero, j] = np.exp((amax + np.log(a.mean(axis=1))) / q_nonzero)
-    return FluctuationSurface(q_values=q_values, scales=scales, F=F, n_segments=n_segments)
+    return FluctuationSurface(q_values=q_values, scales=scales, F=F)
 
 
 def fit_generalized_hurst(surf: FluctuationSurface, fit_range=None) -> GeneralizedHurst:

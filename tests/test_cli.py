@@ -5,6 +5,7 @@ import csv
 import errno
 import functools
 import io
+import itertools
 import json
 import math
 import multiprocessing
@@ -444,6 +445,17 @@ class TestSeriesCsvInput:
         out = tmp_path / "o"
         assert run([cmd, text_file, "--series-csv", series_file[0], "--out", out]) == 1
         assert "fatal: give text paths or --series-csv, not both" in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("n_texts, message", [
+        (1, "give text paths or --series-csv, not both"),
+        (0, f"[Errno {errno.ENOENT}] {os.strerror(errno.ENOENT)}: ''"),
+    ], ids=["with_a_text", "alone"])
+    def test_an_empty_series_csv_path_is_a_path(self, n_texts, message, text_file, tmp_path,
+                                                capsys):
+        out = tmp_path / "o"
+        assert run(["spectrum", *[text_file][:n_texts], "--series-csv", "", "--out", out]) == 1
+        assert capsys.readouterr().err == f"fatal: {message}\n"
         assert not out.exists()
 
     @staticmethod
@@ -1064,10 +1076,13 @@ class TestAnalyzeCommand:
     @pytest.mark.parametrize("bad_bytes", [
         b"One two. Three four five.\n", b"", bytes(range(128, 256)),
     ], ids=["too_short", "empty", "undecodable"])
-    @pytest.mark.parametrize("argv", [
-        ["analyze"], ["analyze", "--jobs", "2"], ["spectrum"],
-    ], ids=["analyze", "analyze_jobs2", "spectrum"])
-    def test_partial_failure_exits_two(self, argv, bad_bytes, tmp_path, capsys):
+    @pytest.mark.parametrize("argv, start_method", [
+        (["analyze"], None), (["analyze", "--jobs", "2"], "fork"),
+        (["analyze", "--jobs", "2"], "forkserver"), (["analyze", "--jobs", "2"], "spawn"),
+        (["spectrum"], None),
+    ], ids=["analyze", "analyze_jobs2", "analyze_jobs2_forkserver", "analyze_jobs2_spawn",
+            "spectrum"], indirect=["start_method"])  # None: no pool runs
+    def test_partial_failure_exits_two(self, argv, bad_bytes, tmp_path, capsys, start_method):
         good = tmp_path / "good.txt"
         good.write_text(make_text(900, 4), encoding="utf-8")
         bad = tmp_path / "bad.txt"
@@ -1199,6 +1214,22 @@ class TestOutputNames:
         assert capsys.readouterr().err == (
             f"fatal: {paths[0]} and {paths[1]} both write x__*; rename one\n")
         assert not out.exists()
+
+    @pytest.mark.parametrize("jobs", ["1", "2"])
+    def test_inputs_run_in_the_order_of_their_names(self, jobs, tmp_path, capfd):
+        # by path tale-2.txt comes first, since "-" sorts before "."
+        paths = [tmp_path / "tale.txt", tmp_path / "tale-2.txt"]
+        for seed, path in enumerate(paths):
+            path.write_text(make_text(300, seed), encoding="utf-8")
+        out = tmp_path / "o"
+        argv = [*paths, "--out", out, "--min-sentences", "100"]
+        assert run(["analyze", *argv, "--surrogates", "0", "--jobs", jobs]) == 0
+        written = re.findall(r"^wrote .*/(.*?)__", capfd.readouterr().err, re.M)
+        assert [name for name, _ in itertools.groupby(written)] == ["tale", "tale-2", "corpus"]
+        assert [row[0] for row in read_rows(out / "corpus__scatter.csv")[1:]] == ["tale", "tale-2"]
+        assert run(["ccdf", *argv]) == 0
+        members = json.loads((out / "pooled__ccdf_fit.json").read_text())["members"]
+        assert members == ["tale", "tale-2"]
 
     @pytest.mark.parametrize("cmd", [["spectrum"], ["analyze", "--surrogates", "0"], ["ccdf"]],
                              ids=lambda cmd: cmd[0])

@@ -121,6 +121,14 @@ def test_a_run_reads_a_text_as_a_series_csv(tmp_path):
         cli.read_series_csv(tmp_path / args.series_csv)
 
 
+def test_runs_give_inputs_whose_paths_and_names_sort_apart():
+    # the byte check then pins input order, the order of the inputs' names
+    for run in ("analyze_name_order", "ccdf_name_order"):
+        paths = cli.build_parser().parse_args([*diff_outputs.RUNS[run], "--out", "o"]).paths
+        assert sorted(paths) != sorted(paths, key=lambda p: Path(p).stem)
+    assert "--jobs" in diff_outputs.RUNS["analyze_name_order"]
+
+
 def test_runs_spell_a_target_two_ways():
     # the byte check then covers naming a recurrence run by the target it matched
     for spelled, plain in [("recurrence_the_spelled", "recurrence_the"),

@@ -1,4 +1,5 @@
 import re
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -7,6 +8,7 @@ from hypothesis import given, settings, strategies as st
 import textfract as tf
 import textfract.mfdfa as M
 from textfract import spectral, wavelet
+import exact
 from _novel import sentence_lengths
 from textfract.series import cascade_generalized_hurst
 
@@ -114,6 +116,16 @@ class TestSegmentVariances:
                         for nu in range(1, len(got) + 1)]
                 np.testing.assert_allclose(got, want, rtol=1e-10, atol=0,
                                            err_msg=f"s={s}, m={m}")
+
+    def test_matches_exact_arithmetic(self):
+        # given its float64 profile, the kernel erred by at most 1.5e-14
+        # over this grid; F^2 off by 1e-12, inside the rtol=1e-10 oracles, fails
+        prof = tf.profile(sentence_lengths()[:2000])
+        for s in M.default_scales(len(prof.values)):
+            got = M.segment_variances(prof, int(s), 2)
+            want = exact.segment_variances(prof.values, int(s), 2)
+            err = max(abs(Fraction(g) / w - 1) for g, w in zip(got.tolist(), want, strict=True))
+            assert err < 1e-13, f"s={s}: relative error {float(err):.2e}"
 
 
 def per_call_qr_segment_variances(p, s, m):
@@ -391,8 +403,7 @@ class TestGeneralizedHurst:
         scales = np.array([20, 40, 80, 160, 320, 640])
         q = M.default_q_values()
         F = np.tile(scales**0.6, (len(q), 1))
-        surf = M.FluctuationSurface(q_values=q, scales=scales, F=F,
-                                    n_segments=np.full(len(scales), 10))
+        surf = M.FluctuationSurface(q_values=q, scales=scales, F=F)
         gh = M.fit_generalized_hurst(surf)
         np.testing.assert_allclose(gh.h, 0.6, atol=1e-12)
 

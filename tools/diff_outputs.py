@@ -9,9 +9,11 @@ OLD_SRC and NEW_SRC are ``src`` directories, each holding the
 without importing either tree, and written once to a temporary
 directory: the synthetic novel that the tests and the benchmark share, a
 copy of it whose full stops turn in turn into ``...``, ``…``, ``....``,
-``?`` and ``!`` (plus ``snake_case 3.14 a...b``), a copy whose sentences
-in turn gain non-ASCII text (see ``unicode_text``), a copy whose every
-space is a newline, a copy whose spaces turn in turn into a tab, a
+``?`` and ``!`` (plus ``snake_case 3.14 a...b``) with a byte copy of that
+named ``marks-1.txt``, whose path sorts before ``marks.txt`` and whose
+name after it, a copy whose sentences in turn gain non-ASCII text (see
+``unicode_text``), a copy whose every space is a newline, a copy whose
+spaces turn in turn into a tab, a
 no-break space, an ideographic space and a newline (so it holds no
 ASCII space), a copy whose every newline is a space (read as a series
 CSV, its one line is a field past the csv module's limit), an empty text, a seeded float series as an
@@ -81,6 +83,10 @@ RUNS = {
     "zipf_words": ["zipf", "novel.txt", "--rank-min", "1", "--rank-max", "50"],
     "ccdf_pooled": ["ccdf", "novel.txt", "marks.txt", "--tail-start", "20"],
     "ccdf_csv": ["ccdf", "--series-csv", "noise.csv", "--tail-start", "1"],
+    # inputs whose order by path is not their order by name: they run by name
+    "analyze_name_order": ["analyze", "marks-1.txt", "marks.txt", "--surrogates", "0",
+                           "--jobs", "2"],
+    "ccdf_name_order": ["ccdf", "marks-1.txt", "marks.txt", "--tail-start", "20"],
     "recurrence_the": ["recurrence", "novel.txt", "--target", "the"],
     "recurrence_stop": ["recurrence", "marks.txt", "--target", "."],
     # other spellings of the two targets above: named as those are
@@ -142,6 +148,7 @@ def write_inputs(folder: Path):
     marked = "".join(p + marks[i % len(marks)] + "\n" for i, p in enumerate(parts[:-1]))
     (folder / "marks.txt").write_text(marked + parts[-1] + "snake_case 3.14 a...b\n",
                                       encoding="utf-8")
+    (folder / "marks-1.txt").write_bytes((folder / "marks.txt").read_bytes())
     (folder / "unicode.txt").write_text(unicode_text(text), encoding="utf-8")
     (folder / "newlines.txt").write_text(text.replace(" ", "\n"), encoding="utf-8")
     (folder / "oneline.txt").write_text(text.replace("\n", " "), encoding="utf-8")
